@@ -101,22 +101,18 @@ def walsh_hadamard(values: np.ndarray) -> FourierSpectrum:
     involution, which makes ``synthesize`` its exact inverse.
     """
     values, n = _check_table(values)
-    coeffs = values.copy()
-    half = 1
-    while half < coeffs.shape[0]:
-        view = coeffs.reshape(-1, 2 * half)
-        top = view[:, :half].copy()
-        bot = view[:, half:].copy()
-        view[:, :half] = top + bot
-        view[:, half:] = top - bot
-        half *= 2
+    coeffs = _butterfly(values.copy())
     coeffs /= coeffs.shape[0]
     return FourierSpectrum(n=n, coeffs=coeffs)
 
 
 def synthesize(spectrum: FourierSpectrum) -> np.ndarray:
     """Rebuild the vertex table from its spectrum (inverse transform)."""
-    table = spectrum.coeffs.copy()
+    return _butterfly(spectrum.coeffs.copy())
+
+
+def _butterfly(table: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a length-2^n array, in place."""
     half = 1
     while half < table.shape[0]:
         view = table.reshape(-1, 2 * half)

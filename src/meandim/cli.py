@@ -13,6 +13,11 @@ Three subcommands:
   meandim theory --loss mse|ce --alpha-t X --lambda Y
                  --grid LO HI N [--delta D] [--activation TAG] [--out CSV]
       Solve the replica curve on a log-spaced 1/alpha grid.
+
+Bad input exits with code 2 and a `meandim <command>: <reason>` line on
+stderr: a missing file, a malformed or truncated checkpoint, a malformed
+config or a config value out of its range (checked before any experiment
+cell runs).
 """
 
 import argparse
@@ -23,7 +28,7 @@ import numpy as np
 from .estimator import (InputSampler, estimate_md, estimate_md_binary_fast,
                         profile_summary, write_profile_csv)
 from .experiments import load_experiment_config, run_experiment
-from .replica import CURVE_HEADER, sweep_curve, write_curve_csv
+from .replica import _curve_csv_text, sweep_curve, write_curve_csv
 from .rfm import Activation, compute_kappas, load_rfm, score_fn
 
 __all__ = ["main", "build_parser"]
@@ -119,14 +124,7 @@ def _cmd_theory(args) -> int:
     grid = np.logspace(np.log10(lo), np.log10(hi), n)
     rows = sweep_curve(kappas, args.loss, args.lam, args.alpha_t, grid,
                        delta=args.delta)
-    print(CURVE_HEADER)
-    for r in rows:
-        vals = [r.inv_alpha, r.alpha_t, r.lam, r.eps_g, r.train_loss,
-                r.test_loss, r.bmd, r.q_d, r.p_d, r.Q_d]
-        cells = [repr(float(v)) for v in vals]
-        cells.insert(3, r.loss)
-        cells.append(str(int(r.converged)))
-        print(",".join(cells))
+    sys.stdout.write(_curve_csv_text(rows))
     if args.out is not None:
         write_curve_csv(args.out, rows)
     return 0

@@ -7,6 +7,14 @@ per curve, one SVG per heatmap, and a text summary with peak locations
 and correlations. Outputs are deterministic for a fixed config: rerunning
 a config produces byte-identical files.
 
+The sweep kinds are presets of one engine. A cell trains and measures one
+model at one grid point and repetition: `_rfm_cell` fits a random feature
+model by closed-form ridge and is keyed by the swept field and the MD
+method; `_mlp_cell` trains a two-layer network by gradient descent.
+`_run_cells` runs a cell over the grid x repetition lattice and `_sweep`
+writes the means, so a kind only picks the swept field, the fixed cell
+settings and its summary lines.
+
 Config files are flat key-value text, one `key = value` per line, with
 `#` starting a comment. Repetition seeds are seed + rep_index, so any
 single cell can be reproduced in isolation.
@@ -24,9 +32,10 @@ from .estimator import (InputSampler, estimate_md, estimate_md_binary_fast,
 from .heatmap_svg import emit_heatmap_svg
 from .replica import sweep_curve, write_curve_csv
 from .rfm import Activation, analytic_bmd, compute_kappas, random_rfm, score_fn
-from .trainer import (Dataset, TeacherTask, TrainConfig, adversarial_init_protocol,
-                      flip_labels, gen_multiclass_task, gen_teacher_student,
-                      init_mlp, multiclass_bmd, robustness_flip_count, train_gd,
+from .trainer import (TeacherTask, TrainConfig, _minmax_dataset,
+                      adversarial_init_protocol, flip_labels, forward_mlp,
+                      gen_multiclass_task, gen_teacher_student, init_mlp,
+                      multiclass_bmd, robustness_flip_count, train_gd,
                       train_rfm_ridge)
 
 __all__ = [
@@ -41,19 +50,6 @@ __all__ = [
     "write_sweep_csv",
 ]
 
-EXPERIMENT_KINDS = (
-    "double-descent-rfm",
-    "double-descent-mlp",
-    "theory-curve",
-    "regularization-sweep",
-    "trainset-size-sweep",
-    "adversarial-init",
-    "robustness-sweep",
-    "heatmap",
-    "distribution-comparison",
-    "normalization-comparison",
-)
-
 _TITLES = {
     "double-descent-rfm": "random feature model: error and BMD across width",
     "double-descent-mlp": "two-layer MLP: error and BMD across width",
@@ -66,22 +62,11 @@ _TITLES = {
     "distribution-comparison": "MD under different resampling distributions",
     "normalization-comparison": "input normalization ranges and the BMD pattern",
 }
+EXPERIMENT_KINDS = tuple(_TITLES)
 
 
 # ---------------------------------------------------------------------------
 # config schema and parsing
-
-
-def _parse_int(s: str) -> int:
-    return int(s)
-
-
-def _parse_float(s: str) -> float:
-    return float(s)
-
-
-def _parse_str(s: str) -> str:
-    return s
 
 
 def _parse_bool(s: str) -> bool:
@@ -93,18 +78,27 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-def _parse_int_list(s: str):
-    toks = s.replace(",", " ").split()
-    if not toks:
-        raise ValueError("empty list")
-    return tuple(int(t) for t in toks)
+def _parse_list(conv):
+    """Parser for a non-empty comma- or space-separated list of conv values."""
+    def parse(s: str) -> tuple:
+        toks = s.replace(",", " ").split()
+        if not toks:
+            raise ValueError("empty list")
+        return tuple(conv(t) for t in toks)
+    return parse
 
 
-def _parse_float_list(s: str):
-    toks = s.replace(",", " ").split()
-    if not toks:
-        raise ValueError("empty list")
-    return tuple(float(t) for t in toks)
+def _parse_choice(*choices):
+    def parse(s: str) -> str:
+        if s not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {s!r}")
+        return s
+    return parse
+
+
+def _parse_activation(s: str) -> str:
+    Activation.from_tag(s)  # raises ValueError on an unknown tag
+    return s
 
 
 def _parse_ranges(s: str):
@@ -125,140 +119,146 @@ def _parse_ranges(s: str):
 
 _REQUIRED = object()
 
+_INPUT_KIND = _parse_choice("binary", "gaussian")
+_LOSS = _parse_choice("mse", "ce")
+# the optimizers of TrainConfig that train a whole MLP (closed-form ridge
+# fits only an RFM readout)
+_MLP_OPTIMIZER = _parse_choice("full-batch-gd", "minibatch-gd")
+
 _COMMON_SCHEMA = {
-    "seed": (_parse_int, 0),
-    "reps": (_parse_int, 1),
-    "out": (_parse_str, "out"),
-    "jobs": (_parse_int, 1),
+    "seed": (int, 0),
+    "reps": (int, 1),
+    "out": (str, "out"),
+    "jobs": (int, 1),
 }
 
 _GRID_SCHEMA = {
-    "grid_min": (_parse_float, 0.1),
-    "grid_max": (_parse_float, 10.0),
-    "grid_points": (_parse_int, 21),
+    "grid_min": (float, 0.1),
+    "grid_max": (float, 10.0),
+    "grid_points": (int, 21),
 }
 
 _SCHEMAS = {
     "double-descent-rfm": {
-        "dim": (_parse_int, _REQUIRED),
-        "n_train": (_parse_int, _REQUIRED),
-        "n_test": (_parse_int, 2000),
-        "widths": (_parse_int_list, _REQUIRED),
-        "lam": (_parse_float, 1e-4),
-        "label_noise_fraction": (_parse_float, 0.0),
-        "delta": (_parse_float, 0.0),
-        "input_kind": (_parse_str, "binary"),
-        "activation": (_parse_str, "tanh"),
+        "dim": (int, _REQUIRED),
+        "n_train": (int, _REQUIRED),
+        "n_test": (int, 2000),
+        "widths": (_parse_list(int), _REQUIRED),
+        "lam": (float, 1e-4),
+        "label_noise_fraction": (float, 0.0),
+        "delta": (float, 0.0),
+        "input_kind": (_INPUT_KIND, "binary"),
+        "activation": (_parse_activation, "tanh"),
     },
     "double-descent-mlp": {
-        "dim": (_parse_int, _REQUIRED),
-        "n_train": (_parse_int, _REQUIRED),
-        "n_test": (_parse_int, 1000),
-        "widths": (_parse_int_list, _REQUIRED),
-        "n_classes": (_parse_int, 2),
-        "epochs": (_parse_int, 200),
-        "lr": (_parse_float, 1e-3),
-        "batch_size": (_parse_int, 64),
-        "loss": (_parse_str, "ce"),
-        "optimizer": (_parse_str, "minibatch-gd"),
-        "label_noise_fraction": (_parse_float, 0.0),
-        "md_samples": (_parse_int, 4000),
-        "input_kind": (_parse_str, "gaussian"),
+        "dim": (int, _REQUIRED),
+        "n_train": (int, _REQUIRED),
+        "n_test": (int, 1000),
+        "widths": (_parse_list(int), _REQUIRED),
+        "n_classes": (int, 2),
+        "epochs": (int, 200),
+        "lr": (float, 1e-3),
+        "batch_size": (int, 64),
+        "loss": (_LOSS, "ce"),
+        "optimizer": (_MLP_OPTIMIZER, "minibatch-gd"),
+        "label_noise_fraction": (float, 0.0),
+        "md_samples": (int, 4000),
+        "input_kind": (_INPUT_KIND, "gaussian"),
     },
     "theory-curve": {
-        "loss": (_parse_str, "mse"),
-        "lam": (_parse_float, 1e-4),
-        "alpha_t": (_parse_float, 3.0),
-        "delta": (_parse_float, 0.0),
-        "activation": (_parse_str, "tanh"),
+        "loss": (_LOSS, "mse"),
+        "lam": (float, 1e-4),
+        "alpha_t": (float, 3.0),
+        "delta": (float, 0.0),
+        "activation": (_parse_activation, "tanh"),
         **_GRID_SCHEMA,
     },
     "regularization-sweep": {
-        "lams": (_parse_float_list, _REQUIRED),
-        "loss": (_parse_str, "mse"),
-        "alpha_t": (_parse_float, 3.0),
-        "delta": (_parse_float, 0.0),
-        "activation": (_parse_str, "tanh"),
+        "lams": (_parse_list(float), _REQUIRED),
+        "loss": (_LOSS, "mse"),
+        "alpha_t": (float, 3.0),
+        "delta": (float, 0.0),
+        "activation": (_parse_activation, "tanh"),
         **_GRID_SCHEMA,
         "empirical": (_parse_bool, False),
-        "dim": (_parse_int, 50),
-        "n_train": (_parse_int, 200),
-        "n_test": (_parse_int, 2000),
-        "widths": (_parse_int_list, ()),
-        "label_noise_fraction": (_parse_float, 0.1),
-        "input_kind": (_parse_str, "binary"),
+        "dim": (int, 50),
+        "n_train": (int, 200),
+        "n_test": (int, 2000),
+        "widths": (_parse_list(int), ()),
+        "label_noise_fraction": (float, 0.1),
+        "input_kind": (_INPUT_KIND, "binary"),
     },
     "trainset-size-sweep": {
-        "dim": (_parse_int, _REQUIRED),
-        "width": (_parse_int, _REQUIRED),
-        "n_trains": (_parse_int_list, _REQUIRED),
-        "n_test": (_parse_int, 2000),
-        "lam": (_parse_float, 1e-4),
-        "label_noise_fraction": (_parse_float, 0.0),
-        "delta": (_parse_float, 0.0),
-        "input_kind": (_parse_str, "binary"),
-        "activation": (_parse_str, "tanh"),
+        "dim": (int, _REQUIRED),
+        "width": (int, _REQUIRED),
+        "n_trains": (_parse_list(int), _REQUIRED),
+        "n_test": (int, 2000),
+        "lam": (float, 1e-4),
+        "label_noise_fraction": (float, 0.0),
+        "delta": (float, 0.0),
+        "input_kind": (_INPUT_KIND, "binary"),
+        "activation": (_parse_activation, "tanh"),
     },
     "adversarial-init": {
-        "dim": (_parse_int, _REQUIRED),
-        "n_train": (_parse_int, _REQUIRED),
-        "n_test": (_parse_int, 800),
-        "width": (_parse_int, _REQUIRED),
-        "n_classes": (_parse_int, 10),
-        "pretrain_grid": (_parse_int_list, (0, 5, 20, 50)),
-        "epochs": (_parse_int, 60),
-        "lr": (_parse_float, 3e-3),
-        "batch_size": (_parse_int, 64),
-        "loss": (_parse_str, "ce"),
-        "md_samples": (_parse_int, 2000),
-        "input_kind": (_parse_str, "gaussian"),
+        "dim": (int, _REQUIRED),
+        "n_train": (int, _REQUIRED),
+        "n_test": (int, 800),
+        "width": (int, _REQUIRED),
+        "n_classes": (int, 10),
+        "pretrain_grid": (_parse_list(int), (0, 5, 20, 50)),
+        "epochs": (int, 60),
+        "lr": (float, 3e-3),
+        "batch_size": (int, 64),
+        "loss": (_LOSS, "ce"),
+        "md_samples": (int, 2000),
+        "input_kind": (_INPUT_KIND, "gaussian"),
     },
     "robustness-sweep": {
-        "dim": (_parse_int, _REQUIRED),
-        "n_train": (_parse_int, _REQUIRED),
-        "n_test": (_parse_int, 500),
-        "widths": (_parse_int_list, _REQUIRED),
-        "n_classes": (_parse_int, 10),
-        "epochs": (_parse_int, 100),
-        "lr": (_parse_float, 3e-3),
-        "batch_size": (_parse_int, 32),
-        "loss": (_parse_str, "ce"),
-        "md_samples": (_parse_int, 2000),
-        "flip_points": (_parse_int, 200),
-        "label_noise_fraction": (_parse_float, 0.0),
-        "input_kind": (_parse_str, "gaussian"),
+        "dim": (int, _REQUIRED),
+        "n_train": (int, _REQUIRED),
+        "n_test": (int, 500),
+        "widths": (_parse_list(int), _REQUIRED),
+        "n_classes": (int, 10),
+        "epochs": (int, 100),
+        "lr": (float, 3e-3),
+        "batch_size": (int, 32),
+        "loss": (_LOSS, "ce"),
+        "md_samples": (int, 2000),
+        "flip_points": (int, 200),
+        "label_noise_fraction": (float, 0.0),
+        "input_kind": (_INPUT_KIND, "gaussian"),
     },
     "heatmap": {
-        "grid_height": (_parse_int, _REQUIRED),
-        "grid_width": (_parse_int, _REQUIRED),
-        "n_feat": (_parse_int, _REQUIRED),
-        "n_train": (_parse_int, _REQUIRED),
-        "lam": (_parse_float, 1e-4),
-        "samples": (_parse_int, 20000),
-        "support_fraction": (_parse_float, 0.25),
-        "label_noise_fraction": (_parse_float, 0.0),
-        "activation": (_parse_str, "tanh"),
+        "grid_height": (int, _REQUIRED),
+        "grid_width": (int, _REQUIRED),
+        "n_feat": (int, _REQUIRED),
+        "n_train": (int, _REQUIRED),
+        "lam": (float, 1e-4),
+        "samples": (int, 20000),
+        "support_fraction": (float, 0.25),
+        "label_noise_fraction": (float, 0.0),
+        "activation": (_parse_activation, "tanh"),
     },
     "distribution-comparison": {
-        "dim": (_parse_int, _REQUIRED),
-        "n_train": (_parse_int, _REQUIRED),
-        "n_test": (_parse_int, 1000),
-        "widths": (_parse_int_list, _REQUIRED),
-        "lam": (_parse_float, 1e-4),
-        "samples": (_parse_int, 10000),
-        "label_noise_fraction": (_parse_float, 0.0),
-        "activation": (_parse_str, "tanh"),
+        "dim": (int, _REQUIRED),
+        "n_train": (int, _REQUIRED),
+        "n_test": (int, 1000),
+        "widths": (_parse_list(int), _REQUIRED),
+        "lam": (float, 1e-4),
+        "samples": (int, 10000),
+        "label_noise_fraction": (float, 0.0),
+        "activation": (_parse_activation, "tanh"),
     },
     "normalization-comparison": {
-        "dim": (_parse_int, _REQUIRED),
-        "n_train": (_parse_int, _REQUIRED),
-        "n_test": (_parse_int, 1000),
-        "widths": (_parse_int_list, _REQUIRED),
-        "lam": (_parse_float, 1e-4),
-        "samples": (_parse_int, 10000),
+        "dim": (int, _REQUIRED),
+        "n_train": (int, _REQUIRED),
+        "n_test": (int, 1000),
+        "widths": (_parse_list(int), _REQUIRED),
+        "lam": (float, 1e-4),
+        "samples": (int, 10000),
         "ranges": (_parse_ranges, ((-1.0, 1.0), (-3.0, 3.0), (-5.0, 5.0))),
-        "label_noise_fraction": (_parse_float, 0.0),
-        "activation": (_parse_str, "tanh"),
+        "label_noise_fraction": (float, 0.0),
+        "activation": (_parse_activation, "tanh"),
     },
 }
 
@@ -324,11 +324,6 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
 
 
 def _validate_params(kind: str, params: dict) -> None:
-    for key in ("widths", "n_trains", "pretrain_grid", "lams", "ranges"):
-        if key == "widths" and kind == "regularization-sweep":
-            continue  # optional there: empty means theory-only
-        if key in params and len(params[key]) == 0:
-            raise ValueError(f"config field {key!r} must be a non-empty list")
     if "grid_points" in params:
         if params["grid_points"] < 2:
             raise ValueError("config field 'grid_points' must be >= 2")
@@ -336,6 +331,11 @@ def _validate_params(kind: str, params: dict) -> None:
             raise ValueError("config fields 'grid_min' < 'grid_max' must be positive")
     if kind == "regularization-sweep" and params["empirical"] and not params["widths"]:
         raise ValueError("config field 'widths' is required when 'empirical = true'")
+    closed_form = kind in ("double-descent-rfm", "trainset-size-sweep") or (
+        kind == "regularization-sweep" and params["empirical"])
+    if closed_form and Activation.from_tag(params["activation"]).kind == "sign":
+        raise ValueError("config field 'activation': the closed-form BMD diverges for "
+                         "sign (its squared weak derivative is not Gaussian integrable)")
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -483,111 +483,166 @@ def _run_cells(cell_fn, coords, metric_names, reps: int, jobs: int,
                 f"experiment cell {coordinate}={coords[i]}, rep={rep} failed: {exc}"
             ) from exc
 
+    lattice = [(i, rep) for i in range(len(coords)) for rep in range(reps)]
     if jobs == 1:
-        for i in range(len(coords)):
-            for rep in range(reps):
-                out = wrapped(i, rep)
-                for name in metric_names:
-                    blocks[name][i, rep] = out[name]
+        outs = [wrapped(i, rep) for i, rep in lattice]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {(i, rep): pool.submit(wrapped, i, rep)
-                       for i in range(len(coords)) for rep in range(reps)}
-            for (i, rep), fut in futures.items():
-                out = fut.result()
-                for name in metric_names:
-                    blocks[name][i, rep] = out[name]
+            futures = [pool.submit(wrapped, i, rep) for i, rep in lattice]
+            outs = [fut.result() for fut in futures]
+    for (i, rep), out in zip(lattice, outs):
+        for name in metric_names:
+            blocks[name][i, rep] = out[name]
     return SweepResult(coordinate=coordinate, coords=tuple(coords),
                        values=blocks, reps=reps)
 
 
-def _trained_rfm_cell(dim, width, n_train, n_test, lam, noise_fraction, delta,
-                      input_kind, activation, kappas, seed):
-    """One (width, rep) cell of an empirical ridge sweep."""
-    task = TeacherTask.random(dim, seed=seed, input_kind=input_kind, delta=delta)
-    train, test = gen_teacher_student(dim, n_train, n_test, task, seed=seed)
-    train = flip_labels(train, noise_fraction, seed=seed)
-    model = random_rfm(dim, width, activation, seed=seed, kappas=kappas)
-    fit = train_rfm_ridge(model, train, lam, test_ds=test)
-    return fit, train, test
+# ---------------------------------------------------------------------------
+# the sweep engine: one ridge cell, one MLP cell, one sweep tail
+
+_ERR_BMD = ("train_err", "test_err", "bmd")
+_SAMPLERS = ("binary", "gaussian", "uniform")
+
+
+def _kappas(p):
+    act = Activation.from_tag(p["activation"])
+    return act, compute_kappas(act)
+
+
+def _rfm_cell(p, act, kappas, seed, md, rescale=None, **fields):
+    """One (coordinate, rep) cell of an empirical ridge sweep.
+
+    fields override the config params p for this cell: the swept value
+    (width, n_train or lam) and a kind's fixed input_kind and delta.
+    Teacher data, min-max rescaled onto rescale = (lo, hi) when given, get
+    label noise; the readout is fitted by closed-form ridge and its mean
+    dimension measured by md: "analytic" (the closed form), "flip"
+    (spin-flip Monte Carlo) or "samplers" (resampling under each law in
+    _SAMPLERS, reported as md_<law>).
+    """
+    p = {**p, **fields}
+    task = TeacherTask.random(p["dim"], seed=seed, input_kind=p["input_kind"],
+                              delta=p["delta"])
+    train, test = gen_teacher_student(p["dim"], p["n_train"], p["n_test"], task,
+                                      seed=seed)
+    if rescale is not None:
+        train, test = _minmax_dataset(train, *rescale), _minmax_dataset(test, *rescale)
+    train = flip_labels(train, p["label_noise_fraction"], seed=seed)
+    model = random_rfm(p["dim"], p["width"], act, seed=seed, kappas=kappas)
+    fit = train_rfm_ridge(model, train, p["lam"], test_ds=test)
+    out = {"train_err": fit.train_error, "test_err": fit.test_error}
+    if md == "analytic":
+        out["bmd"] = analytic_bmd(fit.model)
+        return out
+    f = score_fn(fit.model)
+    if md == "flip":
+        out["bmd"] = estimate_md_binary_fast(f, p["dim"], p["samples"], seed).md
+        return out
+    for law in _SAMPLERS:
+        out[f"md_{law}"] = estimate_md(f, InputSampler(law, p["dim"]), p["samples"],
+                                       seed).md
+    return out
+
+
+def _mlp_cell(p, width, seed, multiclass, pretrain=None, flips=False):
+    """One (coordinate, rep) cell of a two-layer tanh network sweep.
+
+    A multiclass task trains n_classes logits; otherwise a scalar margin
+    head learns a sign teacher. With pretrain set, the adversarial protocol
+    first trains that many epochs on fully corrupted labels. flips adds the
+    mean flip count on the test set.
+    """
+    dim = p["dim"]
+    if multiclass:
+        train, test = gen_multiclass_task(dim, p["n_train"], p["n_test"],
+                                          p["n_classes"], p["input_kind"], seed=seed)
+        n_out, loss = p["n_classes"], "ce"
+    else:
+        task = TeacherTask.random(dim, seed=seed, input_kind=p["input_kind"])
+        train, test = gen_teacher_student(dim, p["n_train"], p["n_test"], task,
+                                          seed=seed)
+        n_out, loss = 1, p["loss"]
+    config = TrainConfig(loss=loss, optimizer=p.get("optimizer", "minibatch-gd"),
+                         batch_size=p["batch_size"], lr=p["lr"], epochs=p["epochs"],
+                         label_noise_fraction=p.get("label_noise_fraction", 0.0),
+                         seed=seed)
+    skeleton = init_mlp(dim, width, n_out, seed=seed)
+    if pretrain is None:
+        fit = train_gd(skeleton, train, config, test_ds=test)
+    else:
+        fit, _ = adversarial_init_protocol(skeleton, train, pretrain, p["epochs"],
+                                           config, test_ds=test)
+    net = fit.model
+    if multiclass:
+        bmd = multiclass_bmd(net, InputSampler.binary(dim), p["md_samples"], seed)
+    else:
+        bmd = estimate_md_binary_fast(lambda x: forward_mlp(net, x), dim,
+                                      p["md_samples"], seed).md
+    out = {"train_err": fit.train_error, "test_err": fit.test_error, "bmd": bmd}
+    if flips:
+        out["flip_count"] = robustness_flip_count(net, test, seed=seed,
+                                                  max_points=p["flip_points"]).mean
+    return out
+
+
+def _sweep(cfg: ExperimentConfig, name: str, cell, coords,
+           metrics=_ERR_BMD, coordinate="width"):
+    """Run cell(i, rep) over coords x reps; write the means to <name>.csv."""
+    result = _run_cells(cell, coords, metrics, cfg.reps, cfg.jobs, coordinate)
+    path = os.path.join(cfg.out_dir, f"{name}.csv")
+    write_sweep_csv(path, result)
+    return path, result
+
+
+def _peak_lines(result: SweepResult, pairs=None) -> list:
+    """The peak report's summary lines once the grid has 5 points."""
+    return summarize_peaks(result, pairs).lines() if len(result.coords) >= 5 else []
+
+
+def _argmax(result: SweepResult, name: str):
+    return result.coords[int(np.nanargmax(result.mean(name)))]
 
 
 # ---------------------------------------------------------------------------
-# experiment kinds
+# experiment kinds: presets of the engine
 
 
-def _run_double_descent_rfm(cfg: ExperimentConfig, out_dir: str) -> list:
+def _run_rfm_sweep(cfg: ExperimentConfig) -> tuple:
+    """double-descent-rfm sweeps the width, trainset-size-sweep n_train."""
     p = cfg.params
-    act = Activation.from_tag(p["activation"])
-    kappas = compute_kappas(act)
-    widths = p["widths"]
+    axis = "width" if cfg.kind == "double-descent-rfm" else "n_train"
+    coords = p[axis + "s"]
+    act, kappas = _kappas(p)
 
     def cell(i, rep):
-        fit, _, _ = _trained_rfm_cell(
-            p["dim"], widths[i], p["n_train"], p["n_test"], p["lam"],
-            p["label_noise_fraction"], p["delta"], p["input_kind"], act,
-            kappas, seed=cfg.seed + rep)
-        return {"train_err": fit.train_error, "test_err": fit.test_error,
-                "bmd": analytic_bmd(fit.model)}
+        return _rfm_cell(p, act, kappas, cfg.seed + rep, "analytic", **{axis: coords[i]})
 
-    result = _run_cells(cell, widths, ("train_err", "test_err", "bmd"),
-                        cfg.reps, cfg.jobs, coordinate="width")
-    csv_path = os.path.join(out_dir, "double-descent-rfm.csv")
-    write_sweep_csv(csv_path, result)
-    report = summarize_peaks(result) if len(widths) >= 5 else None
-    summary = _write_summary(out_dir, cfg, report)
-    return [csv_path, summary]
+    path, result = _sweep(cfg, cfg.kind, cell, coords, coordinate=axis)
+    return [path], _peak_lines(result)
 
 
-def _run_double_descent_mlp(cfg: ExperimentConfig, out_dir: str) -> list:
-    from .trainer import forward_mlp
-
+def _run_mlp_sweep(cfg: ExperimentConfig) -> tuple:
+    """double-descent-mlp; robustness-sweep adds the flip count."""
     p = cfg.params
-    widths = p["widths"]
-    multi = p["n_classes"] > 2
+    robust = cfg.kind == "robustness-sweep"
+    multiclass = robust or p["n_classes"] > 2
 
     def cell(i, rep):
-        seed = cfg.seed + rep
-        if multi:
-            train, test = gen_multiclass_task(p["dim"], p["n_train"], p["n_test"],
-                                              p["n_classes"], p["input_kind"], seed=seed)
-            n_out = p["n_classes"]
-            loss = "ce"
-        else:
-            task = TeacherTask.random(p["dim"], seed=seed, input_kind=p["input_kind"])
-            train, test = gen_teacher_student(p["dim"], p["n_train"], p["n_test"],
-                                              task, seed=seed)
-            n_out = 1
-            loss = p["loss"]
-        config = TrainConfig(loss=loss, optimizer=p["optimizer"],
-                             batch_size=p["batch_size"], lr=p["lr"],
-                             epochs=p["epochs"],
-                             label_noise_fraction=p["label_noise_fraction"],
-                             seed=seed)
-        skeleton = init_mlp(p["dim"], widths[i], n_out, seed=seed)
-        fit = train_gd(skeleton, train, config, test_ds=test)
-        if multi:
-            bmd = multiclass_bmd(fit.model, InputSampler.binary(p["dim"]),
-                                 p["md_samples"], seed)
-        else:
-            net = fit.model
-            profile = estimate_md_binary_fast(lambda x: forward_mlp(net, x),
-                                              p["dim"], p["md_samples"], seed)
-            bmd = profile.md
-        return {"train_err": fit.train_error, "test_err": fit.test_error, "bmd": bmd}
+        return _mlp_cell(p, p["widths"][i], cfg.seed + rep, multiclass, flips=robust)
 
-    result = _run_cells(cell, widths, ("train_err", "test_err", "bmd"),
-                        cfg.reps, cfg.jobs, coordinate="width")
-    csv_path = os.path.join(out_dir, "double-descent-mlp.csv")
-    write_sweep_csv(csv_path, result)
-    report = summarize_peaks(result) if len(widths) >= 5 else None
-    summary = _write_summary(out_dir, cfg, report)
-    return [csv_path, summary]
+    metrics = _ERR_BMD + (("flip_count",) if robust else ())
+    path, result = _sweep(cfg, cfg.kind, cell, p["widths"], metrics)
+    return [path], _peak_lines(result, (("bmd", "flip_count"),) if robust else None)
 
 
-def _theory_grid(p) -> np.ndarray:
-    return np.logspace(np.log10(p["grid_min"]), np.log10(p["grid_max"]),
+def _theory_sweep(p, kappas, lam, path) -> list:
+    """Solve the replica curve at ridge strength lam on the config's log
+    grid of 1/alpha; write it to path and return its rows."""
+    grid = np.logspace(np.log10(p["grid_min"]), np.log10(p["grid_max"]),
                        p["grid_points"])
+    rows = sweep_curve(kappas, p["loss"], lam, p["alpha_t"], grid, delta=p["delta"])
+    write_curve_csv(path, rows)
+    return rows
 
 
 def _curve_sweep_result(rows) -> SweepResult:
@@ -601,83 +656,46 @@ def _curve_sweep_result(rows) -> SweepResult:
                        values=values, reps=1)
 
 
-def _run_theory_curve(cfg: ExperimentConfig, out_dir: str) -> list:
+def _run_theory_curve(cfg: ExperimentConfig) -> tuple:
     p = cfg.params
-    kappas = compute_kappas(Activation.from_tag(p["activation"]))
-    rows = sweep_curve(kappas, p["loss"], p["lam"], p["alpha_t"],
-                       _theory_grid(p), delta=p["delta"])
-    csv_path = os.path.join(out_dir, "theory-curve.csv")
-    write_curve_csv(csv_path, rows)
-    report = summarize_peaks(_curve_sweep_result(rows)) if len(rows) >= 5 else None
-    summary = _write_summary(out_dir, cfg, report,
-                             extra_lines=("test_err here is the replica eps_g",))
-    return [csv_path, summary]
+    _, kappas = _kappas(p)
+    csv_path = os.path.join(cfg.out_dir, "theory-curve.csv")
+    rows = _theory_sweep(p, kappas, p["lam"], csv_path)
+    return [csv_path], (_peak_lines(_curve_sweep_result(rows))
+                        + ["test_err here is the replica eps_g"])
 
 
-def _run_regularization_sweep(cfg: ExperimentConfig, out_dir: str) -> list:
+def _run_regularization_sweep(cfg: ExperimentConfig) -> tuple:
     p = cfg.params
-    act = Activation.from_tag(p["activation"])
-    kappas = compute_kappas(act)
+    act, kappas = _kappas(p)
     paths = []
     peak_lines = []
-    grid = _theory_grid(p)
     for lam in p["lams"]:
-        rows = sweep_curve(kappas, p["loss"], lam, p["alpha_t"], grid,
-                           delta=p["delta"])
-        path = os.path.join(out_dir, f"theory_lam_{lam:g}.csv")
-        write_curve_csv(path, rows)
+        path = os.path.join(cfg.out_dir, f"theory_lam_{lam:g}.csv")
+        rows = _theory_sweep(p, kappas, lam, path)
         paths.append(path)
         bmds = np.array([r.bmd for r in rows])
         peak_lines.append(
             f"theory lam={lam:g}: peak bmd = {float(np.nanmax(bmds))!r} "
-            f"at inv_alpha = {float(grid[int(np.nanargmax(bmds))])!r}")
+            f"at inv_alpha = {rows[int(np.nanargmax(bmds))].inv_alpha!r}")
     if p["empirical"]:
+        widths = p["widths"]
         for lam in p["lams"]:
+            # delta enters the theory only; the empirical teacher is noiseless
             def cell(i, rep, _lam=lam):
-                fit, _, _ = _trained_rfm_cell(
-                    p["dim"], p["widths"][i], p["n_train"], p["n_test"], _lam,
-                    p["label_noise_fraction"], 0.0, p["input_kind"], act,
-                    kappas, seed=cfg.seed + rep)
-                return {"train_err": fit.train_error, "test_err": fit.test_error,
-                        "bmd": analytic_bmd(fit.model)}
+                return _rfm_cell(p, act, kappas, cfg.seed + rep, "analytic",
+                                 width=widths[i], lam=_lam, delta=0.0)
 
-            result = _run_cells(cell, p["widths"], ("train_err", "test_err", "bmd"),
-                                cfg.reps, cfg.jobs, coordinate="width")
-            path = os.path.join(out_dir, f"empirical_lam_{lam:g}.csv")
-            write_sweep_csv(path, result)
+            path, result = _sweep(cfg, f"empirical_lam_{lam:g}", cell, widths)
             paths.append(path)
-            curve = result.mean("bmd")
             peak_lines.append(
-                f"empirical lam={lam:g}: peak bmd = {float(np.nanmax(curve))!r} "
-                f"at width = {p['widths'][int(np.nanargmax(curve))]}")
-    summary = _write_summary(out_dir, cfg, None, extra_lines=peak_lines)
-    return paths + [summary]
+                f"empirical lam={lam:g}: peak bmd = "
+                f"{float(np.nanmax(result.mean('bmd')))!r} "
+                f"at width = {_argmax(result, 'bmd')}")
+    return paths, peak_lines
 
 
-def _run_trainset_size_sweep(cfg: ExperimentConfig, out_dir: str) -> list:
-    p = cfg.params
-    act = Activation.from_tag(p["activation"])
-    kappas = compute_kappas(act)
-    n_trains = p["n_trains"]
-
-    def cell(i, rep):
-        fit, _, _ = _trained_rfm_cell(
-            p["dim"], p["width"], n_trains[i], p["n_test"], p["lam"],
-            p["label_noise_fraction"], p["delta"], p["input_kind"], act,
-            kappas, seed=cfg.seed + rep)
-        return {"train_err": fit.train_error, "test_err": fit.test_error,
-                "bmd": analytic_bmd(fit.model)}
-
-    result = _run_cells(cell, n_trains, ("train_err", "test_err", "bmd"),
-                        cfg.reps, cfg.jobs, coordinate="n_train")
-    csv_path = os.path.join(out_dir, "trainset-size-sweep.csv")
-    write_sweep_csv(csv_path, result)
-    report = summarize_peaks(result) if len(n_trains) >= 5 else None
-    summary = _write_summary(out_dir, cfg, report)
-    return [csv_path, summary]
-
-
-def _run_adversarial_init(cfg: ExperimentConfig, out_dir: str) -> list:
+def _run_adversarial_init(cfg: ExperimentConfig) -> tuple:
     p = cfg.params
     grid = p["pretrain_grid"]
 
@@ -685,24 +703,10 @@ def _run_adversarial_init(cfg: ExperimentConfig, out_dir: str) -> list:
         # a multiclass task is essential here: with binary labels a 100%
         # corrupted pretraining set is just the negated teacher, which is
         # perfectly structured and leaves no adversarial imprint
-        seed = cfg.seed + rep
-        train, test = gen_multiclass_task(p["dim"], p["n_train"], p["n_test"],
-                                          p["n_classes"], p["input_kind"],
-                                          seed=seed)
-        config = TrainConfig(loss=p["loss"], optimizer="minibatch-gd",
-                             batch_size=p["batch_size"], lr=p["lr"], seed=seed)
-        skeleton = init_mlp(p["dim"], p["width"], p["n_classes"], seed=seed)
-        fit, _ = adversarial_init_protocol(skeleton, train, grid[i], p["epochs"],
-                                           config, test_ds=test)
-        bmd = multiclass_bmd(fit.model, InputSampler.binary(p["dim"]),
-                             p["md_samples"], seed)
-        return {"train_err": fit.train_error, "test_err": fit.test_error,
-                "bmd": bmd}
+        return _mlp_cell(p, p["width"], cfg.seed + rep, multiclass=True,
+                         pretrain=grid[i])
 
-    result = _run_cells(cell, grid, ("train_err", "test_err", "bmd"),
-                        cfg.reps, cfg.jobs, coordinate="pretrain_epochs")
-    csv_path = os.path.join(out_dir, "adversarial-init.csv")
-    write_sweep_csv(csv_path, result)
+    path, result = _sweep(cfg, cfg.kind, cell, grid, coordinate="pretrain_epochs")
     pre = np.asarray(grid, dtype=float)
     extra = []
     for name in ("bmd", "test_err"):
@@ -712,48 +716,14 @@ def _run_adversarial_init(cfg: ExperimentConfig, out_dir: str) -> list:
         else:
             rho = float(stats.spearmanr(pre, curve)[0])
         extra.append(f"spearman(pretrain_epochs, {name}) = {rho:.4f}")
-    summary = _write_summary(out_dir, cfg, None, extra_lines=extra)
-    return [csv_path, summary]
+    return [path], extra
 
 
-def _run_robustness_sweep(cfg: ExperimentConfig, out_dir: str) -> list:
-    p = cfg.params
-    widths = p["widths"]
-
-    def cell(i, rep):
-        seed = cfg.seed + rep
-        train, test = gen_multiclass_task(p["dim"], p["n_train"], p["n_test"],
-                                          p["n_classes"], p["input_kind"], seed=seed)
-        config = TrainConfig(loss=p["loss"], optimizer="minibatch-gd",
-                             batch_size=p["batch_size"], lr=p["lr"],
-                             epochs=p["epochs"],
-                             label_noise_fraction=p["label_noise_fraction"],
-                             seed=seed)
-        skeleton = init_mlp(p["dim"], widths[i], p["n_classes"], seed=seed)
-        fit = train_gd(skeleton, train, config, test_ds=test)
-        bmd = multiclass_bmd(fit.model, InputSampler.binary(p["dim"]),
-                             p["md_samples"], seed)
-        flips = robustness_flip_count(fit.model, test, seed=seed,
-                                      max_points=p["flip_points"])
-        return {"train_err": fit.train_error, "test_err": fit.test_error,
-                "bmd": bmd, "flip_count": flips.mean}
-
-    result = _run_cells(cell, widths, ("train_err", "test_err", "bmd", "flip_count"),
-                        cfg.reps, cfg.jobs, coordinate="width")
-    csv_path = os.path.join(out_dir, "robustness-sweep.csv")
-    write_sweep_csv(csv_path, result)
-    report = summarize_peaks(result, pairs=(("bmd", "flip_count"),)) \
-        if len(widths) >= 5 else None
-    summary = _write_summary(out_dir, cfg, report)
-    return [csv_path, summary]
-
-
-def _run_heatmap(cfg: ExperimentConfig, out_dir: str) -> list:
+def _run_heatmap(cfg: ExperimentConfig) -> tuple:
     p = cfg.params
     height, width = p["grid_height"], p["grid_width"]
     dim = height * width
-    act = Activation.from_tag(p["activation"])
-    kappas = compute_kappas(act)
+    act, kappas = _kappas(p)
     # teacher supported on a centered block of the pixel grid, so the
     # influence heatmap of the fitted student should recover the block
     mask2d = np.zeros((height, width), dtype=bool)
@@ -774,126 +744,70 @@ def _run_heatmap(cfg: ExperimentConfig, out_dir: str) -> list:
     profile = estimate_md_binary_fast(score_fn(fit.model), dim, p["samples"],
                                       seed=cfg.seed)
     grid = influence_heatmap(profile, width, height)
-    svg_path = os.path.join(out_dir, "heatmap.svg")
+    svg_path = os.path.join(cfg.out_dir, "heatmap.svg")
     emit_heatmap_svg(grid, svg_path)
-    csv_path = os.path.join(out_dir, "influence.csv")
+    csv_path = os.path.join(cfg.out_dir, "influence.csv")
     write_profile_csv(csv_path, profile)
     inside = float(profile.tau_sq[support].sum() / profile.total_influence)
-    extra = [
+    return [svg_path, csv_path], [
         f"teacher support cells: {int(support.sum())} of {dim}",
         f"influence mass on the support: {inside:.4f}",
         f"participation ratio: {profile.participation_ratio!r}",
         f"estimated md: {profile.md!r}",
     ]
-    summary = _write_summary(out_dir, cfg, None, extra_lines=extra)
-    return [svg_path, csv_path, summary]
 
 
-def _run_distribution_comparison(cfg: ExperimentConfig, out_dir: str) -> list:
+def _run_distribution_comparison(cfg: ExperimentConfig) -> tuple:
     p = cfg.params
-    act = Activation.from_tag(p["activation"])
-    kappas = compute_kappas(act)
+    act, kappas = _kappas(p)
     widths = p["widths"]
-    samplers = {
-        "md_binary": lambda dim: InputSampler.binary(dim),
-        "md_gaussian": lambda dim: InputSampler.gaussian(dim),
-        "md_uniform": lambda dim: InputSampler.uniform(dim),
-    }
 
     def cell(i, rep):
-        seed = cfg.seed + rep
-        fit, _, _ = _trained_rfm_cell(
-            p["dim"], widths[i], p["n_train"], p["n_test"], p["lam"],
-            p["label_noise_fraction"], 0.0, "binary", act, kappas, seed=seed)
-        f = score_fn(fit.model)
-        out = {"test_err": fit.test_error}
-        for name, make in samplers.items():
-            out[name] = estimate_md(f, make(p["dim"]), p["samples"], seed).md
-        return out
+        return _rfm_cell(p, act, kappas, cfg.seed + rep, "samplers",
+                         width=widths[i], input_kind="binary", delta=0.0)
 
-    result = _run_cells(cell, widths,
-                        ("test_err", "md_binary", "md_gaussian", "md_uniform"),
-                        cfg.reps, cfg.jobs, coordinate="width")
-    csv_path = os.path.join(out_dir, "distribution-comparison.csv")
-    write_sweep_csv(csv_path, result)
-    extra = []
-    for name in ("md_binary", "md_gaussian", "md_uniform"):
-        curve = result.mean(name)
-        extra.append(f"argmax {name}: width = {widths[int(np.nanargmax(curve))]}")
-    summary = _write_summary(out_dir, cfg, None, extra_lines=extra)
-    return [csv_path, summary]
+    names = tuple(f"md_{law}" for law in _SAMPLERS)
+    path, result = _sweep(cfg, cfg.kind, cell, widths, ("test_err",) + names)
+    return [path], [f"argmax {name}: width = {_argmax(result, name)}" for name in names]
 
 
-def _run_normalization_comparison(cfg: ExperimentConfig, out_dir: str) -> list:
+def _run_normalization_comparison(cfg: ExperimentConfig) -> tuple:
     p = cfg.params
-    act = Activation.from_tag(p["activation"])
-    kappas = compute_kappas(act)
+    act, kappas = _kappas(p)
     widths = p["widths"]
     paths = []
     extra = []
     for lo, hi in p["ranges"]:
-        def cell(i, rep, _lo=lo, _hi=hi):
-            seed = cfg.seed + rep
-            task = TeacherTask.random(p["dim"], seed=seed, input_kind="gaussian")
-            train, test = gen_teacher_student(p["dim"], p["n_train"], p["n_test"],
-                                              task, seed=seed)
-            train = _minmax_dataset(train, _lo, _hi)
-            test = _minmax_dataset(test, _lo, _hi)
-            train = flip_labels(train, p["label_noise_fraction"], seed=seed)
-            model = random_rfm(p["dim"], widths[i], act, seed=seed, kappas=kappas)
-            fit = train_rfm_ridge(model, train, p["lam"], test_ds=test)
-            profile = estimate_md_binary_fast(score_fn(fit.model), p["dim"],
-                                              p["samples"], seed)
-            return {"test_err": fit.test_error, "bmd": profile.md}
+        def cell(i, rep, _range=(lo, hi)):
+            return _rfm_cell(p, act, kappas, cfg.seed + rep, "flip", rescale=_range,
+                             width=widths[i], input_kind="gaussian", delta=0.0)
 
-        result = _run_cells(cell, widths, ("test_err", "bmd"),
-                            cfg.reps, cfg.jobs, coordinate="width")
-        path = os.path.join(out_dir, f"range_{lo:g}_{hi:g}.csv")
-        write_sweep_csv(path, result)
+        path, result = _sweep(cfg, f"range_{lo:g}_{hi:g}", cell, widths, ("test_err", "bmd"))
         paths.append(path)
-        curve = result.mean("bmd")
         extra.append(f"range [{lo:g}, {hi:g}]: argmax bmd at width = "
-                     f"{widths[int(np.nanargmax(curve))]}")
-    summary = _write_summary(out_dir, cfg, None, extra_lines=extra)
-    return paths + [summary]
+                     f"{_argmax(result, 'bmd')}")
+    return paths, extra
 
 
-def _minmax_dataset(ds: Dataset, lo: float, hi: float) -> Dataset:
-    """Rescale each feature column onto [lo, hi] by its observed range."""
-    from dataclasses import replace
-
-    X = ds.X
-    mn, mx = X.min(axis=0), X.max(axis=0)
-    span = mx - mn
-    flat = span == 0
-    span = np.where(flat, 1.0, span)
-    scaled = lo + (X - mn) * (hi - lo) / span
-    scaled[:, flat] = 0.5 * (lo + hi)
-    return replace(ds, X=scaled, normalization=(lo, hi))
-
-
+# each runner writes its data files and returns (their paths, summary lines)
 _RUNNERS = {
-    "double-descent-rfm": _run_double_descent_rfm,
-    "double-descent-mlp": _run_double_descent_mlp,
+    "double-descent-rfm": _run_rfm_sweep,
+    "double-descent-mlp": _run_mlp_sweep,
     "theory-curve": _run_theory_curve,
     "regularization-sweep": _run_regularization_sweep,
-    "trainset-size-sweep": _run_trainset_size_sweep,
+    "trainset-size-sweep": _run_rfm_sweep,
     "adversarial-init": _run_adversarial_init,
-    "robustness-sweep": _run_robustness_sweep,
+    "robustness-sweep": _run_mlp_sweep,
     "heatmap": _run_heatmap,
     "distribution-comparison": _run_distribution_comparison,
     "normalization-comparison": _run_normalization_comparison,
 }
 
 
-def _write_summary(out_dir: str, cfg: ExperimentConfig, report,
-                   extra_lines=()) -> str:
+def _write_summary(cfg: ExperimentConfig, body: list) -> str:
     lines = [f"experiment: {cfg.kind}", f"title: {_TITLES[cfg.kind]}",
-             f"seed: {cfg.seed}", f"repetitions: {cfg.reps}"]
-    if report is not None:
-        lines.extend(report.lines())
-    lines.extend(extra_lines)
-    path = os.path.join(out_dir, "summary.txt")
+             f"seed: {cfg.seed}", f"repetitions: {cfg.reps}"] + body
+    path = os.path.join(cfg.out_dir, "summary.txt")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
@@ -914,4 +828,5 @@ def run_experiment(config, out_dir=None, jobs=None) -> list:
             jobs=jobs if jobs is not None else config.jobs,
             params=config.params)
     os.makedirs(config.out_dir, exist_ok=True)
-    return _RUNNERS[config.kind](config, config.out_dir)
+    paths, summary_lines = _RUNNERS[config.kind](config)
+    return paths + [_write_summary(config, summary_lines)]

@@ -528,6 +528,12 @@ CURVE_HEADER = "inv_alpha,alpha_T,lambda,loss,eps_g,train_loss,test_loss,bmd,q_d
 
 
 def write_curve_csv(path, rows: list[CurvePoint]) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(_curve_csv_text(rows))
+
+
+def _curve_csv_text(rows: list[CurvePoint]) -> str:
+    """The curve CSV: CURVE_HEADER, then one line per point."""
     lines = [CURVE_HEADER]
     for r in rows:
         vals = [r.inv_alpha, r.alpha_t, r.lam, r.eps_g, r.train_loss,
@@ -536,8 +542,7 @@ def write_curve_csv(path, rows: list[CurvePoint]) -> None:
         cells.insert(3, r.loss)
         cells.append(str(int(r.converged)))
         lines.append(",".join(cells))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def read_curve_csv(path) -> list[CurvePoint]:

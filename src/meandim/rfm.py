@@ -347,14 +347,20 @@ def load_rfm(path) -> RfmModel:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0] != CHECKPOINT_HEADER:
         raise ValueError(f"{path}: not a {CHECKPOINT_HEADER} checkpoint")
-    D = int(lines[1].partition(" = ")[2])
-    N = int(lines[2].partition(" = ")[2])
-    activation = Activation.from_tag(lines[3].partition(" = ")[2])
-    if lines[4] != "F =":
-        raise ValueError(f"{path}: malformed checkpoint, expected 'F =' on line 5")
-    F = np.array([[float(v) for v in lines[5 + i].split()] for i in range(D)])
-    if lines[5 + D] != "w =":
-        raise ValueError(f"{path}: malformed checkpoint, expected 'w =' after F block")
-    w = np.array([float(v) for v in lines[6 + D].split()])
-    return RfmModel(D=D, N=N, F=F, w=w, activation=activation,
-                    kappas=compute_kappas(activation))
+    try:
+        D = int(lines[1].partition(" = ")[2])
+        N = int(lines[2].partition(" = ")[2])
+        activation = Activation.from_tag(lines[3].partition(" = ")[2])
+        if lines[4] != "F =":
+            raise ValueError("expected 'F =' on line 5")
+        F = np.array([[float(v) for v in lines[5 + i].split()] for i in range(D)])
+        if lines[5 + D] != "w =":
+            raise ValueError("expected 'w =' after F block")
+        w = np.array([float(v) for v in lines[6 + D].split()])
+        model = RfmModel(D=D, N=N, F=F, w=w, activation=activation,
+                         kappas=compute_kappas(activation))
+    except IndexError:
+        raise ValueError(f"{path}: malformed checkpoint, file ends early") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed checkpoint, {exc}") from None
+    return model

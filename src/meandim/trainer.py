@@ -112,12 +112,6 @@ class TeacherTask:
         return cls(w_T=w, input_kind=input_kind, delta=delta)
 
 
-def _draw_inputs(rng: np.random.Generator, P: int, D: int, kind: str) -> np.ndarray:
-    if kind == "binary":
-        return rng.integers(0, 2, size=(P, D)).astype(float) * 2.0 - 1.0
-    return rng.standard_normal((P, D))
-
-
 def _teacher_labels(rng, X: np.ndarray, task: TeacherTask):
     pre = X @ task.w_T / np.sqrt(X.shape[1])
     clean = np.where(pre >= 0, 1.0, -1.0)
@@ -139,7 +133,7 @@ def gen_teacher_student(D: int, P_train: int, P_test: int, task: TeacherTask,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 23]))
     sets = []
     for P in (P_train, P_test):
-        X = _draw_inputs(rng, P, D, task.input_kind)
+        X = InputSampler(task.input_kind, D).sample_background(rng, P)
         y, clean = _teacher_labels(rng, X, task)
         mask = np.flatnonzero(y != clean)
         sets.append(Dataset(X=X, y=y, noise_mask=mask, y_clean=clean))
@@ -164,7 +158,7 @@ def gen_multiclass_task(D: int, P_train: int, P_test: int, n_classes: int,
     protos = rng.standard_normal((n_classes, D))
     sets = []
     for P in (P_train, P_test):
-        X = _draw_inputs(rng, P, D, input_kind)
+        X = InputSampler(input_kind, D).sample_background(rng, P)
         y = np.argmax(X @ protos.T / np.sqrt(D), axis=1).astype(float)
         sets.append(Dataset(X=X, y=y, y_clean=y.copy()))
     return sets[0], sets[1]
@@ -616,20 +610,29 @@ def load_csv_dataset(path, lo: float = -1.0, hi: float = 1.0) -> Dataset:
         except ValueError:
             raise ValueError(f"{path}: non-numeric cell in row {lineno}") from None
     raw = np.array(rows)
-    X, y = raw[:, :-1], raw[:, -1]
-    col_lo, col_hi = X.min(axis=0), X.max(axis=0)
-    span = col_hi - col_lo
-    flat = span == 0
-    span[flat] = 1.0
-    X = lo + (X - col_lo) * (hi - lo) / span
-    X[:, flat] = 0.5 * (lo + hi)
+    y = raw[:, -1]
     if set(np.unique(y)) <= {-1.0, 1.0}:
         pass
     elif np.all(y == np.round(y)) and y.min() >= 0:
         y = y.astype(int).astype(float)
     else:
         raise ValueError(f"{path}: labels must be +-1 or non-negative integers")
-    return Dataset(X=X, y=y, normalization=(lo, hi))
+    return _minmax_dataset(Dataset(X=raw[:, :-1], y=y), lo, hi)
+
+
+def _minmax_dataset(ds: Dataset, lo: float, hi: float) -> Dataset:
+    """Map each feature column onto [lo, hi] by its observed range.
+
+    A constant column lands on the interval midpoint.
+    """
+    X = ds.X
+    col_lo, col_hi = X.min(axis=0), X.max(axis=0)
+    span = col_hi - col_lo
+    flat = span == 0
+    span[flat] = 1.0
+    X = lo + (X - col_lo) * (hi - lo) / span
+    X[:, flat] = 0.5 * (lo + hi)
+    return replace(ds, X=X, normalization=(lo, hi))
 
 
 def write_history_csv(path, history: np.ndarray) -> None:

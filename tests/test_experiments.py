@@ -339,12 +339,41 @@ def read_bytes(path):
         return fh.read()
 
 
+# one tiny config per kind; the per-kind tests below and the rerun test use them
+TINY = {
+    "double-descent-rfm": "kind = double-descent-rfm\nseed = 3\nreps = 2\ndim = 8\n"
+                          "n_train = 24\nn_test = 60\nwidths = 4 8 16 24 32",
+    "double-descent-mlp": "kind = double-descent-mlp\ndim = 6\nn_train = 24\nn_test = 30\n"
+                          "widths = 4 8\nepochs = 3\nmd_samples = 200\nloss = mse\n"
+                          "n_classes = 2",
+    "theory-curve": "kind = theory-curve\ngrid_min = 0.5\ngrid_max = 2.0\ngrid_points = 5",
+    "regularization-sweep": "kind = regularization-sweep\nlams = 1e-4 1\ngrid_min = 0.5\n"
+                            "grid_max = 2.0\ngrid_points = 4\nempirical = true\nreps = 2\n"
+                            "dim = 6\nn_train = 20\nn_test = 40\nwidths = 4 8",
+    "trainset-size-sweep": "kind = trainset-size-sweep\ndim = 6\nwidth = 8\n"
+                           "n_trains = 10 20 40\nn_test = 40",
+    "adversarial-init": "kind = adversarial-init\ndim = 6\nn_train = 40\nn_test = 40\n"
+                        "width = 8\nn_classes = 3\npretrain_grid = 0 2\nepochs = 2\n"
+                        "md_samples = 150",
+    "robustness-sweep": "kind = robustness-sweep\ndim = 6\nn_train = 40\nn_test = 40\n"
+                        "widths = 4 8\nn_classes = 3\nepochs = 2\nmd_samples = 150\n"
+                        "flip_points = 20",
+    "heatmap": "kind = heatmap\ngrid_height = 4\ngrid_width = 4\nn_feat = 16\n"
+               "n_train = 80\nsamples = 500",
+    "distribution-comparison": "kind = distribution-comparison\ndim = 6\nn_train = 20\n"
+                               "n_test = 40\nwidths = 4 8\nsamples = 300",
+    "normalization-comparison": "kind = normalization-comparison\ndim = 6\nn_train = 20\n"
+                                "n_test = 40\nwidths = 4 8\nsamples = 300\n"
+                                "ranges = -1:1 -3:3",
+}
+
+
+def run_tiny(kind, tmp_path):
+    return run_experiment(parse_experiment_config(TINY[kind]), out_dir=str(tmp_path / "o"))
+
+
 def test_run_double_descent_rfm(tmp_path):
-    cfg = parse_experiment_config(
-        "kind = double-descent-rfm\nseed = 3\nreps = 2\ndim = 8\n"
-        "n_train = 24\nn_test = 60\nwidths = 4 8 16 24 32")
-    paths = run_experiment(cfg, out_dir=str(tmp_path / "o"))
-    csv, summary = paths
+    csv, summary = run_tiny("double-descent-rfm", tmp_path)
     lines = read_lines(csv)
     assert lines[0].startswith("width,train_err_mean")
     assert len(lines) == 6
@@ -353,22 +382,20 @@ def test_run_double_descent_rfm(tmp_path):
     assert "argmax bmd" in text and "corr(test_err, bmd)" in text
 
 
-def test_rerun_is_byte_identical_and_jobs_free(tmp_path):
-    text = ("kind = double-descent-rfm\nseed = 1\nreps = 2\ndim = 6\n"
-            "n_train = 20\nn_test = 40\nwidths = 4 8")
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_rerun_is_byte_identical_and_jobs_free(kind, tmp_path):
     outs = []
     for name, jobs in (("a", 1), ("b", 4), ("c", 1)):
-        cfg = parse_experiment_config(text)
+        cfg = parse_experiment_config(TINY[kind])
         paths = run_experiment(cfg, out_dir=str(tmp_path / name), jobs=jobs)
-        outs.append([read_bytes(p) for p in paths])
+        outs.append([(os.path.basename(p), read_bytes(p)) for p in paths])
     assert outs[0] == outs[1] == outs[2]
 
 
 def test_run_experiment_accepts_config_path(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
-    cfg_file.write_text(
-        "kind = theory-curve\ngrid_min = 0.5\ngrid_max = 2.0\n"
-        f"grid_points = 5\nout = {tmp_path / 'th'}\n", encoding="ascii")
+    cfg_file.write_text(TINY["theory-curve"] + f"\nout = {tmp_path / 'th'}\n",
+                        encoding="ascii")
     paths = run_experiment(str(cfg_file))
     lines = read_lines(paths[0])
     assert lines[0] == CURVE_HEADER
@@ -378,11 +405,7 @@ def test_run_experiment_accepts_config_path(tmp_path):
 
 
 def test_run_regularization_sweep_theory_and_empirical(tmp_path):
-    cfg = parse_experiment_config(
-        "kind = regularization-sweep\nlams = 1e-4 1\ngrid_min = 0.5\n"
-        "grid_max = 2.0\ngrid_points = 4\nempirical = true\nreps = 2\n"
-        "dim = 6\nn_train = 20\nn_test = 40\nwidths = 4 8")
-    paths = run_experiment(cfg, out_dir=str(tmp_path / "o"))
+    paths = run_tiny("regularization-sweep", tmp_path)
     names = sorted(os.path.basename(p) for p in paths)
     assert names == ["empirical_lam_0.0001.csv", "empirical_lam_1.csv",
                      "summary.txt", "theory_lam_0.0001.csv", "theory_lam_1.csv"]
@@ -392,20 +415,14 @@ def test_run_regularization_sweep_theory_and_empirical(tmp_path):
 
 
 def test_run_trainset_size_sweep(tmp_path):
-    cfg = parse_experiment_config(
-        "kind = trainset-size-sweep\ndim = 6\nwidth = 8\n"
-        "n_trains = 10 20 40\nn_test = 40")
-    csv, summary = run_experiment(cfg, out_dir=str(tmp_path / "o"))
+    csv, summary = run_tiny("trainset-size-sweep", tmp_path)
     lines = read_lines(csv)
     assert lines[0].startswith("n_train,")
     assert len(lines) == 4
 
 
 def test_run_double_descent_mlp_binary(tmp_path):
-    cfg = parse_experiment_config(
-        "kind = double-descent-mlp\ndim = 6\nn_train = 24\nn_test = 30\n"
-        "widths = 4 8\nepochs = 3\nmd_samples = 200\nloss = mse\nn_classes = 2")
-    csv, summary = run_experiment(cfg, out_dir=str(tmp_path / "o"))
+    csv, summary = run_tiny("double-descent-mlp", tmp_path)
     lines = read_lines(csv)
     assert len(lines) == 3
     vals = [float(v) for v in lines[1].split(",")[1:]]
@@ -413,11 +430,7 @@ def test_run_double_descent_mlp_binary(tmp_path):
 
 
 def test_run_adversarial_init_tiny(tmp_path):
-    cfg = parse_experiment_config(
-        "kind = adversarial-init\ndim = 6\nn_train = 40\nn_test = 40\n"
-        "width = 8\nn_classes = 3\npretrain_grid = 0 2\nepochs = 2\n"
-        "md_samples = 150")
-    csv, summary = run_experiment(cfg, out_dir=str(tmp_path / "o"))
+    csv, summary = run_tiny("adversarial-init", tmp_path)
     lines = read_lines(csv)
     assert lines[0].startswith("pretrain_epochs,")
     assert len(lines) == 3
@@ -427,20 +440,13 @@ def test_run_adversarial_init_tiny(tmp_path):
 
 
 def test_run_robustness_sweep_tiny(tmp_path):
-    cfg = parse_experiment_config(
-        "kind = robustness-sweep\ndim = 6\nn_train = 40\nn_test = 40\n"
-        "widths = 4 8\nn_classes = 3\nepochs = 2\nmd_samples = 150\n"
-        "flip_points = 20")
-    csv, summary = run_experiment(cfg, out_dir=str(tmp_path / "o"))
+    csv, summary = run_tiny("robustness-sweep", tmp_path)
     header = read_lines(csv)[0]
     assert "flip_count_mean" in header and "bmd_mean" in header
 
 
 def test_run_heatmap(tmp_path):
-    cfg = parse_experiment_config(
-        "kind = heatmap\ngrid_height = 4\ngrid_width = 4\nn_feat = 16\n"
-        "n_train = 80\nsamples = 500")
-    svg, csv, summary = run_experiment(cfg, out_dir=str(tmp_path / "o"))
+    svg, csv, summary = run_tiny("heatmap", tmp_path)
     doc = read_bytes(svg).decode("ascii")
     assert doc.startswith("<svg ") and doc.count("<rect") == 16
     assert read_lines(csv)[0] == "i,tau_sq"
@@ -453,10 +459,7 @@ def test_run_heatmap(tmp_path):
 
 
 def test_run_distribution_comparison(tmp_path):
-    cfg = parse_experiment_config(
-        "kind = distribution-comparison\ndim = 6\nn_train = 20\n"
-        "n_test = 40\nwidths = 4 8\nsamples = 300")
-    csv, summary = run_experiment(cfg, out_dir=str(tmp_path / "o"))
+    csv, summary = run_tiny("distribution-comparison", tmp_path)
     header = read_lines(csv)[0]
     for col in ("md_binary_mean", "md_gaussian_mean", "md_uniform_mean"):
         assert col in header
@@ -465,10 +468,7 @@ def test_run_distribution_comparison(tmp_path):
 
 
 def test_run_normalization_comparison(tmp_path):
-    cfg = parse_experiment_config(
-        "kind = normalization-comparison\ndim = 6\nn_train = 20\n"
-        "n_test = 40\nwidths = 4 8\nsamples = 300\nranges = -1:1 -3:3")
-    paths = run_experiment(cfg, out_dir=str(tmp_path / "o"))
+    paths = run_tiny("normalization-comparison", tmp_path)
     names = sorted(os.path.basename(p) for p in paths)
     assert names == ["range_-1_1.csv", "range_-3_3.csv", "summary.txt"]
     text = "\n".join(read_lines(paths[-1]))
@@ -506,10 +506,31 @@ def test_cli_run_missing_config_exits_2(tmp_path, capsys):
 
 
 def test_cli_run_bad_config_exits_2(tmp_path, capsys):
+    rfm = "kind = double-descent-rfm\ndim = 4\nn_train = 8\nwidths = 4\n"
+    mlp = "kind = double-descent-mlp\ndim = 4\nn_train = 8\nwidths = 4\n"
+    adv = "kind = adversarial-init\ndim = 4\nn_train = 8\nwidth = 4\n"
+    cases = [
+        ("kind = frobnicate\n", "unknown experiment kind"),
+        (rfm + "input_kind = foo\n", "'input_kind': expected one of binary, gaussian"),
+        (adv + "input_kind = foo\n", "'input_kind': expected one of binary, gaussian"),
+        (mlp + "optimizer = sgdx\n", "'optimizer': expected one of"),
+        (mlp + "optimizer = closed-form-ridge\n", "'optimizer': expected one of"),
+        (mlp + "loss = hinge\n", "'loss': expected one of mse, ce"),
+        (rfm + "activation = relu\n", "unknown activation tag 'relu'"),
+        (rfm + "activation = sign\n", "closed-form BMD diverges for sign"),
+        ("kind = trainset-size-sweep\ndim = 4\nwidth = 4\nn_trains = 8\n"
+         "activation = sign\n", "closed-form BMD diverges for sign"),
+        ("kind = regularization-sweep\nlams = 1\nempirical = true\nwidths = 4\n"
+         "activation = sign\n", "closed-form BMD diverges for sign"),
+    ]
     cfg_file = tmp_path / "exp.cfg"
-    cfg_file.write_text("kind = frobnicate\n", encoding="ascii")
-    assert main(["run", str(cfg_file)]) == 2
-    assert "unknown experiment kind" in capsys.readouterr().err
+    for text, message in cases:
+        cfg_file.write_text(text, encoding="ascii")
+        assert main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 2, text
+        assert message in capsys.readouterr().err, text
+    assert not (tmp_path / "o").exists()
+    # the replica curve is defined for sign: its BMD is simply infinite
+    parse_experiment_config("kind = regularization-sweep\nlams = 1\nactivation = sign")
 
 
 def checkpoint(tmp_path, D=6, N=10):
@@ -569,6 +590,12 @@ def test_cli_md_bad_checkpoint_exits_2(tmp_path, capsys):
     bad.write_text("not a checkpoint\n", encoding="ascii")
     assert main(["md", str(bad), "--sampler", "binary", "--samples", "10",
                  "--seed", "0"]) == 2
+    lines = read_lines(checkpoint(tmp_path))
+    for keep in (3, 7):  # cut inside the header, then inside the F block
+        bad.write_text("\n".join(lines[:keep]) + "\n", encoding="ascii")
+        assert main(["md", str(bad), "--sampler", "binary", "--samples", "10",
+                     "--seed", "0"]) == 2
+        assert f"{bad}: malformed checkpoint" in capsys.readouterr().err
 
 
 def test_cli_theory_prints_curve(tmp_path, capsys):
