@@ -39,8 +39,6 @@ __all__ = [
     "linear_table",
     "parity_table",
     "majority_table",
-    "write_vertex_table",
-    "read_vertex_table",
 ]
 
 
@@ -287,29 +285,3 @@ def majority_table(n: int) -> np.ndarray:
         raise ValueError("majority needs an odd number of coordinates")
     return np.sign(vertex_spins(n).sum(axis=1))
 
-
-def write_vertex_table(path, values: np.ndarray) -> None:
-    """Write rows ``mask,value`` in ascending mask order."""
-    values, _ = _check_table(values)
-    lines = ["mask,value"]
-    lines += [f"{mask},{value!r}" for mask, value in enumerate(values.tolist())]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_vertex_table(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != "mask,value":
-        raise ValueError(f"{path}: expected header 'mask,value'")
-    values = np.empty(len(lines) - 1)
-    for row, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}: malformed row {row}: {line!r}")
-        mask, value = parts
-        if int(mask) != row:
-            raise ValueError(f"{path}: masks must be 0..2^n-1 in order, got {mask} at row {row}")
-        values[row] = float(value)
-    _check_table(values)
-    return values

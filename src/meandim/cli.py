@@ -28,8 +28,9 @@ import numpy as np
 from .estimator import (InputSampler, estimate_md, estimate_md_binary_fast,
                         profile_summary, write_profile_csv)
 from .experiments import load_experiment_config, run_experiment
-from .replica import _curve_csv_text, sweep_curve, write_curve_csv
+from .replica import _curve_lines, sweep_curve, write_curve_csv
 from .rfm import Activation, compute_kappas, load_rfm, score_fn
+from .textio import lines_text
 
 __all__ = ["main", "build_parser"]
 
@@ -124,7 +125,7 @@ def _cmd_theory(args) -> int:
     grid = np.logspace(np.log10(lo), np.log10(hi), n)
     rows = sweep_curve(kappas, args.loss, args.lam, args.alpha_t, grid,
                        delta=args.delta)
-    sys.stdout.write(_curve_csv_text(rows))
+    sys.stdout.write(lines_text(_curve_lines(rows)))
     if args.out is not None:
         write_curve_csv(args.out, rows)
     return 0

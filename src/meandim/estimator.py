@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .textio import csv_lines, lines_text, write_text
+
 __all__ = [
     "InputSampler",
     "InfluenceProfile",
@@ -31,10 +33,7 @@ __all__ = [
     "estimate_md_multioutput",
     "influence_heatmap",
     "write_profile_csv",
-    "read_profile_csv",
     "profile_summary",
-    "write_profile_summary",
-    "read_profile_summary",
 ]
 
 N_BATCHES = 10
@@ -342,27 +341,10 @@ def influence_heatmap(profile: InfluenceProfile, width: int, height: int) -> np.
 
 
 # ---------------------------------------------------------------------------
-# serialization: CSV for the influence vector, flat key-value summary text
+# text output: CSV for the influence vector, flat key-value summary text
 
 def write_profile_csv(path, profile: InfluenceProfile) -> None:
-    lines = ["i,tau_sq"]
-    lines += [f"{i},{v!r}" for i, v in enumerate(profile.tau_sq.tolist())]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_profile_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != "i,tau_sq":
-        raise ValueError(f"{path}: expected header 'i,tau_sq'")
-    out = np.empty(len(lines) - 1)
-    for row, line in enumerate(lines[1:]):
-        i, value = line.split(",")
-        if int(i) != row:
-            raise ValueError(f"{path}: coordinate indices must be contiguous from 0")
-        out[row] = float(value)
-    return out
+    write_text(path, csv_lines(("i", "tau_sq"), enumerate(profile.tau_sq.tolist())))
 
 
 def _format_value(value: float | int | None) -> str:
@@ -378,26 +360,4 @@ def profile_summary(profile: InfluenceProfile) -> str:
         ("n_samples", profile.n_samples),
         ("seed", profile.seed),
     ]
-    return "\n".join(f"{key} = {_format_value(value)}" for key, value in pairs) + "\n"
-
-
-def write_profile_summary(path, profile: InfluenceProfile) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(profile_summary(profile))
-
-
-def read_profile_summary(path) -> dict:
-    out = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition(" = ")
-            if value == "undefined":
-                out[key] = None
-            elif key in ("n_samples", "seed"):
-                out[key] = int(value)
-            else:
-                out[key] = float(value)
-    return out
+    return lines_text(f"{key} = {_format_value(value)}" for key, value in pairs)

@@ -21,8 +21,8 @@ single cell can be reproduced in isolation.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats
@@ -32,11 +32,11 @@ from .estimator import (InputSampler, estimate_md, estimate_md_binary_fast,
 from .heatmap_svg import emit_heatmap_svg
 from .replica import sweep_curve, write_curve_csv
 from .rfm import Activation, analytic_bmd, compute_kappas, random_rfm, score_fn
-from .trainer import (TeacherTask, TrainConfig, _minmax_dataset,
-                      adversarial_init_protocol, flip_labels, forward_mlp,
-                      gen_multiclass_task, gen_teacher_student, init_mlp,
-                      multiclass_bmd, robustness_flip_count, train_gd,
-                      train_rfm_ridge)
+from .textio import csv_lines, read_text, write_text
+from .trainer import (TeacherTask, TrainConfig, adversarial_init_protocol,
+                      flip_labels, forward_mlp, gen_multiclass_task,
+                      gen_teacher_student, init_mlp, multiclass_bmd,
+                      robustness_flip_count, train_gd, train_rfm_ridge)
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -209,7 +209,6 @@ _SCHEMAS = {
         "epochs": (int, 60),
         "lr": (float, 3e-3),
         "batch_size": (int, 64),
-        "loss": (_LOSS, "ce"),
         "md_samples": (int, 2000),
         "input_kind": (_INPUT_KIND, "gaussian"),
     },
@@ -222,7 +221,6 @@ _SCHEMAS = {
         "epochs": (int, 100),
         "lr": (float, 3e-3),
         "batch_size": (int, 32),
-        "loss": (_LOSS, "ce"),
         "md_samples": (int, 2000),
         "flip_points": (int, 200),
         "label_noise_fraction": (float, 0.0),
@@ -329,6 +327,9 @@ def _validate_params(kind: str, params: dict) -> None:
             raise ValueError("config field 'grid_points' must be >= 2")
         if not 0 < params["grid_min"] < params["grid_max"]:
             raise ValueError("config fields 'grid_min' < 'grid_max' must be positive")
+    if kind == "double-descent-mlp" and params["n_classes"] > 2 and params["loss"] != "ce":
+        raise ValueError("config field 'loss': n_classes > 2 trains with cross-entropy, "
+                         "so the loss must be ce")
     if kind == "regularization-sweep" and params["empirical"] and not params["widths"]:
         raise ValueError("config field 'widths' is required when 'empirical = true'")
     closed_form = kind in ("double-descent-rfm", "trainset-size-sweep") or (
@@ -339,8 +340,7 @@ def _validate_params(kind: str, params: dict) -> None:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_experiment_config(fh.read())
+    return parse_experiment_config(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -384,22 +384,14 @@ class SweepResult:
 
 
 def write_sweep_csv(path, result: SweepResult) -> None:
-    names = list(result.values)
-    header = [result.coordinate]
-    for name in names:
+    header, columns = [result.coordinate], [result.coords]
+    for name in result.values:
         header.append(f"{name}_mean")
+        columns.append(result.mean(name))
         if result.reps > 1:
             header.append(f"{name}_std")
-    lines = [",".join(header)]
-    for i, coord in enumerate(result.coords):
-        cells = [repr(coord) if not isinstance(coord, str) else coord]
-        for name in names:
-            cells.append(repr(float(result.mean(name)[i])))
-            if result.reps > 1:
-                cells.append(repr(float(result.std(name)[i])))
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+            columns.append(result.std(name))
+    write_text(path, csv_lines(header, zip(*columns)))
 
 
 @dataclass(frozen=True)
@@ -471,7 +463,8 @@ def _run_cells(cell_fn, coords, metric_names, reps: int, jobs: int,
 
     Cells execute in a thread pool; assembly is keyed by (i, rep) so the
     result does not depend on completion order. Exceptions are re-raised
-    with the failing coordinates attached.
+    with the failing coordinates attached; the first one cancels the cells
+    still queued.
     """
     blocks = {name: np.full((len(coords), reps), np.nan) for name in metric_names}
 
@@ -489,7 +482,11 @@ def _run_cells(cell_fn, coords, metric_names, reps: int, jobs: int,
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(wrapped, i, rep) for i, rep in lattice]
-            outs = [fut.result() for fut in futures]
+            wait(futures, return_when=FIRST_EXCEPTION)
+            pool.shutdown(cancel_futures=True)
+        # a cancelled cell was queued behind the failed one, so its lattice
+        # position comes later and the failure is raised first
+        outs = [fut.result() for fut in futures]
     for (i, rep), out in zip(lattice, outs):
         for name in metric_names:
             blocks[name][i, rep] = out[name]
@@ -507,6 +504,21 @@ _SAMPLERS = ("binary", "gaussian", "uniform")
 def _kappas(p):
     act = Activation.from_tag(p["activation"])
     return act, compute_kappas(act)
+
+
+def _minmax_dataset(ds, lo: float, hi: float):
+    """Map each feature column onto [lo, hi] by its observed range.
+
+    A constant column lands on the interval midpoint.
+    """
+    X = ds.X
+    col_lo, col_hi = X.min(axis=0), X.max(axis=0)
+    span = col_hi - col_lo
+    flat = span == 0
+    span[flat] = 1.0
+    X = lo + (X - col_lo) * (hi - lo) / span
+    X[:, flat] = 0.5 * (lo + hi)
+    return replace(ds, X=X, normalization=(lo, hi))
 
 
 def _rfm_cell(p, act, kappas, seed, md, rescale=None, **fields):
@@ -808,8 +820,7 @@ def _write_summary(cfg: ExperimentConfig, body: list) -> str:
     lines = [f"experiment: {cfg.kind}", f"title: {_TITLES[cfg.kind]}",
              f"seed: {cfg.seed}", f"repetitions: {cfg.reps}"] + body
     path = os.path.join(cfg.out_dir, "summary.txt")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, lines)
     return path
 
 

@@ -8,6 +8,8 @@ compared with plain file equality.
 
 import numpy as np
 
+from .textio import lines_text, write_text
+
 __all__ = ["emit_heatmap_svg", "render_heatmap_svg", "CELL_PX"]
 
 CELL_PX = 16
@@ -20,6 +22,10 @@ def render_heatmap_svg(grid) -> str:
     coordinates, CELL_PX pixels on a side. Luminance is the linear map
     round(255 * value), so 0.0 is black and 1.0 is white.
     """
+    return lines_text(_svg_lines(grid))
+
+
+def _svg_lines(grid) -> list:
     try:
         arr = np.asarray(grid, dtype=float)
     except ValueError as exc:
@@ -48,11 +54,9 @@ def render_heatmap_svg(grid) -> str:
                 f'<rect x="{c * CELL_PX}" y="{r * CELL_PX}" '
                 f'width="{CELL_PX}" height="{CELL_PX}" fill="{fill}"/>')
     lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def emit_heatmap_svg(grid, path) -> None:
     """Write the grid as a grayscale SVG file (see render_heatmap_svg)."""
-    doc = render_heatmap_svg(grid)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(doc)
+    write_text(path, _svg_lines(grid))

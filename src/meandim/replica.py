@@ -34,6 +34,8 @@ import numpy as np
 from scipy.special import expit, log_ndtr, ndtr
 
 from .rfm import KappaSet, bmd_from_overlaps
+from .textio import csv_lines, write_text
+from .trainer import _margin_loss
 
 __all__ = [
     "ReplicaInput",
@@ -51,7 +53,6 @@ __all__ = [
     "mse_inner_max",
     "ce_inner_max",
     "write_curve_csv",
-    "read_curve_csv",
 ]
 
 Z0_NODES = 400
@@ -155,12 +156,6 @@ def _z0_rule() -> tuple[np.ndarray, np.ndarray]:
     return _Z0_RULE
 
 
-def _loss(kind: str, h: np.ndarray) -> np.ndarray:
-    if kind == "mse":
-        return 0.5 * (1.0 - h) ** 2
-    return np.logaddexp(0.0, -h)
-
-
 def mse_inner_max(h0: np.ndarray, dQ: float):
     """argmax_z1 and max of -z1^2/2 - (1-h0-sqrt(dQ) z1)^2/2, closed form."""
     z1 = np.sqrt(dQ) * (1.0 - h0) / (1.0 + dQ)
@@ -222,7 +217,7 @@ def _energetic(loss: str, M: float, Q_d: float, dQ: float, delta: float):
     g_Q = 2.0 * wts @ (Hfac * dE_dQd + dH_dQd * E)
     g_M = 2.0 * wts @ (dH_dM * E)
     g_dQ = 2.0 * wts @ (Hfac * (z1**2) / (2.0 * dQ))
-    train_loss = 2.0 * wts @ (Hfac * _loss(loss, x_star))
+    train_loss = 2.0 * wts @ (Hfac * _margin_loss(loss, x_star))
     return value, g_Q, g_M, g_dQ, train_loss
 
 
@@ -335,7 +330,7 @@ def _test_loss(loss: str, M: float, Q_d: float, delta: float) -> float:
     """Expected loss on a fresh sample, 2 Int Dv loss(sqrt(Q_d) v) H(-Mv/s)."""
     v, wts = _z0_rule()
     s = np.sqrt(max(Q_d - M * M + delta, 1e-300))
-    return float(2.0 * wts @ (_loss(loss, np.sqrt(Q_d) * v) * ndtr(M * v / s)))
+    return float(2.0 * wts @ (_margin_loss(loss, np.sqrt(Q_d) * v) * ndtr(M * v / s)))
 
 
 def observables(params: OrderParams, inp: ReplicaInput) -> Observables:
@@ -387,6 +382,7 @@ def sweep_curve(kappas: KappaSet, loss: str, lam: float, alpha_t: float,
         raise ValueError("empty 1/alpha grid")
     if not (np.all(np.diff(inv_alphas) > 0) or np.all(np.diff(inv_alphas) < 0)):
         raise ValueError("1/alpha grid must be strictly monotone")
+    alpha_t, lam = float(alpha_t), float(lam)  # the curve CSV writes floats
     rows = []
     carry = None
     for inv_alpha in inv_alphas:
@@ -527,35 +523,12 @@ def spectral_ols(alpha_d: float, lam: float, kappas: KappaSet, spectrum="mp",
 CURVE_HEADER = "inv_alpha,alpha_T,lambda,loss,eps_g,train_loss,test_loss,bmd,q_d,p_d,Q_d,converged"
 
 
-def write_curve_csv(path, rows: list[CurvePoint]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_curve_csv_text(rows))
-
-
-def _curve_csv_text(rows: list[CurvePoint]) -> str:
+def _curve_lines(rows: list[CurvePoint]) -> list:
     """The curve CSV: CURVE_HEADER, then one line per point."""
-    lines = [CURVE_HEADER]
-    for r in rows:
-        vals = [r.inv_alpha, r.alpha_t, r.lam, r.eps_g, r.train_loss,
-                r.test_loss, r.bmd, r.q_d, r.p_d, r.Q_d]
-        cells = [repr(float(v)) for v in vals]
-        cells.insert(3, r.loss)
-        cells.append(str(int(r.converged)))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return csv_lines(CURVE_HEADER.split(","), (
+        (r.inv_alpha, r.alpha_t, r.lam, r.loss, r.eps_g, r.train_loss, r.test_loss,
+         r.bmd, r.q_d, r.p_d, r.Q_d, int(r.converged)) for r in rows))
 
 
-def read_curve_csv(path) -> list[CurvePoint]:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != CURVE_HEADER:
-        raise ValueError(f"{path}: expected curve header")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        rows.append(CurvePoint(
-            inv_alpha=float(cells[0]), alpha_t=float(cells[1]), lam=float(cells[2]),
-            loss=cells[3], eps_g=float(cells[4]), train_loss=float(cells[5]),
-            test_loss=float(cells[6]), bmd=float(cells[7]), q_d=float(cells[8]),
-            p_d=float(cells[9]), Q_d=float(cells[10]), converged=bool(int(cells[11]))))
-    return rows
+def write_curve_csv(path, rows: list[CurvePoint]) -> None:
+    write_text(path, _curve_lines(rows))

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import roots_hermite
 
+from .textio import read_text, write_text
+
 __all__ = [
     "Activation",
     "KappaSet",
@@ -338,13 +340,11 @@ def save_rfm(path, model: RfmModel) -> None:
     lines += [" ".join(repr(v) for v in row) for row in model.F.tolist()]
     lines.append("w =")
     lines.append(" ".join(repr(v) for v in model.w.tolist()))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, lines)
 
 
 def load_rfm(path) -> RfmModel:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != CHECKPOINT_HEADER:
         raise ValueError(f"{path}: not a {CHECKPOINT_HEADER} checkpoint")
     try:

@@ -47,11 +47,6 @@ __all__ = [
     "adversarial_init_protocol",
     "robustness_flip_count",
     "multiclass_bmd",
-    "load_csv_dataset",
-    "write_history_csv",
-    "read_history_csv",
-    "parse_train_config",
-    "format_train_config",
 ]
 
 
@@ -580,97 +575,3 @@ def multiclass_bmd(net: Mlp, sampler: InputSampler, n_samples: int, seed: int) -
         lambda x: log_softmax_mlp(net, x), net.n_out, sampler, n_samples, seed)
     return float(np.mean([p.md for p in profiles]))
 
-
-# ---------------------------------------------------------------------------
-# dataset and config plumbing
-
-def load_csv_dataset(path, lo: float = -1.0, hi: float = 1.0) -> Dataset:
-    """Numeric CSV with the label in the last column.
-
-    Features are mapped per-column onto [lo, hi] by their observed range;
-    a constant column lands on the interval midpoint. Labels must be
-    either all +-1 or non-negative class indices.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    rows = []
-    width = None
-    for lineno, line in enumerate(lines, start=1):
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-            if width < 2:
-                raise ValueError(f"{path}: need at least one feature column plus a label")
-        elif len(cells) != width:
-            raise ValueError(f"{path}: row {lineno} has {len(cells)} cells, expected {width}")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError:
-            raise ValueError(f"{path}: non-numeric cell in row {lineno}") from None
-    raw = np.array(rows)
-    y = raw[:, -1]
-    if set(np.unique(y)) <= {-1.0, 1.0}:
-        pass
-    elif np.all(y == np.round(y)) and y.min() >= 0:
-        y = y.astype(int).astype(float)
-    else:
-        raise ValueError(f"{path}: labels must be +-1 or non-negative integers")
-    return _minmax_dataset(Dataset(X=raw[:, :-1], y=y), lo, hi)
-
-
-def _minmax_dataset(ds: Dataset, lo: float, hi: float) -> Dataset:
-    """Map each feature column onto [lo, hi] by its observed range.
-
-    A constant column lands on the interval midpoint.
-    """
-    X = ds.X
-    col_lo, col_hi = X.min(axis=0), X.max(axis=0)
-    span = col_hi - col_lo
-    flat = span == 0
-    span[flat] = 1.0
-    X = lo + (X - col_lo) * (hi - lo) / span
-    X[:, flat] = 0.5 * (lo + hi)
-    return replace(ds, X=X, normalization=(lo, hi))
-
-
-def write_history_csv(path, history: np.ndarray) -> None:
-    lines = ["epoch,train_err,test_err,train_loss"]
-    lines += [f"{int(e)},{te!r},{ve!r},{tl!r}"
-              for e, te, ve, tl in np.asarray(history, dtype=float).tolist()]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_history_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != "epoch,train_err,test_err,train_loss":
-        raise ValueError(f"{path}: expected history header")
-    return np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).reshape(-1, 4)
-
-
-_CONFIG_FIELDS = {
-    "loss": str, "lam": float, "optimizer": str, "batch_size": int,
-    "lr": float, "epochs": int, "label_noise_fraction": float, "seed": int,
-}
-
-
-def format_train_config(config: TrainConfig) -> str:
-    return "\n".join(f"{name} = {getattr(config, name)}" for name in _CONFIG_FIELDS) + "\n"
-
-
-def parse_train_config(text: str) -> TrainConfig:
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition(" = ")
-        if not sep:
-            raise ValueError(f"config line {lineno}: expected 'key = value'")
-        if key not in _CONFIG_FIELDS:
-            raise ValueError(f"config line {lineno}: unknown field {key!r}")
-        values[key] = _CONFIG_FIELDS[key](value)
-    return TrainConfig(**values)

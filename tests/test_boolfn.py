@@ -185,30 +185,6 @@ class TestExactMd:
         assert boolfn.exact_md_via_anova(3.7 * values - 11.0) == pytest.approx(base, rel=1e-12)
 
 
-class TestVertexTableIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(19)
-        values = rng.standard_normal(1 << 4)
-        path = tmp_path / "table.csv"
-        boolfn.write_vertex_table(path, values)
-        np.testing.assert_array_equal(boolfn.read_vertex_table(path), values)
-
-    def test_header_and_order_are_enforced(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("value,mask\n0,1.0\n")
-        with pytest.raises(ValueError):
-            boolfn.read_vertex_table(path)
-        path.write_text("mask,value\n1,1.0\n0,2.0\n")
-        with pytest.raises(ValueError):
-            boolfn.read_vertex_table(path)
-
-    def test_non_power_of_two_rejected(self, tmp_path):
-        path = tmp_path / "short.csv"
-        path.write_text("mask,value\n0,1.0\n1,2.0\n2,3.0\n")
-        with pytest.raises(ValueError):
-            boolfn.read_vertex_table(path)
-
-
 class TestHelpers:
     def test_spins_round_trip(self):
         spins = boolfn.vertex_spins(5)

@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, sweep plumbing, SVG output, CLI."""
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ from meandim.experiments import (
     summarize_peaks,
     write_sweep_csv,
 )
-from meandim.experiments import _run_cells
+from meandim.experiments import _minmax_dataset, _run_cells
 from meandim.heatmap_svg import CELL_PX, emit_heatmap_svg, render_heatmap_svg
 from meandim.replica import CURVE_HEADER
 from meandim.rfm import Activation, random_rfm, save_rfm
+from meandim.trainer import Dataset
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -199,6 +201,18 @@ def test_write_sweep_csv_columns(tmp_path):
     assert path.read_text(encoding="ascii").splitlines()[0] == "width,bmd_mean"
 
 
+def test_minmax_dataset_maps_columns_onto_range():
+    ds = Dataset(X=np.array([[0.0, 10.0], [2.0, 20.0]]), y=np.array([1.0, -1.0]))
+    out = _minmax_dataset(ds, -1.0, 1.0)
+    assert np.allclose(out.X, [[-1.0, -1.0], [1.0, 1.0]])
+    assert np.array_equal(out.y, ds.y) and out.normalization == (-1.0, 1.0)
+
+
+def test_minmax_dataset_constant_column_maps_to_midpoint():
+    ds = Dataset(X=np.array([[5.0, 1.0], [5.0, 3.0]]), y=np.ones(2))
+    assert np.allclose(_minmax_dataset(ds, -3.0, 3.0).X[:, 0], 0.0)
+
+
 def test_summarize_peaks_needs_enough_points():
     res = make_sweep({"bmd": [[1.0], [2.0]]})
     with pytest.raises(ValueError, match="at least 5"):
@@ -258,6 +272,19 @@ def test_run_cells_wraps_failures():
         _run_cells(cell, (8, 16), ("m",), reps=1, jobs=1, coordinate="width")
     with pytest.raises(RuntimeError, match=r"width=16, rep=0 failed: boom"):
         _run_cells(cell, (8, 16), ("m",), reps=1, jobs=3, coordinate="width")
+    # with a pool, the first failure cancels the queued cells
+    calls = []
+
+    def slow_cell(i, rep):
+        calls.append(i)
+        if i == 0:
+            raise ValueError("boom")
+        time.sleep(0.2)
+        return {"m": 0.0}
+
+    with pytest.raises(RuntimeError, match=r"width=0, rep=0 failed: boom"):
+        _run_cells(slow_cell, tuple(range(20)), ("m",), reps=1, jobs=2, coordinate="width")
+    assert len(calls) < 20
 
 
 def test_run_cells_jobs_do_not_change_values():
@@ -390,6 +417,10 @@ def test_rerun_is_byte_identical_and_jobs_free(kind, tmp_path):
         paths = run_experiment(cfg, out_dir=str(tmp_path / name), jobs=jobs)
         outs.append([(os.path.basename(p), read_bytes(p)) for p in paths])
     assert outs[0] == outs[1] == outs[2]
+    for name, data in outs[0]:  # ASCII, LF line ends, exactly one trailing newline
+        data.decode("ascii")
+        assert b"\r" not in data, name
+        assert data.endswith(b"\n") and not data.endswith(b"\n\n"), name
 
 
 def test_run_experiment_accepts_config_path(tmp_path):
@@ -509,6 +540,8 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
     rfm = "kind = double-descent-rfm\ndim = 4\nn_train = 8\nwidths = 4\n"
     mlp = "kind = double-descent-mlp\ndim = 4\nn_train = 8\nwidths = 4\n"
     adv = "kind = adversarial-init\ndim = 4\nn_train = 8\nwidth = 4\n"
+    rob = "kind = robustness-sweep\ndim = 4\nn_train = 8\nwidths = 4\n"
+    cfg_file = tmp_path / "exp.cfg"
     cases = [
         ("kind = frobnicate\n", "unknown experiment kind"),
         (rfm + "input_kind = foo\n", "'input_kind': expected one of binary, gaussian"),
@@ -522,10 +555,14 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
          "activation = sign\n", "closed-form BMD diverges for sign"),
         ("kind = regularization-sweep\nlams = 1\nempirical = true\nwidths = 4\n"
          "activation = sign\n", "closed-form BMD diverges for sign"),
+        # multiclass MLPs always train with cross-entropy
+        (adv + "loss = ce\n", "unknown config field 'loss'"),
+        (rob + "loss = mse\n", "unknown config field 'loss'"),
+        (mlp + "n_classes = 3\nloss = mse\n", "the loss must be ce"),
+        (rfm + "# width in \u00b5units\n", f"{cfg_file}: not ASCII text"),
     ]
-    cfg_file = tmp_path / "exp.cfg"
     for text, message in cases:
-        cfg_file.write_text(text, encoding="ascii")
+        cfg_file.write_bytes(text.encode("utf-8"))
         assert main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 2, text
         assert message in capsys.readouterr().err, text
     assert not (tmp_path / "o").exists()
@@ -596,6 +633,11 @@ def test_cli_md_bad_checkpoint_exits_2(tmp_path, capsys):
         assert main(["md", str(bad), "--sampler", "binary", "--samples", "10",
                      "--seed", "0"]) == 2
         assert f"{bad}: malformed checkpoint" in capsys.readouterr().err
+    data = read_bytes(checkpoint(tmp_path))
+    bad.write_bytes(data[:15] + b"\xff" + data[16:])
+    assert main(["md", str(bad), "--sampler", "binary", "--samples", "10",
+                 "--seed", "0"]) == 2
+    assert f"{bad}: not ASCII text" in capsys.readouterr().err
 
 
 def test_cli_theory_prints_curve(tmp_path, capsys):

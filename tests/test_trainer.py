@@ -1,4 +1,4 @@
-"""Training paths: teacher data, ridge oracle, GD, MLP protocols, CSV I/O."""
+"""Training paths: teacher data, ridge oracle, GD, MLP protocols."""
 
 import numpy as np
 import pytest
@@ -14,19 +14,14 @@ from meandim.trainer import (
     design_matrix,
     flip_labels,
     forward_mlp,
-    format_train_config,
     gen_multiclass_task,
     gen_teacher_student,
     init_mlp,
-    load_csv_dataset,
     multiclass_bmd,
-    parse_train_config,
     predict_labels,
-    read_history_csv,
     robustness_flip_count,
     train_gd,
     train_rfm_ridge,
-    write_history_csv,
 )
 
 TANH = Activation.tanh()
@@ -348,66 +343,6 @@ class TestRobustness:
         res = robustness_flip_count(fitted.model, ds, seed=22)
         assert not res.undefined
         assert 1.0 <= res.mean <= 10.0
-
-
-class TestCsvAndConfig:
-    def test_hand_file(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("0.0,10.0,1\n2.0,20.0,-1\n")
-        ds = load_csv_dataset(path, lo=-1.0, hi=1.0)
-        assert np.allclose(ds.X, [[-1.0, -1.0], [1.0, 1.0]])
-        assert np.array_equal(ds.y, [1.0, -1.0])
-
-    def test_constant_column_maps_to_midpoint(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("5.0,1.0,1\n5.0,3.0,1\n")
-        ds = load_csv_dataset(path, lo=-3.0, hi=3.0)
-        assert np.allclose(ds.X[:, 0], 0.0)
-
-    def test_ragged_rows(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("1,2,1\n1,2\n")
-        with pytest.raises(ValueError, match="row 2"):
-            load_csv_dataset(path)
-
-    def test_non_numeric(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("1,2,1\n1,x,1\n")
-        with pytest.raises(ValueError, match="row 2"):
-            load_csv_dataset(path)
-
-    def test_empty(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("")
-        with pytest.raises(ValueError, match="empty"):
-            load_csv_dataset(path)
-
-    def test_bad_labels(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("1,2,0.5\n3,4,0.7\n")
-        with pytest.raises(ValueError, match="labels"):
-            load_csv_dataset(path)
-
-    def test_class_labels_accepted(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("1,2,0\n3,4,2\n")
-        ds = load_csv_dataset(path)
-        assert np.array_equal(ds.y, [0.0, 2.0])
-
-    def test_history_roundtrip(self, tmp_path):
-        hist = np.array([[0, 0.5, 0.6, 1.25], [1, 0.25, 0.5, 0.75]])
-        path = tmp_path / "history.csv"
-        write_history_csv(path, hist)
-        assert np.array_equal(read_history_csv(path), hist)
-
-    def test_train_config_roundtrip(self):
-        cfg = TrainConfig(loss="ce", lam=0.25, optimizer="minibatch-gd",
-                          batch_size=64, lr=3e-4, epochs=42, label_noise_fraction=0.1, seed=5)
-        assert parse_train_config(format_train_config(cfg)) == cfg
-
-    def test_train_config_unknown_field(self):
-        with pytest.raises(ValueError, match="momentum"):
-            parse_train_config("momentum = 0.9\n")
 
 
 class TestPredictLabels:
