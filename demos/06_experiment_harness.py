@@ -70,7 +70,7 @@ theory_paths = run_experiment(parse_experiment_config(THEORY), out_dir=os.path.j
 show(theory_paths[0], limit=6)
 
 # configs round trip through files, so everything here maps onto the CLI:
-#   meandim run config.txt --out-dir results/
+#   meandim run config.txt --out results/
 cfg_path = os.path.join(out, "config.txt")
 with open(cfg_path, "w", encoding="ascii") as fh:
     fh.write(CONFIG)

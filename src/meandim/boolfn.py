@@ -30,7 +30,6 @@ __all__ = [
     "walsh_hadamard",
     "synthesize",
     "degree_profile",
-    "anova_component",
     "exact_md_via_anova",
     "vertex_spins",
     "spins_to_index",
@@ -152,59 +151,6 @@ def popcount(masks: np.ndarray) -> np.ndarray:
         counts += (masks & 1).astype(np.int64)
         masks >>= 1
     return counts
-
-
-def _conditional_mean(values: np.ndarray, n: int, mask: int, assignment: dict[int, int]) -> float:
-    # mean of f over all vertices consistent with the pinned coordinates
-    idx = np.arange(values.shape[0])
-    keep = np.ones(values.shape[0], dtype=bool)
-    for i in range(n):
-        if mask >> i & 1:
-            bit = 1 if assignment[i] < 0 else 0
-            keep &= ((idx >> i) & 1) == bit
-    return float(values[keep].mean())
-
-
-def anova_component(values: np.ndarray, u: int, x_u: dict[int, int]) -> float:
-    """Evaluate the ANOVA component f_u at a partial spin assignment.
-
-    ``u`` is a coordinate bit mask and ``x_u`` maps each coordinate in u to
-    a spin in {-1, +1}. The components are defined recursively under the
-    uniform measure: f_0 is the global mean, and
-
-        f_u(x_u) = E[f | x_u] - sum_{v strictly contained in u} f_v(x_v).
-
-    Each component is centered and components are mutually orthogonal, which
-    is what makes the variance split of ``degree_profile`` well defined.
-    """
-    values, n = _check_table(values)
-    if not 0 <= u < (1 << n):
-        raise ValueError(f"subset mask {u} out of range for n={n}")
-    coords = [i for i in range(n) if u >> i & 1]
-    if set(x_u) != set(coords):
-        raise ValueError("partial assignment must cover exactly the coordinates in u")
-    for i, s in x_u.items():
-        if s not in (-1, 1):
-            raise ValueError(f"spin for coordinate {i} must be -1 or +1, got {s}")
-
-    memo: dict[int, float] = {}
-
-    def component(v: int) -> float:
-        if v in memo:
-            return memo[v]
-        sub_assignment = {i: x_u[i] for i in x_u if v >> i & 1}
-        total = _conditional_mean(values, n, v, sub_assignment)
-        if v:
-            w = (v - 1) & v
-            while True:
-                total -= component(w)
-                if w == 0:
-                    break
-                w = (w - 1) & v
-        memo[v] = total
-        return total
-
-    return component(u)
 
 
 def exact_md_via_anova(values: np.ndarray) -> float:

@@ -30,7 +30,7 @@ from .estimator import (InputSampler, estimate_md, estimate_md_binary_fast,
 from .experiments import load_experiment_config, run_experiment
 from .replica import _curve_lines, sweep_curve, write_curve_csv
 from .rfm import Activation, compute_kappas, load_rfm, score_fn
-from .textio import lines_text
+from .textio import lines_text, read_text
 
 __all__ = ["main", "build_parser"]
 
@@ -96,7 +96,11 @@ def _make_sampler(args, dim: int) -> InputSampler:
         return InputSampler.uniform(dim, args.lo, args.hi)
     if args.data is None:
         raise ValueError("--sampler empirical requires --data CSV")
-    rows = np.loadtxt(args.data, delimiter=",", ndmin=2)
+    lines = read_text(args.data).splitlines()
+    try:
+        rows = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{args.data}: {exc}") from None
     if rows.shape[1] != dim:
         raise ValueError(f"--data has {rows.shape[1]} columns, model expects {dim}")
     return InputSampler.empirical(rows, args.lo, args.hi)

@@ -151,28 +151,18 @@ def _chunk_size(dim: int) -> int:
     return max(64, (1 << 21) // max(dim, 1))
 
 
-def _shard_spans(n_samples: int, n_shards: int) -> list[tuple[int, int]]:
-    """Split [0, n_samples) into n_shards contiguous spans of near-equal size."""
-    base, extra = divmod(n_samples, n_shards)
-    spans, start = [], 0
-    for k in range(n_shards):
-        count = base + (1 if k < extra else 0)
-        spans.append((start, count))
-        start += count
-    return spans
-
-
-def _accumulate_shard(f, sampler: InputSampler, n_samples: int, seed: int, shard: int,
-                      start: int, count: int, mode: str, n_outputs: int):
-    """One shard of the estimation stream, seeded by (seed, shard).
+def _accumulate(f, sampler: InputSampler, n_samples: int, seed: int, mode: str,
+                n_outputs: int):
+    """Run the estimation stream, seeded by (seed, 0).
 
     Returns per-batch accumulators: tau sums (N_BATCHES, dim, n_outputs),
-    f sums and square sums (N_BATCHES, n_outputs), and batch sizes. Batch
-    membership follows the global sample index, so shard accumulators merge
-    by plain addition.
+    f sums and square sums (N_BATCHES, n_outputs), and batch sizes; sample
+    j belongs to batch j * N_BATCHES // n_samples.
     """
+    if n_samples < 100:
+        raise ValueError("need at least 100 samples")
     dim = sampler.dim
-    rng = np.random.default_rng(np.random.SeedSequence([seed, shard]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     tau_sums = np.zeros((N_BATCHES, dim, n_outputs))
     f_sum = np.zeros((N_BATCHES, n_outputs))
     f_sq_sum = np.zeros((N_BATCHES, n_outputs))
@@ -186,10 +176,10 @@ def _accumulate_shard(f, sampler: InputSampler, n_samples: int, seed: int, shard
         _check_finite(out, where)
         return out.reshape(x.shape[0], n_outputs)
 
-    done = start
+    done = 0
     chunk = _chunk_size(dim)
-    while done < start + count:
-        m = min(chunk, start + count - done)
+    while done < n_samples:
+        m = min(chunk, n_samples - done)
         x = sampler.sample_background(rng, m)
         base = evaluate(x, f"background samples {done}..{done + m - 1}")
         batches = np.arange(done, done + m) * N_BATCHES // n_samples
@@ -208,37 +198,6 @@ def _accumulate_shard(f, sampler: InputSampler, n_samples: int, seed: int, shard
             np.add.at(tau_sums, (batches, i), scale * (base - other) ** 2)
         done += m
     return tau_sums, f_sum, f_sq_sum, batch_count
-
-
-def _accumulate(f, sampler: InputSampler, n_samples: int, seed: int, mode: str,
-                n_outputs: int, n_shards: int = 1, workers: int | None = None):
-    """Run the sharded estimation stream and merge the accumulators.
-
-    Shard k draws from substream (seed, k), so results are bit-identical
-    for fixed (f, sampler, n_samples, seed, n_shards) no matter how many
-    workers execute them: merging is a sum of sums, taken in shard order.
-    """
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples")
-    if n_shards < 1 or n_shards > n_samples:
-        raise ValueError("n_shards must be in [1, n_samples]")
-    spans = _shard_spans(n_samples, n_shards)
-    if workers is not None and workers > 1 and n_shards > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda item: _accumulate_shard(f, sampler, n_samples, seed, item[0],
-                                               item[1][0], item[1][1], mode, n_outputs),
-                enumerate(spans)))
-    else:
-        parts = [_accumulate_shard(f, sampler, n_samples, seed, k, s, c, mode, n_outputs)
-                 for k, (s, c) in enumerate(spans)]
-    merged = [np.zeros_like(a) for a in parts[0]]
-    for part in parts:
-        for acc, piece in zip(merged, part):
-            acc += piece
-    return tuple(merged)
 
 
 def _assemble(tau_sums, f_sum, f_sq_sum, batch_count, n_samples, seed, output: int) -> InfluenceProfile:
@@ -267,16 +226,13 @@ def _assemble(tau_sums, f_sum, f_sq_sum, batch_count, n_samples, seed, output: i
     )
 
 
-def estimate_md(f, sampler: InputSampler, n_samples: int, seed: int,
-                n_shards: int = 1, workers: int | None = None) -> InfluenceProfile:
+def estimate_md(f, sampler: InputSampler, n_samples: int, seed: int) -> InfluenceProfile:
     """Estimate influences and mean dimension by coordinate resampling.
 
     Parameters
     ----------
     f : callable
         Batched score function mapping an (m, n) input array to m reals.
-        Must be safe for concurrent read-only evaluation when workers > 1;
-        it is never mutated.
     sampler : InputSampler
         Background and resampling distribution; its dim must match f.
     n_samples : int
@@ -284,19 +240,13 @@ def estimate_md(f, sampler: InputSampler, n_samples: int, seed: int,
         evaluations of f because every coordinate is probed.
     seed : int
         Results are bit-identical for identical (f, sampler, n_samples,
-        seed, n_shards).
-    n_shards, workers
-        The sample stream splits into n_shards substreams seeded by
-        (seed, shard); workers only sets how many run concurrently and
-        never changes the result.
+        seed).
     """
-    acc = _accumulate(f, sampler, n_samples, seed, mode="resample", n_outputs=1,
-                      n_shards=n_shards, workers=workers)
+    acc = _accumulate(f, sampler, n_samples, seed, mode="resample", n_outputs=1)
     return _assemble(*acc, n_samples, seed, output=0)
 
 
-def estimate_md_binary_fast(f, n: int, n_samples: int, seed: int,
-                            n_shards: int = 1, workers: int | None = None) -> InfluenceProfile:
+def estimate_md_binary_fast(f, n: int, n_samples: int, seed: int) -> InfluenceProfile:
     """Estimate mean dimension of f on the spin cube via discrete derivatives.
 
     For each background the two states of coordinate i are compared
@@ -305,24 +255,20 @@ def estimate_md_binary_fast(f, n: int, n_samples: int, seed: int,
     never wastes a draw on an unchanged coordinate. The shared-background
     evaluation makes this n+1 (not 2n) calls per sample.
     """
-    acc = _accumulate(f, InputSampler.binary(n), n_samples, seed, mode="flip",
-                      n_outputs=1, n_shards=n_shards, workers=workers)
+    acc = _accumulate(f, InputSampler.binary(n), n_samples, seed, mode="flip", n_outputs=1)
     return _assemble(*acc, n_samples, seed, output=0)
 
 
-def estimate_md_multioutput(f, n_outputs: int, sampler: InputSampler, n_samples: int, seed: int,
-                            mode: str = "resample", n_shards: int = 1,
-                            workers: int | None = None) -> list[InfluenceProfile]:
+def estimate_md_multioutput(f, n_outputs: int, sampler: InputSampler, n_samples: int,
+                            seed: int) -> list[InfluenceProfile]:
     """Profile several score functions that share one forward pass.
 
     ``f`` maps (m, n) inputs to an (m, n_outputs) block (for example the
     per-class log-probabilities of a classifier); one profile per column is
-    returned, all computed from the same background stream.
+    returned, all computed by coordinate resampling from the same
+    background stream.
     """
-    if mode not in ("resample", "flip"):
-        raise ValueError("mode must be 'resample' or 'flip'")
-    acc = _accumulate(f, sampler, n_samples, seed, mode=mode, n_outputs=n_outputs,
-                      n_shards=n_shards, workers=workers)
+    acc = _accumulate(f, sampler, n_samples, seed, mode="resample", n_outputs=n_outputs)
     return [_assemble(*acc, n_samples, seed, output=k) for k in range(n_outputs)]
 
 

@@ -20,6 +20,7 @@ Config files are flat key-value text, one `key = value` per line, with
 single cell can be reproduced in isolation.
 """
 
+import math
 import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
@@ -88,6 +89,22 @@ def _parse_list(conv):
     return parse
 
 
+def _parse_range(conv, lo, hi=math.inf, open_lo=False):
+    """Parser for one finite conv value in [lo, hi], or in (lo, hi] if open_lo."""
+    if hi < math.inf:
+        want = f"in {'(' if open_lo else '['}{lo}, {hi}]"
+    else:
+        want = f"{'>' if open_lo else '>='} {lo}"
+
+    def parse(s: str):
+        value = conv(s)
+        above = lo < value if open_lo else lo <= value
+        if not (math.isfinite(value) and above and value <= hi):
+            raise ValueError(f"expected a finite value {want}, got {s!r}")
+        return value
+    return parse
+
+
 def _parse_choice(*choices):
     def parse(s: str) -> str:
         if s not in choices:
@@ -121,9 +138,14 @@ _REQUIRED = object()
 
 _INPUT_KIND = _parse_choice("binary", "gaussian")
 _LOSS = _parse_choice("mse", "ce")
-# the optimizers of TrainConfig that train a whole MLP (closed-form ridge
-# fits only an RFM readout)
 _MLP_OPTIMIZER = _parse_choice("full-batch-gd", "minibatch-gd")
+_COUNT = _parse_range(int, 1)
+_COUNTS = _parse_list(_COUNT)
+_SAMPLES = _parse_range(int, 100)
+_CLASSES = _parse_range(int, 2)
+_NONNEG = _parse_range(float, 0)
+_FRACTION = _parse_range(float, 0, 1)
+_POSITIVE = _parse_range(float, 0, open_lo=True)
 
 _COMMON_SCHEMA = {
     "seed": (int, 0),
@@ -135,127 +157,127 @@ _COMMON_SCHEMA = {
 _GRID_SCHEMA = {
     "grid_min": (float, 0.1),
     "grid_max": (float, 10.0),
-    "grid_points": (int, 21),
+    "grid_points": (_parse_range(int, 2), 21),
 }
 
 _SCHEMAS = {
     "double-descent-rfm": {
-        "dim": (int, _REQUIRED),
-        "n_train": (int, _REQUIRED),
-        "n_test": (int, 2000),
-        "widths": (_parse_list(int), _REQUIRED),
-        "lam": (float, 1e-4),
-        "label_noise_fraction": (float, 0.0),
-        "delta": (float, 0.0),
+        "dim": (_COUNT, _REQUIRED),
+        "n_train": (_COUNT, _REQUIRED),
+        "n_test": (_COUNT, 2000),
+        "widths": (_COUNTS, _REQUIRED),
+        "lam": (_NONNEG, 1e-4),
+        "label_noise_fraction": (_FRACTION, 0.0),
+        "delta": (_NONNEG, 0.0),
         "input_kind": (_INPUT_KIND, "binary"),
         "activation": (_parse_activation, "tanh"),
     },
     "double-descent-mlp": {
-        "dim": (int, _REQUIRED),
-        "n_train": (int, _REQUIRED),
-        "n_test": (int, 1000),
-        "widths": (_parse_list(int), _REQUIRED),
-        "n_classes": (int, 2),
-        "epochs": (int, 200),
-        "lr": (float, 1e-3),
-        "batch_size": (int, 64),
+        "dim": (_COUNT, _REQUIRED),
+        "n_train": (_COUNT, _REQUIRED),
+        "n_test": (_COUNT, 1000),
+        "widths": (_COUNTS, _REQUIRED),
+        "n_classes": (_CLASSES, 2),
+        "epochs": (_COUNT, 200),
+        "lr": (_POSITIVE, 1e-3),
+        "batch_size": (_COUNT, 64),
         "loss": (_LOSS, "ce"),
         "optimizer": (_MLP_OPTIMIZER, "minibatch-gd"),
-        "label_noise_fraction": (float, 0.0),
-        "md_samples": (int, 4000),
+        "label_noise_fraction": (_FRACTION, 0.0),
+        "md_samples": (_SAMPLES, 4000),
         "input_kind": (_INPUT_KIND, "gaussian"),
     },
     "theory-curve": {
         "loss": (_LOSS, "mse"),
-        "lam": (float, 1e-4),
-        "alpha_t": (float, 3.0),
-        "delta": (float, 0.0),
+        "lam": (_NONNEG, 1e-4),
+        "alpha_t": (_POSITIVE, 3.0),
+        "delta": (_NONNEG, 0.0),
         "activation": (_parse_activation, "tanh"),
         **_GRID_SCHEMA,
     },
     "regularization-sweep": {
-        "lams": (_parse_list(float), _REQUIRED),
+        "lams": (_parse_list(_NONNEG), _REQUIRED),
         "loss": (_LOSS, "mse"),
-        "alpha_t": (float, 3.0),
-        "delta": (float, 0.0),
+        "alpha_t": (_POSITIVE, 3.0),
+        "delta": (_NONNEG, 0.0),
         "activation": (_parse_activation, "tanh"),
         **_GRID_SCHEMA,
         "empirical": (_parse_bool, False),
-        "dim": (int, 50),
-        "n_train": (int, 200),
-        "n_test": (int, 2000),
-        "widths": (_parse_list(int), ()),
-        "label_noise_fraction": (float, 0.1),
+        "dim": (_COUNT, 50),
+        "n_train": (_COUNT, 200),
+        "n_test": (_COUNT, 2000),
+        "widths": (_COUNTS, ()),
+        "label_noise_fraction": (_FRACTION, 0.1),
         "input_kind": (_INPUT_KIND, "binary"),
     },
     "trainset-size-sweep": {
-        "dim": (int, _REQUIRED),
-        "width": (int, _REQUIRED),
-        "n_trains": (_parse_list(int), _REQUIRED),
-        "n_test": (int, 2000),
-        "lam": (float, 1e-4),
-        "label_noise_fraction": (float, 0.0),
-        "delta": (float, 0.0),
+        "dim": (_COUNT, _REQUIRED),
+        "width": (_COUNT, _REQUIRED),
+        "n_trains": (_COUNTS, _REQUIRED),
+        "n_test": (_COUNT, 2000),
+        "lam": (_NONNEG, 1e-4),
+        "label_noise_fraction": (_FRACTION, 0.0),
+        "delta": (_NONNEG, 0.0),
         "input_kind": (_INPUT_KIND, "binary"),
         "activation": (_parse_activation, "tanh"),
     },
     "adversarial-init": {
-        "dim": (int, _REQUIRED),
-        "n_train": (int, _REQUIRED),
-        "n_test": (int, 800),
-        "width": (int, _REQUIRED),
-        "n_classes": (int, 10),
-        "pretrain_grid": (_parse_list(int), (0, 5, 20, 50)),
-        "epochs": (int, 60),
-        "lr": (float, 3e-3),
-        "batch_size": (int, 64),
-        "md_samples": (int, 2000),
+        "dim": (_COUNT, _REQUIRED),
+        "n_train": (_COUNT, _REQUIRED),
+        "n_test": (_COUNT, 800),
+        "width": (_COUNT, _REQUIRED),
+        "n_classes": (_CLASSES, 10),
+        "pretrain_grid": (_parse_list(_parse_range(int, 0)), (0, 5, 20, 50)),
+        "epochs": (_COUNT, 60),
+        "lr": (_POSITIVE, 3e-3),
+        "batch_size": (_COUNT, 64),
+        "md_samples": (_SAMPLES, 2000),
         "input_kind": (_INPUT_KIND, "gaussian"),
     },
     "robustness-sweep": {
-        "dim": (int, _REQUIRED),
-        "n_train": (int, _REQUIRED),
-        "n_test": (int, 500),
-        "widths": (_parse_list(int), _REQUIRED),
-        "n_classes": (int, 10),
-        "epochs": (int, 100),
-        "lr": (float, 3e-3),
-        "batch_size": (int, 32),
-        "md_samples": (int, 2000),
-        "flip_points": (int, 200),
-        "label_noise_fraction": (float, 0.0),
+        "dim": (_COUNT, _REQUIRED),
+        "n_train": (_COUNT, _REQUIRED),
+        "n_test": (_COUNT, 500),
+        "widths": (_COUNTS, _REQUIRED),
+        "n_classes": (_CLASSES, 10),
+        "epochs": (_COUNT, 100),
+        "lr": (_POSITIVE, 3e-3),
+        "batch_size": (_COUNT, 32),
+        "md_samples": (_SAMPLES, 2000),
+        "flip_points": (_COUNT, 200),
+        "label_noise_fraction": (_FRACTION, 0.0),
         "input_kind": (_INPUT_KIND, "gaussian"),
     },
     "heatmap": {
-        "grid_height": (int, _REQUIRED),
-        "grid_width": (int, _REQUIRED),
-        "n_feat": (int, _REQUIRED),
-        "n_train": (int, _REQUIRED),
-        "lam": (float, 1e-4),
-        "samples": (int, 20000),
-        "support_fraction": (float, 0.25),
-        "label_noise_fraction": (float, 0.0),
+        "grid_height": (_COUNT, _REQUIRED),
+        "grid_width": (_COUNT, _REQUIRED),
+        "n_feat": (_COUNT, _REQUIRED),
+        "n_train": (_COUNT, _REQUIRED),
+        "lam": (_NONNEG, 1e-4),
+        "samples": (_SAMPLES, 20000),
+        "support_fraction": (_parse_range(float, 0, 1, open_lo=True), 0.25),
+        "label_noise_fraction": (_FRACTION, 0.0),
         "activation": (_parse_activation, "tanh"),
     },
     "distribution-comparison": {
-        "dim": (int, _REQUIRED),
-        "n_train": (int, _REQUIRED),
-        "n_test": (int, 1000),
-        "widths": (_parse_list(int), _REQUIRED),
-        "lam": (float, 1e-4),
-        "samples": (int, 10000),
-        "label_noise_fraction": (float, 0.0),
+        "dim": (_COUNT, _REQUIRED),
+        "n_train": (_COUNT, _REQUIRED),
+        "n_test": (_COUNT, 1000),
+        "widths": (_COUNTS, _REQUIRED),
+        "lam": (_NONNEG, 1e-4),
+        "samples": (_SAMPLES, 10000),
+        "label_noise_fraction": (_FRACTION, 0.0),
         "activation": (_parse_activation, "tanh"),
     },
     "normalization-comparison": {
-        "dim": (int, _REQUIRED),
-        "n_train": (int, _REQUIRED),
-        "n_test": (int, 1000),
-        "widths": (_parse_list(int), _REQUIRED),
-        "lam": (float, 1e-4),
-        "samples": (int, 10000),
+        "dim": (_COUNT, _REQUIRED),
+        "n_train": (_COUNT, _REQUIRED),
+        "n_test": (_COUNT, 1000),
+        "widths": (_COUNTS, _REQUIRED),
+        "lam": (_NONNEG, 1e-4),
+        "samples": (_SAMPLES, 10000),
         "ranges": (_parse_ranges, ((-1.0, 1.0), (-3.0, 3.0), (-5.0, 5.0))),
-        "label_noise_fraction": (float, 0.0),
+        "label_noise_fraction": (_FRACTION, 0.0),
         "activation": (_parse_activation, "tanh"),
     },
 }
@@ -322,11 +344,8 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
 
 
 def _validate_params(kind: str, params: dict) -> None:
-    if "grid_points" in params:
-        if params["grid_points"] < 2:
-            raise ValueError("config field 'grid_points' must be >= 2")
-        if not 0 < params["grid_min"] < params["grid_max"]:
-            raise ValueError("config fields 'grid_min' < 'grid_max' must be positive")
+    if "grid_points" in params and not 0 < params["grid_min"] < params["grid_max"]:
+        raise ValueError("config fields 'grid_min' < 'grid_max' must be positive")
     if kind == "double-descent-mlp" and params["n_classes"] > 2 and params["loss"] != "ce":
         raise ValueError("config field 'loss': n_classes > 2 trains with cross-entropy, "
                          "so the loss must be ce")
@@ -582,8 +601,8 @@ def _mlp_cell(p, width, seed, multiclass, pretrain=None, flips=False):
     if pretrain is None:
         fit = train_gd(skeleton, train, config, test_ds=test)
     else:
-        fit, _ = adversarial_init_protocol(skeleton, train, pretrain, p["epochs"],
-                                           config, test_ds=test)
+        fit = adversarial_init_protocol(skeleton, train, pretrain, p["epochs"],
+                                        config, test_ds=test)
     net = fit.model
     if multiclass:
         bmd = multiclass_bmd(net, InputSampler.binary(dim), p["md_samples"], seed)

@@ -84,12 +84,13 @@ class ReplicaInput:
     def __post_init__(self):
         if (self.alpha_d is None) == (self.alpha_t is None):
             raise ValueError("give exactly one of alpha_d or alpha_t")
+        given = self.alpha_d if self.alpha_t is None else self.alpha_t
+        if not (np.isfinite(given) and given > 0 and self.alpha > 0):
+            raise ValueError("alpha ratios must be positive and finite")
         if self.alpha_d is None:
             object.__setattr__(self, "alpha_d", self.alpha / self.alpha_t)
         else:
             object.__setattr__(self, "alpha_t", self.alpha / self.alpha_d)
-        if self.alpha <= 0 or self.alpha_d <= 0:
-            raise ValueError("alpha ratios must be positive")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         if self.loss not in ("mse", "ce"):

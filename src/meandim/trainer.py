@@ -3,8 +3,8 @@
 Supervised tasks come from a linear teacher: y = sign(w_T^T x / sqrt(D)),
 optionally corrupted by pre-sign Gaussian noise of variance delta or by
 flipping an exact fraction of labels. Students are either an RFM second
-layer (closed-form ridge or gradient descent) or a dense two-layer tanh
-network trained end to end.
+layer fitted by closed-form ridge or a dense two-layer tanh network
+trained end to end by gradient descent.
 
 Binary losses act on the margin h = y * y_hat:
 
@@ -274,24 +274,23 @@ def train_rfm_ridge(model: RfmModel, ds: Dataset, lam: float,
         train_error=_binary_error(yhat, ds.y),
         test_error=test_error,
         train_loss=float(_margin_loss("mse", ds.y * yhat).mean()),
-        history=np.zeros((0, 4)),
+        history=np.zeros(0),
     )
 
 
 # ---------------------------------------------------------------------------
-# gradient training (full-batch GD, or minibatch Adam per the usual recipe)
+# MLP training (full-batch GD, or minibatch Adam per the usual recipe)
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for gradient training.
+    """Knobs for gradient training of a two-layer MLP.
 
-    optimizer "minibatch-gd" uses Adam updates (betas 0.9/0.999,
-    epsilon 1e-8); defaults are batch 128 and lr 1e-4.
-    "closed-form-ridge" is only legal with the mse loss.
+    optimizer "full-batch-gd" takes one plain gradient step per epoch;
+    "minibatch-gd" uses Adam updates (betas 0.9/0.999, epsilon 1e-8) on
+    shuffled batches. Defaults are batch 128 and lr 1e-4.
     """
 
     loss: str = "mse"
-    lam: float = 0.0
     optimizer: str = "full-batch-gd"
     batch_size: int = 128
     lr: float = 1e-4
@@ -302,12 +301,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in ("mse", "ce"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.optimizer not in ("closed-form-ridge", "full-batch-gd", "minibatch-gd"):
+        if self.optimizer not in ("full-batch-gd", "minibatch-gd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.optimizer == "closed-form-ridge" and self.loss != "mse":
-            raise ValueError("closed-form-ridge requires the mse loss")
-        if self.lam < 0 or not 0.0 <= self.label_noise_fraction <= 1.0:
-            raise ValueError("lam must be >= 0 and label_noise_fraction in [0, 1]")
+        if not 0.0 <= self.label_noise_fraction <= 1.0:
+            raise ValueError("label_noise_fraction must be in [0, 1]")
 
 
 @dataclass
@@ -359,7 +356,7 @@ def predict_labels(model, X: np.ndarray) -> np.ndarray:
     return out.argmax(axis=1).astype(float)
 
 
-def _mlp_loss_and_grads(net: Mlp, X, y, loss: str, lam: float):
+def _mlp_loss_and_grads(net: Mlp, X, y, loss: str):
     hidden = np.tanh(X @ net.W1 + net.b1)
     logits = hidden @ net.W2 + net.b2
     P = X.shape[0]
@@ -374,20 +371,12 @@ def _mlp_loss_and_grads(net: Mlp, X, y, loss: str, lam: float):
         d_logits = np.exp(logp)
         d_logits[np.arange(P), idx] -= 1.0
         d_logits /= P
-    gW2 = hidden.T @ d_logits + lam * net.W2
+    gW2 = hidden.T @ d_logits
     gb2 = d_logits.sum(axis=0)
     d_hidden = (d_logits @ net.W2.T) * (1.0 - hidden**2)
-    gW1 = X.T @ d_hidden + lam * net.W1
+    gW1 = X.T @ d_hidden
     gb1 = d_hidden.sum(axis=0)
-    reg = 0.5 * lam * (np.sum(net.W1**2) + np.sum(net.W2**2))
-    return value + reg, (gW1, gb1, gW2, gb2)
-
-
-def _rfm_loss_and_grad(model: RfmModel, Xp, y, loss: str, lam: float):
-    yhat = Xp @ model.w / np.sqrt(model.N)
-    value = _margin_loss(loss, y * yhat).sum() + 0.5 * lam * model.w @ model.w
-    grad = Xp.T @ _margin_loss_grad(loss, y, yhat) / np.sqrt(model.N) + lam * model.w
-    return value, grad
+    return value, (gW1, gb1, gW2, gb2)
 
 
 class _Adam:
@@ -410,118 +399,86 @@ class _Adam:
         return out
 
 
-def _train_metrics(model, ds: Dataset, test_ds: Dataset | None, loss: str):
-    if isinstance(model, RfmModel):
-        yhat = forward(model, ds.X)
-        train_loss = float(_margin_loss(loss, ds.y * yhat).mean())
-        train_err = _binary_error(yhat, ds.y)
+def _train_metrics(net: Mlp, ds: Dataset, test_ds: Dataset | None, loss: str):
+    out = forward_mlp(net, ds.X)
+    if out.ndim == 1:
+        train_loss = float(_margin_loss(loss, ds.y * out).mean())
+        train_err = _binary_error(out, ds.y)
     else:
-        out = forward_mlp(model, ds.X)
-        if out.ndim == 1:
-            train_loss = float(_margin_loss(loss, ds.y * out).mean())
-            train_err = _binary_error(out, ds.y)
-        else:
-            logp = log_softmax(out, axis=1)
-            train_loss = float(-logp[np.arange(ds.P), ds.y.astype(int)].mean())
-            train_err = float(np.mean(out.argmax(axis=1) != ds.y.astype(int)))
+        logp = log_softmax(out, axis=1)
+        train_loss = float(-logp[np.arange(ds.P), ds.y.astype(int)].mean())
+        train_err = float(np.mean(out.argmax(axis=1) != ds.y.astype(int)))
     if test_ds is None:
         test_err = np.nan
     else:
-        test_err = float(np.mean(predict_labels(model, test_ds.X) != test_ds.clean_labels))
+        test_err = float(np.mean(predict_labels(net, test_ds.X) != test_ds.clean_labels))
     return train_err, test_err, train_loss
 
 
-def train_gd(skeleton, ds: Dataset, config: TrainConfig,
+def train_gd(skeleton: Mlp, ds: Dataset, config: TrainConfig,
              test_ds: Dataset | None = None) -> TrainedModel:
-    """Gradient training of an RFM second layer or a full MLP.
+    """Gradient training of a two-layer MLP.
 
-    Deterministic for a fixed (skeleton, ds, config). History rows are
-    (epoch, train_err, test_err, train_loss); the converged flag records
-    whether the final loss sits within 1e-6 of its minimum over the last
-    10% of epochs.
+    Deterministic for a fixed (skeleton, ds, config). history[k] is the
+    mean loss of epoch k's steps, each step weighted by its rows and taken
+    before its update; the converged flag records whether the last epoch's
+    loss sits within 1e-6 of its minimum over the last 10% of epochs.
     """
-    if config.optimizer == "closed-form-ridge":
-        if not isinstance(skeleton, RfmModel):
-            raise ValueError("closed-form-ridge only applies to RFM second layers")
-        return train_rfm_ridge(skeleton, ds, config.lam, test_ds)
+    if not isinstance(skeleton, Mlp):
+        raise ValueError("train_gd trains two-layer MLPs")
     train_ds = flip_labels(ds, config.label_noise_fraction, config.seed)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-    is_rfm = isinstance(skeleton, RfmModel)
-    if is_rfm:
-        Xp_full = design_matrix(skeleton, train_ds.X)
-        params = [skeleton.w.copy()]
-        current = lambda: with_weights(skeleton, params[0])
-    else:
-        params = [skeleton.W1.copy(), skeleton.b1.copy(), skeleton.W2.copy(), skeleton.b2.copy()]
-        current = lambda: Mlp(*params)
-
-    def batch_grads(rows):
-        if is_rfm:
-            value, g = _rfm_loss_and_grad(
-                with_weights(skeleton, params[0]), Xp_full[rows], train_ds.y[rows],
-                config.loss, config.lam)
-            return value, [g]
-        return _mlp_loss_and_grads(current(), train_ds.X[rows], train_ds.y[rows],
-                                   config.loss, config.lam)
-
+    params = [skeleton.W1.copy(), skeleton.b1.copy(), skeleton.W2.copy(), skeleton.b2.copy()]
     adam = _Adam([p.shape for p in params], config.lr) if config.optimizer == "minibatch-gd" else None
-    history, losses = [], []
+    P = train_ds.P
+    step = P if adam is None else config.batch_size
+    history = np.zeros(config.epochs)
     initial_loss = None
-    all_rows = np.arange(train_ds.P)
     for epoch in range(config.epochs):
-        if adam is None:
-            value, grads = batch_grads(all_rows)
-            params[:] = [p - config.lr * g for p, g in zip(params, grads)]
-        else:
-            order = rng.permutation(train_ds.P)
-            value = None
-            for start in range(0, train_ds.P, config.batch_size):
-                value, grads = batch_grads(order[start:start + config.batch_size])
+        order = np.arange(P) if adam is None else rng.permutation(P)
+        for start in range(0, P, step):
+            rows = order[start:start + step]
+            value, grads = _mlp_loss_and_grads(Mlp(*params), train_ds.X[rows],
+                                               train_ds.y[rows], config.loss)
+            if adam is None:
+                params[:] = [p - config.lr * g for p, g in zip(params, grads)]
+            else:
                 params[:] = adam.step(params, grads)
+            history[epoch] += value * rows.size / P
         if initial_loss is None:
             initial_loss = abs(value) + 1e-12
         if not np.isfinite(value) or abs(value) > 1e3 * initial_loss:
             raise RuntimeError(
                 f"training diverged at epoch {epoch} (loss {value!r}); lower the learning rate")
-        train_err, test_err, train_loss = _train_metrics(current(), train_ds, test_ds, config.loss)
-        history.append((epoch, train_err, test_err, train_loss))
-        losses.append(train_loss)
-    model = current()
+    model = Mlp(*params)
     train_err, test_err, train_loss = _train_metrics(model, train_ds, test_ds, config.loss)
-    tail = losses[-max(1, len(losses) // 10):] if losses else [train_loss]
+    tail = history[-max(1, config.epochs // 10):]
     return TrainedModel(
         model=model,
         train_error=train_err,
         test_error=test_err,
         train_loss=train_loss,
-        history=np.array(history).reshape(-1, 4),
-        converged=bool(train_loss <= min(tail) + 1e-6),
+        history=history,
+        converged=bool(tail.size == 0 or history[-1] <= tail.min() + 1e-6),
     )
 
 
 def adversarial_init_protocol(skeleton: Mlp, ds: Dataset, pretrain_epochs: int,
                               main_epochs: int, config: TrainConfig,
-                              test_ds: Dataset | None = None):
+                              test_ds: Dataset | None = None) -> TrainedModel:
     """Memorize fully corrupted labels first, then train on the clean ones.
 
     With pretrain_epochs = 0 this reproduces plain train_gd bit for bit:
     the corrupt phase draws from its own substream, so skipping it leaves
     the main phase's randomness untouched.
     """
-    if not isinstance(skeleton, Mlp):
-        raise ValueError("the adversarial protocol is defined for two-layer MLPs")
-    phase1_history = np.zeros((0, 4))
     start = skeleton
     if pretrain_epochs > 0:
         corrupted = flip_labels(ds, 1.0, seed=config.seed + 1000)
-        phase1 = train_gd(start, corrupted,
-                          replace(config, epochs=pretrain_epochs,
-                                  label_noise_fraction=0.0,
-                                  seed=config.seed + 1000))
-        start = phase1.model
-        phase1_history = phase1.history
-    final = train_gd(start, ds, replace(config, epochs=main_epochs), test_ds)
-    return final, phase1_history
+        start = train_gd(start, corrupted,
+                         replace(config, epochs=pretrain_epochs, label_noise_fraction=0.0,
+                                 seed=config.seed + 1000)).model
+    return train_gd(start, ds, replace(config, epochs=main_epochs), test_ds)
 
 
 @dataclass(frozen=True)

@@ -100,21 +100,6 @@ class TestDeterminismAndScaling:
         b = estimate_md(g, InputSampler.binary(6), n_samples=3000, seed=9)
         assert abs(a.md - b.md) < 1e-10 * abs(a.md)
 
-    def test_workers_do_not_change_results(self):
-        f = boolfn.table_score_fn(random_table(5, 3))
-        serial = estimate_md_binary_fast(f, n=5, n_samples=4000, seed=10, n_shards=8)
-        pooled = estimate_md_binary_fast(f, n=5, n_samples=4000, seed=10, n_shards=8, workers=4)
-        assert np.array_equal(serial.tau_sq, pooled.tau_sq)
-        assert serial.md == pooled.md and serial.std_err_md == pooled.std_err_md
-
-    def test_sharded_run_still_matches_oracle(self):
-        n = 6
-        table = random_table(n, 4)
-        exact = boolfn.exact_md_via_anova(table)
-        f = boolfn.table_score_fn(table)
-        prof = estimate_md_binary_fast(f, n=n, n_samples=50_000, seed=11, n_shards=5)
-        assert abs(prof.md - exact) < 3 * prof.std_err_md
-
 
 class TestSamplers:
     def test_binary_values_and_mean(self):
@@ -189,11 +174,6 @@ class TestDegenerateAndErrors:
         with pytest.raises(ValueError, match="100"):
             estimate_md(f, InputSampler.binary(3), n_samples=50, seed=0)
 
-    def test_bad_shard_count(self):
-        f = lambda x: x.sum(axis=1)
-        with pytest.raises(ValueError, match="n_shards"):
-            estimate_md(f, InputSampler.binary(3), n_samples=500, seed=0, n_shards=0)
-
 
 class TestMultiOutput:
     def test_first_output_matches_scalar_run(self):
@@ -207,11 +187,6 @@ class TestMultiOutput:
         # the doubled copy shares the stream, so its md matches bitwise
         assert profs[1].md == profs[0].md
         assert np.array_equal(profs[1].tau_sq, 4.0 * profs[0].tau_sq)
-
-    def test_rejects_unknown_mode(self):
-        f2 = lambda x: np.stack([x.sum(axis=1)] * 2, axis=1)
-        with pytest.raises(ValueError, match="mode"):
-            estimate_md_multioutput(f2, 2, InputSampler.binary(3), 500, 0, mode="jacobian")
 
 
 class TestHeatmap:

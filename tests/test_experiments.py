@@ -560,6 +560,23 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
         (rob + "loss = mse\n", "unknown config field 'loss'"),
         (mlp + "n_classes = 3\nloss = mse\n", "the loss must be ce"),
         (rfm + "# width in \u00b5units\n", f"{cfg_file}: not ASCII text"),
+        # out-of-range values fail at parse time, before any cell runs
+        (rfm.replace("dim = 4", "dim = 0"), "'dim': expected a finite value >= 1"),
+        (rfm.replace("n_train = 8", "n_train = -5"), "'n_train': expected a finite value >= 1"),
+        (rfm + "n_test = 0\n", "'n_test': expected a finite value >= 1"),
+        (rfm.replace("widths = 4", "widths = 0 5"), "'widths': expected a finite value >= 1"),
+        (rfm + "lam = -1\n", "'lam': expected a finite value >= 0"),
+        (rfm + "label_noise_fraction = 2\n",
+         "'label_noise_fraction': expected a finite value in [0, 1]"),
+        (mlp + "batch_size = 0\n", "'batch_size': expected a finite value >= 1"),
+        (mlp + "md_samples = 99\n", "'md_samples': expected a finite value >= 100"),
+        (adv + "n_classes = 1\n", "'n_classes': expected a finite value >= 2"),
+        (rob + "lr = nan\n", "'lr': expected a finite value > 0"),
+        ("kind = heatmap\ngrid_height = 2\ngrid_width = 2\nn_feat = 4\nn_train = 10\n"
+         "support_fraction = -1\n", "'support_fraction': expected a finite value in (0, 1]"),
+        ("kind = theory-curve\nalpha_t = 0\n", "'alpha_t': expected a finite value > 0"),
+        ("kind = theory-curve\ndelta = nan\n", "'delta': expected a finite value >= 0"),
+        ("kind = regularization-sweep\nlams = 1 -1\n", "'lams': expected a finite value >= 0"),
     ]
     for text, message in cases:
         cfg_file.write_bytes(text.encode("utf-8"))
@@ -622,6 +639,18 @@ def test_cli_md_empirical_runs(tmp_path, capsys):
     assert code == 0
 
 
+def test_cli_md_bad_data_names_the_file(tmp_path, capsys):
+    data = tmp_path / "rows.csv"
+    for content, message in ((b"1,2,3,4,5,6\n1,2,x,4,5,6\n", "could not convert string 'x'"),
+                             (b"1,2,3,4,5,6\n\xff\n", "not ASCII text (byte 0xff")):
+        data.write_bytes(content)
+        code = main(["md", checkpoint(tmp_path, D=6), "--sampler", "empirical",
+                     "--samples", "100", "--seed", "1", "--data", str(data)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"meandim md: {data}: ") and message in err, err
+
+
 def test_cli_md_bad_checkpoint_exits_2(tmp_path, capsys):
     bad = tmp_path / "junk.rfm"
     bad.write_text("not a checkpoint\n", encoding="ascii")
@@ -661,3 +690,13 @@ def test_cli_theory_rejects_bad_grid(capsys):
                  "--lambda", "1e-4", "--grid", "2.0", "0.5", "4"])
     assert code == 2
     assert "meandim theory:" in capsys.readouterr().err
+
+
+def test_cli_theory_rejects_bad_alpha_t(capsys):
+    for alpha_t in ("0", "-3", "nan", "inf"):
+        code = main(["theory", "--loss", "mse", "--alpha-t", alpha_t,
+                     "--lambda", "1e-4", "--grid", "0.5", "2.0", "4"])
+        assert code == 2, alpha_t
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "meandim theory: alpha ratios must be positive and finite" in captured.err

@@ -7,6 +7,7 @@ audit of the converged point is what certifies the transcription.
 
 import contextlib
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,13 @@ def test_input_validation():
     with pytest.raises(ValueError, match="delta"):
         ReplicaInput(alpha=1.0, lam=0.1, loss="mse", kappas=KAPPAS,
                      alpha_t=1.0, delta=-1.0)
+    for ratio in ({"alpha_t": 0.0}, {"alpha_t": np.inf}, {"alpha_d": -1.0},
+                  {"alpha_d": np.float64("nan")}):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # checked before any division
+            with pytest.raises(ValueError, match="positive and finite"):
+                ReplicaInput(alpha=np.float64(1.0), lam=0.1, loss="mse", kappas=KAPPAS,
+                             **ratio)
     linear = compute_kappas(Activation.linear())
     with pytest.raises(ValueError, match="k_star_sq"):
         ReplicaInput(alpha=1.0, lam=0.1, loss="mse", kappas=linear, alpha_t=1.0)

@@ -1,10 +1,12 @@
 """Training paths: teacher data, ridge oracle, GD, MLP protocols."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from meandim.estimator import InputSampler
-from meandim.rfm import Activation, compute_kappas, random_rfm, with_weights
+from meandim.rfm import Activation, compute_kappas, random_rfm
 from meandim.trainer import (
     Dataset,
     Mlp,
@@ -183,22 +185,12 @@ class TestRidge:
 
 class TestGradientDescent:
     def test_zero_epochs_unchanged(self):
-        model = make_model(6, 5, seed=0)
+        net = init_mlp(D=6, width=5, n_out=1, seed=0)
         ds, _ = gen_teacher_student(6, 20, 10, TeacherTask.random(6, seed=1), seed=2)
-        out = train_gd(model, ds, TrainConfig(epochs=0, lr=0.1))
-        assert np.array_equal(out.model.w, model.w)
-        assert out.history.shape == (0, 4)
-
-    def test_full_batch_matches_ridge(self):
-        model = make_model(10, 8, seed=3)
-        ds, _ = gen_teacher_student(10, 40, 10, TeacherTask.random(10, seed=4), seed=5)
-        lam = 0.5
-        ridge = train_rfm_ridge(model, ds, lam)
-        gd = train_gd(model, ds, TrainConfig(loss="mse", lam=lam, optimizer="full-batch-gd",
-                                             lr=2e-3, epochs=20_000))
-        rel = np.linalg.norm(gd.model.w - ridge.model.w) / np.linalg.norm(ridge.model.w)
-        assert rel < 1e-3
-        assert gd.converged
+        out = train_gd(net, ds, TrainConfig(epochs=0, lr=0.1))
+        assert np.array_equal(out.model.W1, net.W1) and np.array_equal(out.model.W2, net.W2)
+        assert out.history.shape == (0,)
+        assert out.converged
 
     def test_separable_ce_drives_error_to_zero(self):
         rng = np.random.default_rng(6)
@@ -206,32 +198,49 @@ class TestGradientDescent:
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
         X[:, 0] += y  # widen the margin
         ds = Dataset(X=X, y=y)
-        model = make_model(2, 30, seed=7)
-        out = train_gd(model, ds, TrainConfig(loss="ce", optimizer="minibatch-gd",
-                                              batch_size=16, lr=1e-2, epochs=200, seed=8))
+        net = init_mlp(D=2, width=30, n_out=1, seed=7)
+        out = train_gd(net, ds, TrainConfig(loss="ce", optimizer="minibatch-gd",
+                                            batch_size=16, lr=1e-2, epochs=200, seed=8))
         assert out.train_error == 0.0
 
     def test_seed_determinism(self):
-        model = make_model(6, 5, seed=9)
+        net = init_mlp(D=6, width=5, n_out=1, seed=9)
         ds, _ = gen_teacher_student(6, 30, 10, TeacherTask.random(6, seed=10), seed=11)
         cfg = TrainConfig(loss="ce", optimizer="minibatch-gd", batch_size=8,
                           lr=1e-3, epochs=20, seed=12)
-        a = train_gd(model, ds, cfg)
-        b = train_gd(model, ds, cfg)
-        assert np.array_equal(a.model.w, b.model.w)
-        assert np.array_equal(a.history, b.history, equal_nan=True)
+        a = train_gd(net, ds, cfg)
+        b = train_gd(net, ds, cfg)
+        for name in ("W1", "b1", "W2", "b2"):
+            assert np.array_equal(getattr(a.model, name), getattr(b.model, name))
+        assert np.array_equal(a.history, b.history)
+
+    def test_history_has_one_entry_per_epoch(self):
+        from meandim.trainer import _mlp_loss_and_grads
+        net = init_mlp(D=6, width=5, n_out=1, seed=13)
+        ds, _ = gen_teacher_student(6, 30, 10, TeacherTask.random(6, seed=14), seed=15)
+        full = train_gd(net, ds, TrainConfig(lr=0.05, epochs=40))
+        assert full.history.shape == (40,)
+        # a full-batch epoch is one step, so its entry is the loss before it
+        start, _ = _mlp_loss_and_grads(net, ds.X, ds.y, "mse")
+        assert full.history[0] == pytest.approx(start, rel=1e-12)
+        assert full.history[-1] < full.history[0]
+        mini = train_gd(net, ds, TrainConfig(optimizer="minibatch-gd", batch_size=7,
+                                             lr=1e-3, epochs=9, seed=16))
+        assert mini.history.shape == (9,) and np.all(np.isfinite(mini.history))
 
     def test_divergence_raises(self):
-        model = make_model(6, 5, seed=13)
-        ds, _ = gen_teacher_student(6, 30, 10, TeacherTask.random(6, seed=14), seed=15)
+        net = init_mlp(D=6, width=5, n_out=1, seed=17)
+        ds, _ = gen_teacher_student(6, 30, 10, TeacherTask.random(6, seed=18), seed=19)
         with pytest.raises(RuntimeError, match="learning rate"):
-            train_gd(model, ds, TrainConfig(lr=10.0, epochs=400))
+            train_gd(net, ds, TrainConfig(lr=10.0, epochs=400))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="closed-form-ridge"):
-            TrainConfig(loss="ce", optimizer="closed-form-ridge")
+        with pytest.raises(ValueError, match="optimizer 'closed-form-ridge'"):
+            TrainConfig(loss="mse", optimizer="closed-form-ridge")
         with pytest.raises(ValueError, match="loss"):
             TrainConfig(loss="hinge")
+        with pytest.raises(ValueError, match="label_noise_fraction"):
+            TrainConfig(label_noise_fraction=1.5)
 
 
 class TestMlp:
@@ -247,20 +256,22 @@ class TestMlp:
     def test_gradients_match_finite_differences(self):
         from meandim.trainer import _mlp_loss_and_grads
         rng = np.random.default_rng(2)
-        net = init_mlp(D=3, width=4, n_out=3, seed=3)
         X = rng.standard_normal((6, 3))
-        y = rng.integers(0, 3, 6).astype(float)
-        value, grads = _mlp_loss_and_grads(net, X, y, "ce", lam=0.01)
-        eps = 1e-6
-        for name, grad in zip(("W1", "b1", "W2", "b2"), grads):
-            arr = getattr(net, name)
-            idx = tuple(0 for _ in arr.shape)
-            bumped = arr.copy()
-            bumped[idx] += eps
-            plus, _ = _mlp_loss_and_grads(Mlp(**{**net.__dict__, name: bumped}), X, y, "ce", 0.01)
-            bumped[idx] -= 2 * eps
-            minus, _ = _mlp_loss_and_grads(Mlp(**{**net.__dict__, name: bumped}), X, y, "ce", 0.01)
-            assert abs((plus - minus) / (2 * eps) - grad[idx]) < 1e-6
+        spins = np.where(rng.standard_normal(6) > 0, 1.0, -1.0)
+        classes = rng.integers(0, 3, 6).astype(float)
+        for n_out, loss, y in ((3, "ce", classes), (1, "ce", spins), (1, "mse", spins)):
+            net = init_mlp(D=3, width=4, n_out=n_out, seed=3)
+            value, grads = _mlp_loss_and_grads(net, X, y, loss)
+            eps = 1e-6
+            for name, grad in zip(("W1", "b1", "W2", "b2"), grads):
+                arr = getattr(net, name)
+                idx = tuple(0 for _ in arr.shape)
+                bumped = arr.copy()
+                bumped[idx] += eps
+                plus, _ = _mlp_loss_and_grads(Mlp(**{**net.__dict__, name: bumped}), X, y, loss)
+                bumped[idx] -= 2 * eps
+                minus, _ = _mlp_loss_and_grads(Mlp(**{**net.__dict__, name: bumped}), X, y, loss)
+                assert abs((plus - minus) / (2 * eps) - grad[idx]) < 1e-6, (n_out, loss, name)
 
     def test_multiclass_training_learns(self):
         rng = np.random.default_rng(4)
@@ -289,19 +300,25 @@ class TestAdversarialInit:
         ds, net = self.setup_problem()
         cfg = TrainConfig(loss="mse", optimizer="minibatch-gd", batch_size=16,
                           lr=1e-3, epochs=30, seed=11)
-        adv, phase1 = adversarial_init_protocol(net, ds, 0, 30, cfg)
+        adv = adversarial_init_protocol(net, ds, 0, 30, cfg)
         plain = train_gd(net, ds, cfg)
-        assert phase1.shape == (0, 4)
         assert np.array_equal(adv.model.W1, plain.model.W1)
         assert np.array_equal(adv.model.W2, plain.model.W2)
+        assert np.array_equal(adv.history, plain.history)
 
     def test_pretrain_memorizes_noise(self):
         ds, net = self.setup_problem()
         cfg = TrainConfig(loss="mse", optimizer="minibatch-gd", batch_size=16,
                           lr=5e-3, epochs=30, seed=12)
-        _, phase1 = adversarial_init_protocol(net, ds, 150, 5, cfg)
-        assert phase1.shape[0] == 150
-        assert phase1[-1, 3] < phase1[0, 3]  # corrupted-label loss decreases
+        # the corrupt phase, as the protocol runs it
+        corrupted = flip_labels(ds, 1.0, seed=cfg.seed + 1000)
+        phase1 = train_gd(net, corrupted, replace(cfg, epochs=150, seed=cfg.seed + 1000))
+        assert phase1.history.shape == (150,)
+        assert phase1.history[-1] < phase1.history[0]  # corrupted-label loss decreases
+        adv = adversarial_init_protocol(net, ds, 150, 5, cfg)
+        main = train_gd(phase1.model, ds, replace(cfg, epochs=5))
+        assert np.array_equal(adv.model.W1, main.model.W1)
+        assert np.array_equal(adv.history, main.history)
 
     def test_requires_mlp(self):
         ds, _ = self.setup_problem()
