@@ -97,12 +97,14 @@ def _make_sampler(args, dim: int) -> InputSampler:
     if args.data is None:
         raise ValueError("--sampler empirical requires --data CSV")
     lines = read_text(args.data).splitlines()
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        raise ValueError(f"{args.data}: no data rows")
     try:
         rows = np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{args.data}: {exc}") from None
     if rows.shape[1] != dim:
-        raise ValueError(f"--data has {rows.shape[1]} columns, model expects {dim}")
+        raise ValueError(f"{args.data}: {rows.shape[1]} columns, model expects {dim}")
     return InputSampler.empirical(rows, args.lo, args.hi)
 
 

@@ -37,7 +37,8 @@ from .textio import csv_lines, read_text, write_text
 from .trainer import (TeacherTask, TrainConfig, adversarial_init_protocol,
                       flip_labels, forward_mlp, gen_multiclass_task,
                       gen_teacher_student, init_mlp, multiclass_bmd,
-                      robustness_flip_count, train_gd, train_rfm_ridge)
+                      predict_labels, robustness_flip_count, train_gd,
+                      train_rfm_ridge)
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -537,7 +538,7 @@ def _minmax_dataset(ds, lo: float, hi: float):
     span[flat] = 1.0
     X = lo + (X - col_lo) * (hi - lo) / span
     X[:, flat] = 0.5 * (lo + hi)
-    return replace(ds, X=X, normalization=(lo, hi))
+    return replace(ds, X=X)
 
 
 def _rfm_cell(p, act, kappas, seed, md, rescale=None, **fields):
@@ -579,9 +580,10 @@ def _mlp_cell(p, width, seed, multiclass, pretrain=None, flips=False):
     """One (coordinate, rep) cell of a two-layer tanh network sweep.
 
     A multiclass task trains n_classes logits; otherwise a scalar margin
-    head learns a sign teacher. With pretrain set, the adversarial protocol
-    first trains that many epochs on fully corrupted labels. flips adds the
-    mean flip count on the test set.
+    head learns a sign teacher. The training labels get the config's label
+    noise. With pretrain set, the adversarial protocol first trains that
+    many epochs on fully corrupted labels. flips adds the mean flip count on
+    the test set.
     """
     dim = p["dim"]
     if multiclass:
@@ -593,9 +595,9 @@ def _mlp_cell(p, width, seed, multiclass, pretrain=None, flips=False):
         train, test = gen_teacher_student(dim, p["n_train"], p["n_test"], task,
                                           seed=seed)
         n_out, loss = 1, p["loss"]
+    train = flip_labels(train, p.get("label_noise_fraction", 0.0), seed=seed)
     config = TrainConfig(loss=loss, optimizer=p.get("optimizer", "minibatch-gd"),
                          batch_size=p["batch_size"], lr=p["lr"], epochs=p["epochs"],
-                         label_noise_fraction=p.get("label_noise_fraction", 0.0),
                          seed=seed)
     skeleton = init_mlp(dim, width, n_out, seed=seed)
     if pretrain is None:
@@ -611,8 +613,8 @@ def _mlp_cell(p, width, seed, multiclass, pretrain=None, flips=False):
                                       p["md_samples"], seed).md
     out = {"train_err": fit.train_error, "test_err": fit.test_error, "bmd": bmd}
     if flips:
-        out["flip_count"] = robustness_flip_count(net, test, seed=seed,
-                                                  max_points=p["flip_points"]).mean
+        out["flip_count"] = robustness_flip_count(lambda X: predict_labels(net, X), test,
+                                                  seed=seed, max_points=p["flip_points"]).mean
     return out
 
 

@@ -28,10 +28,10 @@ N = D.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_ndtr, ndtr
+from scipy.special import expit, ndtr
 
 from .rfm import KappaSet, bmd_from_overlaps
 from .textio import csv_lines, write_text
@@ -48,7 +48,6 @@ __all__ = [
     "observables",
     "generalization_error",
     "sweep_curve",
-    "optimal_lambda",
     "spectral_ols",
     "mse_inner_max",
     "ce_inner_max",
@@ -67,9 +66,8 @@ class ConvergenceError(RuntimeError):
 class ReplicaInput:
     """Problem definition in the proportional regime.
 
-    alpha = P/N always; the input dimension enters through exactly one of
-    alpha_d = D/N or alpha_t = P/D (they are tied by alpha_t =
-    alpha/alpha_d). delta is the variance of the pre-sign Gaussian label
+    alpha = P/N and alpha_t = P/D; the width ratio alpha_d = D/N follows
+    as alpha/alpha_t. delta is the variance of the pre-sign Gaussian label
     noise.
     """
 
@@ -77,20 +75,12 @@ class ReplicaInput:
     lam: float
     loss: str
     kappas: KappaSet
+    alpha_t: float
     delta: float = 0.0
-    alpha_d: float | None = None
-    alpha_t: float | None = None
 
     def __post_init__(self):
-        if (self.alpha_d is None) == (self.alpha_t is None):
-            raise ValueError("give exactly one of alpha_d or alpha_t")
-        given = self.alpha_d if self.alpha_t is None else self.alpha_t
-        if not (np.isfinite(given) and given > 0 and self.alpha > 0):
+        if not (np.isfinite(self.alpha_t) and self.alpha_t > 0 and self.alpha > 0):
             raise ValueError("alpha ratios must be positive and finite")
-        if self.alpha_d is None:
-            object.__setattr__(self, "alpha_d", self.alpha / self.alpha_t)
-        else:
-            object.__setattr__(self, "alpha_t", self.alpha / self.alpha_d)
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         if self.loss not in ("mse", "ce"):
@@ -99,6 +89,10 @@ class ReplicaInput:
             raise ValueError("delta must be >= 0")
         if self.kappas.k_star_sq <= 0:
             raise ValueError("replica equations need k_star_sq > 0 (nonlinear activation)")
+
+    @property
+    def alpha_d(self) -> float:
+        return self.alpha / self.alpha_t
 
 
 @dataclass(frozen=True)
@@ -164,18 +158,18 @@ def mse_inner_max(h0: np.ndarray, dQ: float):
     return z1, value
 
 
-def ce_inner_max(h0: np.ndarray, dQ: float, tol: float = 1e-13, max_iter: int = 80):
+def ce_inner_max(h0: np.ndarray, dQ: float):
     """argmax_z1 and max of -z1^2/2 - log(1+e^-(h0+sqrt(dQ) z1)).
 
     In terms of x = h0 + sqrt(dQ) z1 the stationarity condition is
     (x - h0)/dQ + sigmoid(x) - 1 = 0, strictly monotone with the root
     bracketed in [h0, h0 + dQ]; solved by Newton with a bisection
-    safeguard, vectorized over h0.
+    safeguard, vectorized over h0, to a step below 1e-13 or 80 steps.
     """
     lo = np.asarray(h0, dtype=float).copy()
     hi = lo + dQ
     x = lo + dQ * (1.0 - expit(lo))  # one fixed-point pass as the start
-    for _ in range(max_iter):
+    for _ in range(80):
         sig = expit(x)
         g = (x - h0) / dQ + sig - 1.0
         lo = np.where(g < 0, x, lo)
@@ -184,7 +178,7 @@ def ce_inner_max(h0: np.ndarray, dQ: float, tol: float = 1e-13, max_iter: int = 
         nxt = x - step
         outside = (nxt <= lo) | (nxt >= hi)
         nxt = np.where(outside, 0.5 * (lo + hi), nxt)
-        if np.max(np.abs(nxt - x)) < tol:
+        if np.max(np.abs(nxt - x)) < 1e-13:
             x = nxt
             break
         x = nxt
@@ -280,22 +274,21 @@ _DEFAULT_INIT = OrderParams(q_d=0.5, delta_q=1.0, delta_q_hat=0.5, delta_Q_hat=1
 
 
 def solve_saddle(inp: ReplicaInput, init: OrderParams | None = None,
-                 tol: float = 1e-9, max_iter: int = 100_000,
-                 damping: float = 0.5) -> OrderParams:
+                 tol: float = 1e-9, max_iter: int = 100_000) -> OrderParams:
     """Damped fixed-point iteration of the stationarity conditions.
 
     The residual is the largest change a full (undamped) update pass would
     make; iteration stops when it drops below tol. The default tol 1e-9 on
     this proposal residual leaves finite-difference gradients of the
     potential at the 1e-6 scale or better; drop to 1e-12 when the audit
-    needs to be sharper. Damping halves after 25 consecutive residual
-    increases (floor 0.05).
+    needs to be sharper. The damping starts at 0.5 and halves after 25
+    consecutive residual increases (floor 0.05).
     """
     if inp.lam == 0.0 and abs(1.0 / inp.alpha - 1.0) < 0.05:
         warnings.warn("lam = 0 at the interpolation point N = P: "
                       "the saddle is singular there", RuntimeWarning, stacklevel=2)
     p = init if init is not None else _DEFAULT_INIT
-    gamma = damping
+    gamma = 0.5
     prev_resid = np.inf
     rising = 0
     for _ in range(max_iter):
@@ -353,7 +346,7 @@ def observables(params: OrderParams, inp: ReplicaInput) -> Observables:
 
 
 # ---------------------------------------------------------------------------
-# sweeps, continuation, optimal regularization
+# sweeps and continuation
 
 @dataclass(frozen=True)
 class CurvePoint:
@@ -406,55 +399,20 @@ def sweep_curve(kappas: KappaSet, loss: str, lam: float, alpha_t: float,
     return rows
 
 
-def optimal_lambda(alpha: float, alpha_t: float, kappas: KappaSet, loss: str,
-                   delta: float = 0.0, log_bounds: tuple[float, float] = (-6.0, 1.0),
-                   log_tol: float = 1e-3) -> tuple[float, float]:
-    """Golden-section search of lam minimizing eps_g, on log10(lam).
-
-    Returns (lam_opt, eps_g at the optimum). Solves warm-start from the
-    previous evaluation to keep the search cheap.
-    """
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    carry = [None]
-
-    def eps_at(log_lam: float) -> float:
-        inp = ReplicaInput(alpha=alpha, lam=10.0**log_lam, loss=loss,
-                           kappas=kappas, delta=delta, alpha_t=alpha_t)
-        params = solve_saddle(inp, init=carry[0])
-        carry[0] = params
-        M, Q_d, _ = params.overlaps(kappas)
-        return generalization_error(M, Q_d)
-
-    lo, hi = log_bounds
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = eps_at(c), eps_at(d)
-    while hi - lo > log_tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = eps_at(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = eps_at(d)
-    log_opt = 0.5 * (lo + hi)
-    return 10.0**log_opt, eps_at(log_opt)
-
-
 # ---------------------------------------------------------------------------
 # spectral route to the ridge overlaps (secondary-peak analysis)
 
-def _mp_rule(alpha_d: float, n_nodes: int = 400):
+def _mp_rule(alpha_d: float):
     """Marchenko-Pastur quadrature for the spectrum of F^T F / D.
 
     The aspect ratio of the overlap matrix is gamma = N/D = 1/alpha_d;
-    below alpha_d = 1 an atom of mass 1 - alpha_d sits at zero.
+    below alpha_d = 1 an atom of mass 1 - alpha_d sits at zero. The
+    continuous part uses 400 Gauss-Legendre nodes.
     """
     gamma = 1.0 / alpha_d
     lo = (1.0 - np.sqrt(gamma)) ** 2
     hi = (1.0 + np.sqrt(gamma)) ** 2
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = np.polynomial.legendre.leggauss(400)
     rho = 0.5 * (x + 1.0) * (hi - lo) + lo
     dens = np.sqrt(np.maximum((hi - rho) * (rho - lo), 0.0)) / (2.0 * np.pi * gamma * rho)
     weights = w * 0.5 * (hi - lo) * dens
@@ -463,25 +421,22 @@ def _mp_rule(alpha_d: float, n_nodes: int = 400):
 
 
 def spectral_ols(alpha_d: float, lam: float, kappas: KappaSet, spectrum="mp",
-                 alpha: float | None = None, teacher: str = "sign"):
-    """Ridge overlaps as traces over the feature spectrum.
+                 alpha: float | None = None):
+    """Ridge overlaps of the sign teacher as traces over the feature spectrum.
 
     With alpha given, q_d and Q_d are the finite-sample traces
 
         q_d = (1/N) sum_i num_i / (alpha (k1^2 rho_i + k_star_sq) + lam)^2
         Q_d = same with an extra (k1^2 rho_i + k_star_sq) in the numerator
 
-    where for the sign teacher num_i = (2/pi)(k1^2 (alpha^2/alpha_d) rho_i
-    + alpha k_star_sq) + (1 - 2/pi) alpha (k1^2 rho_i + k_star_sq); the
-    linear teacher keeps only the first part with the 2/pi factor dropped.
+    where num_i = (2/pi)(k1^2 (alpha^2/alpha_d) rho_i + alpha k_star_sq)
+    + (1 - 2/pi) alpha (k1^2 rho_i + k_star_sq).
     alpha=None takes the infinite-sample limit where lam counts per sample.
     spectrum is either "mp" (Marchenko-Pastur quadrature) or an eigenvalue
     sample of F^T F / D. Returns (q_d, Q_d, bmd).
     """
     if alpha_d <= 0 or lam < 0:
         raise ValueError("alpha_d must be positive and lam >= 0")
-    if teacher not in ("sign", "linear"):
-        raise ValueError(f"unknown teacher {teacher!r}")
     if lam == 0.0 and abs(alpha_d - 1.0) < 0.05:
         warnings.warn("lam = 0 with alpha_d near 1: the spectrum touches the "
                       "origin and the traces diverge", RuntimeWarning, stacklevel=2)
@@ -495,19 +450,16 @@ def spectral_ols(alpha_d: float, lam: float, kappas: KappaSet, spectrum="mp",
         atom = 0.0
     k1sq, ksq = kappas.k1**2, kappas.k_star_sq
     overlap = k1sq * rho + ksq
-    teach = 2.0 / np.pi if teacher == "sign" else 1.0
+    teach = 2.0 / np.pi
     if alpha is None:
         num = teach * k1sq * rho / alpha_d
         den = (overlap + lam) ** 2
         atom_num, atom_den = 0.0, (ksq + lam) ** 2
     else:
-        num = teach * (k1sq * (alpha**2 / alpha_d) * rho + alpha * ksq)
-        if teacher == "sign":
-            num = num + (1.0 - 2.0 / np.pi) * alpha * overlap
+        num = (teach * (k1sq * (alpha**2 / alpha_d) * rho + alpha * ksq)
+               + (1.0 - teach) * alpha * overlap)
         den = (alpha * overlap + lam) ** 2
-        atom_num = teach * alpha * ksq
-        if teacher == "sign":
-            atom_num += (1.0 - 2.0 / np.pi) * alpha * ksq
+        atom_num = teach * alpha * ksq + (1.0 - teach) * alpha * ksq
         atom_den = (alpha * ksq + lam) ** 2
     q_d = float(wts @ (num / den) + atom * atom_num / atom_den)
     big_q = float(wts @ (num * overlap / den) + atom * atom_num * ksq / atom_den)

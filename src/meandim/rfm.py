@@ -21,7 +21,7 @@ integral at the kink so that no quadrature node ever lands on it.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_hermite
@@ -31,7 +31,6 @@ from .textio import read_text, write_text
 __all__ = [
     "Activation",
     "KappaSet",
-    "PsiMatrices",
     "RfmModel",
     "QuadratureError",
     "compute_kappas",
@@ -39,7 +38,6 @@ __all__ = [
     "with_weights",
     "forward",
     "score_fn",
-    "build_psi",
     "analytic_bmd",
     "bmd_from_overlaps",
     "save_rfm",
@@ -113,11 +111,6 @@ class Activation:
     def deriv_atoms(self) -> tuple[tuple[float, float], ...]:
         """(location, mass) of delta components of the weak derivative."""
         return ((0.0, 2.0),) if self.kind == "sign" else ()
-
-    @property
-    def is_odd(self) -> bool:
-        return self.kind in ("tanh", "sign", "linear") or (
-            self.kind == "leaky-relu" and self.leak == 1.0)
 
     @property
     def tag(self) -> str:
@@ -215,27 +208,8 @@ def compute_kappas(activation: Activation, n_nodes: int = DEFAULT_NODES) -> Kapp
 
 
 @dataclass(frozen=True)
-class PsiMatrices:
-    """Feature overlap and the two quadratic-form kernels built on it.
-
-    omega   = F^T F / D
-    psi     = k_star_sq I + k1^2 omega           (output variance kernel)
-    psi_bar = kbar_star_sq diag(omega_ii) + kbar0^2 omega + kbar1^2 omega*omega
-              (flip-sensitivity kernel; omega*omega is elementwise)
-    """
-
-    omega: np.ndarray
-    psi: np.ndarray
-    psi_bar: np.ndarray
-
-
-@dataclass
 class RfmModel:
-    """Immutable-by-convention random feature model.
-
-    F has shape (D, N); w has shape (N,). The Psi matrices are built
-    lazily on first use and shared when only w changes.
-    """
+    """Random feature model; F has shape (D, N) and w has shape (N,)."""
 
     D: int
     N: int
@@ -243,7 +217,6 @@ class RfmModel:
     w: np.ndarray
     activation: Activation
     kappas: KappaSet
-    _psi: PsiMatrices | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.F.shape != (self.D, self.N):
@@ -264,7 +237,7 @@ def random_rfm(D: int, N: int, activation: Activation, seed: int,
 
 
 def with_weights(model: RfmModel, w: np.ndarray) -> RfmModel:
-    """Same features and cached matrices, new second-layer weights."""
+    """Same features, new second-layer weights."""
     return dataclasses.replace(model, w=np.asarray(w, dtype=float))
 
 
@@ -282,19 +255,14 @@ def score_fn(model: RfmModel):
     return lambda x: forward(model, np.atleast_2d(x))
 
 
-def build_psi(model: RfmModel) -> PsiMatrices:
-    if model._psi is None:
-        k = model.kappas
-        omega = model.F.T @ model.F / model.D
-        psi = k.k_star_sq * np.eye(model.N) + k.k1**2 * omega
-        psi_bar = (k.kbar_star_sq * np.diag(np.diag(omega))
-                   + k.kbar0**2 * omega + k.kbar1**2 * omega**2)
-        model._psi = PsiMatrices(omega=omega, psi=psi, psi_bar=psi_bar)
-    return model._psi
-
-
 def analytic_bmd(model: RfmModel) -> float:
     """Closed-form mean dimension w^T psi_bar w / w^T psi w.
+
+    With the feature overlap omega = F^T F / D,
+
+        psi     = k_star_sq I + k1^2 omega           (output variance kernel)
+        psi_bar = kbar_star_sq diag(omega_ii) + kbar0^2 omega + kbar1^2 omega*omega
+                  (flip-sensitivity kernel; omega*omega is elementwise)
 
     Exact in the wide limit for any input law matching the first two
     binary moments. Raises for sign activation (kbar2 diverges) and for
@@ -306,10 +274,12 @@ def analytic_bmd(model: RfmModel) -> float:
         raise ValueError(
             f"mean dimension diverges for {model.activation.tag}: the squared weak "
             "derivative is not Gaussian integrable")
-    mats = build_psi(model)
-    num = model.w @ mats.psi_bar @ model.w
-    den = model.w @ mats.psi @ model.w
-    return float(num / den)
+    k = model.kappas
+    omega = model.F.T @ model.F / model.D
+    psi = k.k_star_sq * np.eye(model.N) + k.k1**2 * omega
+    psi_bar = (k.kbar_star_sq * np.diag(np.diag(omega))
+               + k.kbar0**2 * omega + k.kbar1**2 * omega**2)
+    return float((model.w @ psi_bar @ model.w) / (model.w @ psi @ model.w))
 
 
 def bmd_from_overlaps(kappas: KappaSet, q_d: float, p_d: float) -> float:
@@ -347,10 +317,17 @@ def load_rfm(path) -> RfmModel:
     lines = read_text(path).splitlines()
     if not lines or lines[0] != CHECKPOINT_HEADER:
         raise ValueError(f"{path}: not a {CHECKPOINT_HEADER} checkpoint")
+
+    def header(i, key):
+        name, _, value = lines[i].partition(" = ")
+        if name != key:
+            raise ValueError(f"expected '{key} = ...' on line {i + 1}, got {lines[i]!r}")
+        return value
+
     try:
-        D = int(lines[1].partition(" = ")[2])
-        N = int(lines[2].partition(" = ")[2])
-        activation = Activation.from_tag(lines[3].partition(" = ")[2])
+        D = int(header(1, "D"))
+        N = int(header(2, "N"))
+        activation = Activation.from_tag(header(3, "activation"))
         if lines[4] != "F =":
             raise ValueError("expected 'F =' on line 5")
         F = np.array([[float(v) for v in lines[5 + i].split()] for i in range(D)])

@@ -12,13 +12,12 @@ Binary losses act on the margin h = y * y_hat:
 
 which equal the usual 0.5 (y - y_hat)^2 and log(1 + exp(-y y_hat)) for
 labels in {-1, +1}. Multi-class training uses cross-entropy on log-softmax
-outputs. Reported train/test losses are per-sample means so they compare
-directly with the replica predictions.
+outputs. Losses are per-sample means, as in the replica predictions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -42,7 +41,6 @@ __all__ = [
     "train_gd",
     "init_mlp",
     "forward_mlp",
-    "log_softmax_mlp",
     "predict_labels",
     "adversarial_init_protocol",
     "robustness_flip_count",
@@ -52,17 +50,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dataset:
-    """Inputs, observed labels, and bookkeeping about label corruption.
+    """Inputs and observed labels.
 
     y holds the labels actually trained on; y_clean keeps the noiseless
     teacher labels so generalization can be scored against the clean rule.
-    noise_mask lists the rows whose labels were corrupted.
     """
 
     X: np.ndarray
     y: np.ndarray
-    noise_mask: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-    normalization: tuple[float, float] = (-1.0, 1.0)
     y_clean: np.ndarray | None = None
 
     def __post_init__(self):
@@ -130,8 +125,7 @@ def gen_teacher_student(D: int, P_train: int, P_test: int, task: TeacherTask,
     for P in (P_train, P_test):
         X = InputSampler(task.input_kind, D).sample_background(rng, P)
         y, clean = _teacher_labels(rng, X, task)
-        mask = np.flatnonzero(y != clean)
-        sets.append(Dataset(X=X, y=y, noise_mask=mask, y_clean=clean))
+        sets.append(Dataset(X=X, y=y, y_clean=clean))
     return sets[0], sets[1]
 
 
@@ -163,8 +157,7 @@ def flip_labels(ds: Dataset, fraction: float, seed: int) -> Dataset:
     """Corrupt exactly floor(fraction * P) labels, each to a wrong value.
 
     Binary labels flip sign; class indices move uniformly among the other
-    classes. The returned noise_mask is the union of the previous mask and
-    the newly corrupted rows.
+    classes. y_clean keeps the labels from before the first corruption.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
@@ -180,9 +173,7 @@ def flip_labels(ds: Dataset, fraction: float, seed: int) -> Dataset:
         n_classes = int(ds.y.max()) + 1
         shift = rng.integers(1, n_classes, size=n_flip)
         y[rows] = (y[rows].astype(int) + shift) % n_classes
-    mask = np.union1d(ds.noise_mask, rows)
-    return replace(ds, y=y, noise_mask=mask,
-                   y_clean=ds.y.copy() if ds.y_clean is None else ds.y_clean)
+    return replace(ds, y=y, y_clean=ds.y.copy() if ds.y_clean is None else ds.y_clean)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +205,6 @@ class TrainedModel:
     model: object
     train_error: float
     test_error: float
-    train_loss: float
     history: np.ndarray
     converged: bool = True
 
@@ -273,7 +263,6 @@ def train_rfm_ridge(model: RfmModel, ds: Dataset, lam: float,
         model=fitted,
         train_error=_binary_error(yhat, ds.y),
         test_error=test_error,
-        train_loss=float(_margin_loss("mse", ds.y * yhat).mean()),
         history=np.zeros(0),
     )
 
@@ -295,7 +284,6 @@ class TrainConfig:
     batch_size: int = 128
     lr: float = 1e-4
     epochs: int = 100
-    label_noise_fraction: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -303,8 +291,6 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.optimizer not in ("full-batch-gd", "minibatch-gd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if not 0.0 <= self.label_noise_fraction <= 1.0:
-            raise ValueError("label_noise_fraction must be in [0, 1]")
 
 
 @dataclass
@@ -342,15 +328,9 @@ def forward_mlp(net: Mlp, X: np.ndarray) -> np.ndarray:
     return out[:, 0] if net.n_out == 1 else out
 
 
-def log_softmax_mlp(net: Mlp, X: np.ndarray) -> np.ndarray:
-    return log_softmax(forward_mlp(net, X), axis=1)
-
-
-def predict_labels(model, X: np.ndarray) -> np.ndarray:
-    """Predicted labels: +-1 for scalar heads and RFMs, argmax otherwise."""
-    if isinstance(model, RfmModel):
-        return np.where(forward(model, X) >= 0, 1.0, -1.0)
-    out = forward_mlp(model, X)
+def predict_labels(net: Mlp, X: np.ndarray) -> np.ndarray:
+    """Predicted labels: +-1 for a scalar head, the argmax class otherwise."""
+    out = forward_mlp(net, X)
     if out.ndim == 1:
         return np.where(out >= 0, 1.0, -1.0)
     return out.argmax(axis=1).astype(float)
@@ -399,22 +379,6 @@ class _Adam:
         return out
 
 
-def _train_metrics(net: Mlp, ds: Dataset, test_ds: Dataset | None, loss: str):
-    out = forward_mlp(net, ds.X)
-    if out.ndim == 1:
-        train_loss = float(_margin_loss(loss, ds.y * out).mean())
-        train_err = _binary_error(out, ds.y)
-    else:
-        logp = log_softmax(out, axis=1)
-        train_loss = float(-logp[np.arange(ds.P), ds.y.astype(int)].mean())
-        train_err = float(np.mean(out.argmax(axis=1) != ds.y.astype(int)))
-    if test_ds is None:
-        test_err = np.nan
-    else:
-        test_err = float(np.mean(predict_labels(net, test_ds.X) != test_ds.clean_labels))
-    return train_err, test_err, train_loss
-
-
 def train_gd(skeleton: Mlp, ds: Dataset, config: TrainConfig,
              test_ds: Dataset | None = None) -> TrainedModel:
     """Gradient training of a two-layer MLP.
@@ -426,11 +390,10 @@ def train_gd(skeleton: Mlp, ds: Dataset, config: TrainConfig,
     """
     if not isinstance(skeleton, Mlp):
         raise ValueError("train_gd trains two-layer MLPs")
-    train_ds = flip_labels(ds, config.label_noise_fraction, config.seed)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     params = [skeleton.W1.copy(), skeleton.b1.copy(), skeleton.W2.copy(), skeleton.b2.copy()]
     adam = _Adam([p.shape for p in params], config.lr) if config.optimizer == "minibatch-gd" else None
-    P = train_ds.P
+    P = ds.P
     step = P if adam is None else config.batch_size
     history = np.zeros(config.epochs)
     initial_loss = None
@@ -438,8 +401,8 @@ def train_gd(skeleton: Mlp, ds: Dataset, config: TrainConfig,
         order = np.arange(P) if adam is None else rng.permutation(P)
         for start in range(0, P, step):
             rows = order[start:start + step]
-            value, grads = _mlp_loss_and_grads(Mlp(*params), train_ds.X[rows],
-                                               train_ds.y[rows], config.loss)
+            value, grads = _mlp_loss_and_grads(Mlp(*params), ds.X[rows], ds.y[rows],
+                                               config.loss)
             if adam is None:
                 params[:] = [p - config.lr * g for p, g in zip(params, grads)]
             else:
@@ -451,13 +414,15 @@ def train_gd(skeleton: Mlp, ds: Dataset, config: TrainConfig,
             raise RuntimeError(
                 f"training diverged at epoch {epoch} (loss {value!r}); lower the learning rate")
     model = Mlp(*params)
-    train_err, test_err, train_loss = _train_metrics(model, train_ds, test_ds, config.loss)
+    train_err = float(np.mean(predict_labels(model, ds.X) != ds.y))
+    test_err = np.nan
+    if test_ds is not None:
+        test_err = float(np.mean(predict_labels(model, test_ds.X) != test_ds.clean_labels))
     tail = history[-max(1, config.epochs // 10):]
     return TrainedModel(
         model=model,
         train_error=train_err,
         test_error=test_err,
-        train_loss=train_loss,
         history=history,
         converged=bool(tail.size == 0 or history[-1] <= tail.min() + 1e-6),
     )
@@ -476,8 +441,7 @@ def adversarial_init_protocol(skeleton: Mlp, ds: Dataset, pretrain_epochs: int,
     if pretrain_epochs > 0:
         corrupted = flip_labels(ds, 1.0, seed=config.seed + 1000)
         start = train_gd(start, corrupted,
-                         replace(config, epochs=pretrain_epochs, label_noise_fraction=0.0,
-                                 seed=config.seed + 1000)).model
+                         replace(config, epochs=pretrain_epochs, seed=config.seed + 1000)).model
     return train_gd(start, ds, replace(config, epochs=main_epochs), test_ds)
 
 
@@ -485,32 +449,28 @@ def adversarial_init_protocol(skeleton: Mlp, ds: Dataset, pretrain_epochs: int,
 class FlipCountResult:
     mean: float
     counts: np.ndarray
-    n_capped: int
     n_evaluated: int
-    undefined: bool
 
 
-def robustness_flip_count(model, ds: Dataset, seed: int,
+def robustness_flip_count(predict, ds: Dataset, seed: int,
                           max_points: int | None = None) -> FlipCountResult:
     """Average number of random coordinate negations that change the label.
 
-    For each correctly classified point, coordinates are visited in a
-    uniformly random order and negated cumulatively until the prediction
-    moves; counts cap at D. With no correctly classified points the result
-    is flagged undefined.
+    predict maps an (m, D) input block to m labels. For each correctly
+    classified point, coordinates are visited in a uniformly random order
+    and negated cumulatively until the prediction moves; counts cap at D.
+    With no correctly classified points nothing is evaluated and the mean
+    is NaN.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 31]))
-    predict = model if callable(model) and not isinstance(model, (RfmModel, Mlp)) \
-        else (lambda X: predict_labels(model, X))
     labels = predict(ds.X)
     correct = np.flatnonzero(labels == ds.y)
     if correct.size == 0:
-        return FlipCountResult(np.nan, np.zeros(0), 0, 0, undefined=True)
+        return FlipCountResult(np.nan, np.zeros(0), 0)
     if max_points is not None and correct.size > max_points:
         correct = rng.choice(correct, size=max_points, replace=False)
     D = ds.D
     counts = np.empty(correct.size, dtype=int)
-    capped = 0
     for out_idx, row in enumerate(correct):
         order = rng.permutation(D)
         x = np.tile(ds.X[row], (D, 1))
@@ -518,17 +478,13 @@ def robustness_flip_count(model, ds: Dataset, seed: int,
             x[k:, coord] = -x[k:, coord]
         flipped_labels = predict(x)
         moved = np.flatnonzero(flipped_labels != labels[row])
-        if moved.size == 0:
-            counts[out_idx] = D
-            capped += 1
-        else:
-            counts[out_idx] = moved[0] + 1
-    return FlipCountResult(float(counts.mean()), counts, capped, correct.size, undefined=False)
+        counts[out_idx] = moved[0] + 1 if moved.size else D
+    return FlipCountResult(float(counts.mean()), counts, correct.size)
 
 
 def multiclass_bmd(net: Mlp, sampler: InputSampler, n_samples: int, seed: int) -> float:
     """Mean of the per-class mean dimensions of the log-softmax outputs."""
     profiles = estimate_md_multioutput(
-        lambda x: log_softmax_mlp(net, x), net.n_out, sampler, n_samples, seed)
+        lambda x: log_softmax(forward_mlp(net, x), axis=1), net.n_out, sampler, n_samples, seed)
     return float(np.mean([p.md for p in profiles]))
 

@@ -2,6 +2,7 @@
 
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def test_minmax_dataset_maps_columns_onto_range():
     ds = Dataset(X=np.array([[0.0, 10.0], [2.0, 20.0]]), y=np.array([1.0, -1.0]))
     out = _minmax_dataset(ds, -1.0, 1.0)
     assert np.allclose(out.X, [[-1.0, -1.0], [1.0, 1.0]])
-    assert np.array_equal(out.y, ds.y) and out.normalization == (-1.0, 1.0)
+    assert np.array_equal(out.y, ds.y)
 
 
 def test_minmax_dataset_constant_column_maps_to_midpoint():
@@ -642,10 +643,14 @@ def test_cli_md_empirical_runs(tmp_path, capsys):
 def test_cli_md_bad_data_names_the_file(tmp_path, capsys):
     data = tmp_path / "rows.csv"
     for content, message in ((b"1,2,3,4,5,6\n1,2,x,4,5,6\n", "could not convert string 'x'"),
-                             (b"1,2,3,4,5,6\n\xff\n", "not ASCII text (byte 0xff")):
+                             (b"1,2,3,4,5,6\n\xff\n", "not ASCII text (byte 0xff"),
+                             (b"", "no data rows"), (b"\n  \n", "no data rows"),
+                             (b"# x0,x1,x2,x3,x4,x5\n", "no data rows")):
         data.write_bytes(content)
-        code = main(["md", checkpoint(tmp_path, D=6), "--sampler", "empirical",
-                     "--samples", "100", "--seed", "1", "--data", str(data)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on an empty file
+            code = main(["md", checkpoint(tmp_path, D=6), "--sampler", "empirical",
+                         "--samples", "100", "--seed", "1", "--data", str(data)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"meandim md: {data}: ") and message in err, err
@@ -662,6 +667,14 @@ def test_cli_md_bad_checkpoint_exits_2(tmp_path, capsys):
         assert main(["md", str(bad), "--sampler", "binary", "--samples", "10",
                      "--seed", "0"]) == 2
         assert f"{bad}: malformed checkpoint" in capsys.readouterr().err
+    # header keys are checked, not just their positions
+    for header, key in (([lines[2], lines[1]], "'D = ...' on line 2"),
+                        (["Q = 6", lines[2]], "'D = ...' on line 2"),
+                        ([lines[1], "D = 10"], "'N = ...' on line 3")):
+        bad.write_text("\n".join(lines[:1] + header + lines[3:]) + "\n", encoding="ascii")
+        assert main(["md", str(bad), "--sampler", "binary", "--samples", "10",
+                     "--seed", "0"]) == 2
+        assert f"{bad}: malformed checkpoint, expected {key}" in capsys.readouterr().err
     data = read_bytes(checkpoint(tmp_path))
     bad.write_bytes(data[:15] + b"\xff" + data[16:])
     assert main(["md", str(bad), "--sampler", "binary", "--samples", "10",

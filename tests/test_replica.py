@@ -26,7 +26,6 @@ from meandim.replica import (
     generalization_error,
     mse_inner_max,
     observables,
-    optimal_lambda,
     solve_saddle,
     spectral_ols,
     sweep_curve,
@@ -123,21 +122,15 @@ def test_ce_inner_vectorized_matches_elementwise():
 
 
 def test_gauge_equivalence():
-    a, at = 2.5, 3.0
-    p1 = solve_saddle(ReplicaInput(alpha=a, lam=1e-3, loss="mse",
-                                   kappas=KAPPAS, alpha_t=at))
-    p2 = solve_saddle(ReplicaInput(alpha=a, lam=1e-3, loss="mse",
-                                   kappas=KAPPAS, alpha_d=a / at))
-    for field in _FIELDS:
-        assert getattr(p1, field) == getattr(p2, field)
+    # the width ratio D/N is tied to the two sample ratios, P/N over P/D
+    for a, at in ((2.5, 3.0), (200.0, 100.0), (0.1, 30.0)):
+        inp = ReplicaInput(alpha=a, lam=1e-3, loss="mse", kappas=KAPPAS, alpha_t=at)
+        assert inp.alpha_d == a / at
 
 
 def test_input_validation():
-    with pytest.raises(ValueError, match="exactly one"):
+    with pytest.raises(TypeError, match="alpha_t"):
         ReplicaInput(alpha=1.0, lam=0.1, loss="mse", kappas=KAPPAS)
-    with pytest.raises(ValueError, match="exactly one"):
-        ReplicaInput(alpha=1.0, lam=0.1, loss="mse", kappas=KAPPAS,
-                     alpha_d=1.0, alpha_t=1.0)
     with pytest.raises(ValueError, match="lam"):
         ReplicaInput(alpha=1.0, lam=-0.1, loss="mse", kappas=KAPPAS, alpha_t=1.0)
     with pytest.raises(ValueError, match="loss"):
@@ -145,13 +138,13 @@ def test_input_validation():
     with pytest.raises(ValueError, match="delta"):
         ReplicaInput(alpha=1.0, lam=0.1, loss="mse", kappas=KAPPAS,
                      alpha_t=1.0, delta=-1.0)
-    for ratio in ({"alpha_t": 0.0}, {"alpha_t": np.inf}, {"alpha_d": -1.0},
-                  {"alpha_d": np.float64("nan")}):
+    for alpha, alpha_t in ((1.0, 0.0), (1.0, np.inf), (1.0, -1.0), (1.0, np.nan),
+                           (0.0, 1.0), (-2.0, 1.0)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # checked before any division
             with pytest.raises(ValueError, match="positive and finite"):
-                ReplicaInput(alpha=np.float64(1.0), lam=0.1, loss="mse", kappas=KAPPAS,
-                             **ratio)
+                ReplicaInput(alpha=np.float64(alpha), lam=0.1, loss="mse", kappas=KAPPAS,
+                             alpha_t=np.float64(alpha_t))
     linear = compute_kappas(Activation.linear())
     with pytest.raises(ValueError, match="k_star_sq"):
         ReplicaInput(alpha=1.0, lam=0.1, loss="mse", kappas=linear, alpha_t=1.0)
@@ -265,17 +258,6 @@ def test_curve_csv_round_trip(tmp_path):
     assert lines[1].endswith(",1") and lines[-1].endswith(",0")
 
 
-def test_optimal_lambda_beats_log_grid():
-    for delta in (0.0, 2.0):
-        lam_opt, eps_opt = optimal_lambda(1.0, 3.0, KAPPAS, "mse", delta=delta)
-        assert 1e-6 <= lam_opt <= 10.0
-        for lam in 10.0 ** np.linspace(-4, 1, 11):
-            inp = ReplicaInput(alpha=1.0, lam=lam, loss="mse", kappas=KAPPAS,
-                               alpha_t=3.0, delta=delta)
-            eps_fixed = observables(solve_saddle(inp), inp).eps_g
-            assert eps_opt <= eps_fixed + 1e-4
-
-
 # ---------------------------------------------------------------------------
 # spectral shortcut for the ridge student
 
@@ -303,7 +285,8 @@ def test_spectral_mp_matches_sampled_spectrum():
 
 
 def test_spectral_matches_saddle_at_large_alpha():
-    inp = ReplicaInput(alpha=200.0, lam=1e-3, loss="mse", kappas=KAPPAS, alpha_d=2.0)
+    inp = ReplicaInput(alpha=200.0, lam=1e-3, loss="mse", kappas=KAPPAS, alpha_t=100.0)
+    assert inp.alpha_d == 2.0
     params = solve_saddle(inp)
     obs = observables(params, inp)
     q_sp, _, b_sp = spectral_ols(2.0, 1e-3, KAPPAS, alpha=200.0)

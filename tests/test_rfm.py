@@ -1,4 +1,4 @@
-"""Random feature model: kappa quadrature, Psi matrices, closed-form BMD."""
+"""Random feature model: kappa quadrature, the Psi kernels, closed-form BMD."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from meandim.rfm import (
     KappaSet,
     analytic_bmd,
     bmd_from_overlaps,
-    build_psi,
     compute_kappas,
     forward,
     load_rfm,
@@ -120,21 +119,26 @@ class TestForward:
 
 
 class TestPsiMatrices:
+    """The kernels inside analytic_bmd, checked through its value."""
+
     def test_orthonormal_features_give_identity_overlap(self):
+        # omega = I makes psi = k2 I and psi_bar = kbar2 I for an odd
+        # activation, so every weight vector has md kbar2 / k2
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.standard_normal((8, 4)))
         F = q * np.sqrt(8.0)
+        assert np.allclose(F.T @ F / 8.0, np.eye(4), atol=1e-12)
         ks = compute_kappas(Activation.tanh())
         from meandim.rfm import RfmModel
-        model = RfmModel(D=8, N=4, F=F, w=np.ones(4), activation=Activation.tanh(), kappas=ks)
-        mats = build_psi(model)
-        assert np.allclose(mats.omega, np.eye(4), atol=1e-12)
-        assert np.allclose(mats.psi, (ks.k_star_sq + ks.k1**2) * np.eye(4), atol=1e-12)
+        for w in (np.ones(4), rng.standard_normal(4)):
+            model = RfmModel(D=8, N=4, F=F, w=w, activation=Activation.tanh(), kappas=ks)
+            assert abs(analytic_bmd(model) - ks.kbar2 / ks.k2) < 1e-12
 
     def test_diagonal_concentration(self):
+        # random_rfm draws unit-variance features, so omega_ii -> 1
         model = random_rfm(4000, 8, Activation.tanh(), seed=6)
-        omega = build_psi(model).omega
-        assert abs(np.diag(omega).mean() - 1.0) < 3.0 / np.sqrt(4000)
+        omega_diag = np.sum(model.F**2, axis=0) / 4000
+        assert abs(omega_diag.mean() - 1.0) < 3.0 / np.sqrt(4000)
 
     def test_hand_computed_two_by_two(self):
         F = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -143,18 +147,11 @@ class TestPsiMatrices:
         from meandim.rfm import RfmModel
         model = RfmModel(D=2, N=2, F=F, w=np.array([1.0, 1.0]),
                          activation=Activation.tanh(), kappas=ks)
-        mats = build_psi(model)
-        assert np.allclose(mats.omega, [[5.0, 7.0], [7.0, 10.0]], atol=1e-14)
-        assert np.allclose(mats.psi, [[23.0, 28.0], [28.0, 43.0]], atol=1e-14)
-        # 5*diag(5,10) + 1.5^2*omega + 0.5^2*omega^2 elementwise
-        assert np.allclose(mats.psi_bar, [[42.5, 28.0], [28.0, 97.5]], atol=1e-14)
+        # omega = [[5, 7], [7, 10]]
+        # psi = 3 I + 2^2 omega = [[23, 28], [28, 43]], entry sum 122
+        # psi_bar = 5 diag(5, 10) + 1.5^2 omega + 0.5^2 omega^2 (elementwise)
+        #         = [[42.5, 28], [28, 97.5]], entry sum 196
         assert abs(analytic_bmd(model) - 196.0 / 122.0) < 1e-14
-
-    def test_cache_shared_across_weight_swaps(self):
-        model = random_rfm(10, 6, Activation.tanh(), seed=7)
-        mats = build_psi(model)
-        other = with_weights(model, np.arange(1.0, 7.0))
-        assert build_psi(other) is mats
 
 
 class TestAnalyticBmd:
@@ -189,7 +186,7 @@ class TestAnalyticBmd:
         from meandim.rfm import RfmModel
         model = RfmModel(D=D, N=N, F=F, w=rng.standard_normal(N),
                          activation=Activation.tanh(), kappas=ks)
-        omega = build_psi(model).omega
+        omega = F.T @ F / D
         q_d = model.w @ model.w / N
         p_d = model.w @ omega @ model.w / N
         assert abs(analytic_bmd(model) - bmd_from_overlaps(ks, q_d, p_d)) < 1e-10
