@@ -9,8 +9,9 @@ averages squared output changes:
 
 Every sample probes all coordinates against a single shared background draw,
 and Var[f] is estimated from the same stream of background evaluations, so
-the ratio is exactly invariant under affine rescaling of f. Standard errors
-come from 10 batch means.
+the ratio is invariant under affine rescaling of f up to rounding (Var[f]
+is accumulated relative to the first background value, so an offset does
+not cancel it away). Standard errors come from 10 batch means.
 
 Score functions are batched: they receive an (m, n) array of inputs and must
 return m finite reals (or an (m, k) block for the multi-output variant).
@@ -156,8 +157,10 @@ def _accumulate(f, sampler: InputSampler, n_samples: int, seed: int, mode: str,
     """Run the estimation stream, seeded by (seed, 0).
 
     Returns per-batch accumulators: tau sums (N_BATCHES, dim, n_outputs),
-    f sums and square sums (N_BATCHES, n_outputs), and batch sizes; sample
-    j belongs to batch j * N_BATCHES // n_samples.
+    sums and square sums of f minus the stream's first background value
+    (N_BATCHES, n_outputs), and batch sizes; sample j belongs to batch
+    j * N_BATCHES // n_samples. The shift keeps a large offset of f from
+    cancelling the variance away.
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
@@ -182,9 +185,13 @@ def _accumulate(f, sampler: InputSampler, n_samples: int, seed: int, mode: str,
         m = min(chunk, n_samples - done)
         x = sampler.sample_background(rng, m)
         base = evaluate(x, f"background samples {done}..{done + m - 1}")
+        if done == 0:
+            origin = base[0].copy()
         batches = np.arange(done, done + m) * N_BATCHES // n_samples
-        np.add.at(f_sum, batches, base)
-        np.add.at(f_sq_sum, batches, base**2)
+        shifted = base - origin
+        np.add.at(f_sum, batches, shifted)
+        shifted *= shifted
+        np.add.at(f_sq_sum, batches, shifted)
         np.add.at(batch_count, batches, np.ones(m, dtype=np.int64))
         for i in range(dim):
             x_mod = x.copy()

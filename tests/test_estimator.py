@@ -101,6 +101,16 @@ class TestDeterminismAndScaling:
         assert abs(a.md - b.md) < 1e-10 * abs(a.md)
 
 
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    def test_affine_invariance_under_large_offsets(self, a):
+        table = random_table(10, 3)
+        ref = estimate_md_binary_fast(boolfn.table_score_fn(table), 10, 5000, seed=10).md
+        for ratio in (-1e8, -1e4, 0.5, 1e2, 1e6, 1e8):
+            g = boolfn.table_score_fn(a * table + ratio * a)
+            md = estimate_md_binary_fast(g, 10, 5000, seed=10).md
+            assert md is not None and abs(md - ref) < 1e-9 * ref, (a, ratio)
+
+
 class TestSamplers:
     def test_binary_values_and_mean(self):
         rng = np.random.default_rng(0)
