@@ -459,7 +459,7 @@ def spectral_ols(alpha_d: float, lam: float, kappas: KappaSet, spectrum="mp",
         num = (teach * (k1sq * (alpha**2 / alpha_d) * rho + alpha * ksq)
                + (1.0 - teach) * alpha * overlap)
         den = (alpha * overlap + lam) ** 2
-        atom_num = teach * alpha * ksq + (1.0 - teach) * alpha * ksq
+        atom_num = alpha * ksq  # num at rho = 0
         atom_den = (alpha * ksq + lam) ** 2
     q_d = float(wts @ (num / den) + atom * atom_num / atom_den)
     big_q = float(wts @ (num * overlap / den) + atom * atom_num * ksq / atom_den)
