@@ -15,6 +15,9 @@ not cancel it away). Standard errors come from 10 batch means.
 
 Score functions are batched: they receive an (m, n) array of inputs and must
 return m finite reals (or an (m, k) block for the multi-output variant).
+A score may keep state between calls (``LinearFirstLayer`` caches its last
+full evaluation), so use one score object per thread; the experiment
+harness builds one per cell.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .textio import csv_lines, lines_text, write_text
 __all__ = [
     "InputSampler",
     "InfluenceProfile",
+    "LinearFirstLayer",
     "ScoreEvaluationError",
     "estimate_md",
     "estimate_md_binary_fast",
@@ -106,6 +110,54 @@ class InputSampler:
         if self.kind in ("uniform", "empirical"):
             return rng.uniform(self.lo, self.hi, size=m)
         raise ValueError(f"unknown sampler kind {self.kind!r}")
+
+
+class LinearFirstLayer:
+    """Score f(x) = head(x @ W + b) that updates single-coordinate probes.
+
+    W has shape (n, N); head maps the (m, N) preactivation to m values (or
+    an (m, k) block) row by row. The last full evaluation is kept as
+    (x0, h0, f0). A batch of x0's shape that differs from x0 in exactly one
+    column i, as every probe of the estimator does, costs a rank-1 update:
+    the rows that changed get head(h0 + (x_i - x0_i) W_i) and the others
+    reuse f0. Any other batch gets a full evaluation and replaces the cache.
+    With n = 1 every batch differs in the only column, so the update would
+    save nothing and every batch is evaluated in full. For n >= 2 the
+    estimator's backgrounds get full evaluations unless one agrees with the
+    cached batch in all but one column, which m binary rows do with
+    probability 2^-(m (n - 1)); so a reused score gives the same bits as a
+    fresh one.
+    """
+
+    def __init__(self, W: np.ndarray, b, head):
+        self.W = np.asarray(W, dtype=float)
+        self.b = b
+        self.head = head
+        self._x0 = self._h0 = self._f0 = None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x0 = self._x0
+        if x0 is not None and x.shape == x0.shape and x.shape[1] > 1:
+            changed = x != x0
+            cols = np.flatnonzero(changed.any(axis=0))
+            if cols.size == 0:
+                return self._f0.copy()
+            if cols.size == 1:
+                i = cols[0]
+                rows = np.flatnonzero(changed[:, i])
+                if rows.size == x.shape[0]:
+                    rows = slice(None)  # every row moved: index without copies
+                h = np.multiply.outer(x[rows, i] - x0[rows, i], self.W[i])
+                h += self._h0[rows]
+                out = self._f0.copy()
+                out[rows] = self.head(h)
+                return out
+        h = x @ self.W
+        h += self.b
+        out = self.head(h)
+        self._x0, self._h0, self._f0 = x.copy(), h, out
+        return out.copy()
 
 
 @dataclass(frozen=True)

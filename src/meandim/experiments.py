@@ -26,7 +26,6 @@ from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
 
 from .estimator import (InputSampler, estimate_md, estimate_md_binary_fast,
                         influence_heatmap, write_profile_csv)
@@ -35,10 +34,9 @@ from .replica import sweep_curve, write_curve_csv
 from .rfm import Activation, analytic_bmd, compute_kappas, random_rfm, score_fn
 from .textio import csv_lines, read_text, write_text
 from .trainer import (TeacherTask, TrainConfig, adversarial_init_protocol,
-                      flip_labels, forward_mlp, gen_multiclass_task,
-                      gen_teacher_student, init_mlp, multiclass_bmd,
-                      predict_labels, robustness_flip_count, train_gd,
-                      train_rfm_ridge)
+                      flip_labels, gen_multiclass_task, gen_teacher_student,
+                      init_mlp, mlp_score_fn, multiclass_bmd, predict_labels,
+                      robustness_flip_count, train_gd, train_rfm_ridge)
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -434,6 +432,30 @@ class PeakReport:
         return out
 
 
+def _pearson(a: np.ndarray, b: np.ndarray) -> float:
+    """Pearson correlation; NaN when either input is constant or holds a NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.corrcoef(a, b)[0, 1])
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """Ranks 1..n, tied values sharing the mean of their positions."""
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], a.size]
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def _spearman(a: np.ndarray, b: np.ndarray) -> float:
+    """Spearman rank correlation with average ranks for ties; NaN as _pearson."""
+    if np.isnan(a).any() or np.isnan(b).any():
+        return float("nan")
+    return _pearson(_average_ranks(a), _average_ranks(b))
+
+
 def summarize_peaks(result: SweepResult, pairs=None) -> PeakReport:
     """Locate grid argmaxes of the mean curves and correlate metric pairs.
 
@@ -467,7 +489,7 @@ def summarize_peaks(result: SweepResult, pairs=None) -> PeakReport:
         keep = np.isfinite(xa) & np.isfinite(xb)
         if keep.sum() < 3:
             raise ValueError(f"correlation pair ({a}, {b}) has fewer than 3 finite points")
-        correlations[(a, b)] = float(stats.pearsonr(xa[keep], xb[keep])[0])
+        correlations[(a, b)] = _pearson(xa[keep], xb[keep])
     return PeakReport(coordinate=result.coordinate, argmax=argmax,
                       interior=interior, distance_steps=distance,
                       correlations=correlations)
@@ -609,8 +631,7 @@ def _mlp_cell(p, width, seed, multiclass, pretrain=None, flips=False):
     if multiclass:
         bmd = multiclass_bmd(net, InputSampler.binary(dim), p["md_samples"], seed)
     else:
-        bmd = estimate_md_binary_fast(lambda x: forward_mlp(net, x), dim,
-                                      p["md_samples"], seed).md
+        bmd = estimate_md_binary_fast(mlp_score_fn(net), dim, p["md_samples"], seed).md
     out = {"train_err": fit.train_error, "test_err": fit.test_error, "bmd": bmd}
     if flips:
         out["flip_count"] = robustness_flip_count(lambda X: predict_labels(net, X), test,
@@ -743,11 +764,7 @@ def _run_adversarial_init(cfg: ExperimentConfig) -> tuple:
     pre = np.asarray(grid, dtype=float)
     extra = []
     for name in ("bmd", "test_err"):
-        curve = result.mean(name)
-        if np.all(curve == curve[0]):
-            rho = float("nan")  # rank correlation undefined on a flat curve
-        else:
-            rho = float(stats.spearmanr(pre, curve)[0])
+        rho = _spearman(pre, result.mean(name))  # NaN on a flat curve
         extra.append(f"spearman(pretrain_epochs, {name}) = {rho:.4f}")
     return [path], extra
 

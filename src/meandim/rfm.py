@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_hermite
 
+from .estimator import LinearFirstLayer
 from .textio import read_text, write_text
 
 __all__ = [
@@ -241,18 +242,26 @@ def with_weights(model: RfmModel, w: np.ndarray) -> RfmModel:
     return dataclasses.replace(model, w=np.asarray(w, dtype=float))
 
 
+def _readout(model: RfmModel, h: np.ndarray) -> np.ndarray:
+    """w^T sigma(h) / sqrt(N) for the rows of the preactivation h = x F / sqrt(D)."""
+    return model.activation.value(h) @ model.w / np.sqrt(model.N)
+
+
 def forward(model: RfmModel, x: np.ndarray) -> np.ndarray | float:
     """y_hat = w^T sigma(F^T x / sqrt(D)) / sqrt(N), batched over rows."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    h = np.atleast_2d(x) @ model.F / np.sqrt(model.D)
-    out = model.activation.value(h) @ model.w / np.sqrt(model.N)
-    return float(out[0]) if single else out
+    out = _readout(model, np.atleast_2d(x) @ model.F / np.sqrt(model.D))
+    return float(out[0]) if x.ndim == 1 else out
 
 
-def score_fn(model: RfmModel):
-    """Batched ScoreFunction view of the model for the MD estimator."""
-    return lambda x: forward(model, np.atleast_2d(x))
+def score_fn(model: RfmModel) -> LinearFirstLayer:
+    """Batched score of the model for the MD estimator.
+
+    The feature scale is folded into the first layer, W = F / sqrt(D), so a
+    coordinate probe updates the cached preactivation by one row of W; the
+    values agree with ``forward`` up to rounding.
+    """
+    return LinearFirstLayer(model.F / np.sqrt(model.D), 0.0, lambda h: _readout(model, h))
 
 
 def analytic_bmd(model: RfmModel) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit, log_softmax
 
-from .estimator import InputSampler, estimate_md_multioutput
+from .estimator import InputSampler, LinearFirstLayer, estimate_md_multioutput
 from .rfm import RfmModel, forward, with_weights
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "train_gd",
     "init_mlp",
     "forward_mlp",
+    "mlp_score_fn",
     "predict_labels",
     "adversarial_init_protocol",
     "robustness_flip_count",
@@ -322,10 +323,20 @@ def init_mlp(D: int, width: int, n_out: int, seed: int) -> Mlp:
     )
 
 
+def _logits(net: Mlp, h: np.ndarray) -> np.ndarray:
+    """Logits from the hidden preactivation h = X W1 + b1."""
+    out = np.tanh(h) @ net.W2 + net.b2
+    return out[:, 0] if net.n_out == 1 else out
+
+
 def forward_mlp(net: Mlp, X: np.ndarray) -> np.ndarray:
     """Logits, shape (m, n_out); squeezed to (m,) when n_out = 1."""
-    out = np.tanh(X @ net.W1 + net.b1) @ net.W2 + net.b2
-    return out[:, 0] if net.n_out == 1 else out
+    return _logits(net, X @ net.W1 + net.b1)
+
+
+def mlp_score_fn(net: Mlp) -> LinearFirstLayer:
+    """forward_mlp as a score for the MD estimator, with rank-1 coordinate probes."""
+    return LinearFirstLayer(net.W1, net.b1, lambda h: _logits(net, h))
 
 
 def predict_labels(net: Mlp, X: np.ndarray) -> np.ndarray:
@@ -484,7 +495,8 @@ def robustness_flip_count(predict, ds: Dataset, seed: int,
 
 def multiclass_bmd(net: Mlp, sampler: InputSampler, n_samples: int, seed: int) -> float:
     """Mean of the per-class mean dimensions of the log-softmax outputs."""
-    profiles = estimate_md_multioutput(
-        lambda x: log_softmax(forward_mlp(net, x), axis=1), net.n_out, sampler, n_samples, seed)
+    score = LinearFirstLayer(net.W1, net.b1,
+                             lambda h: log_softmax(_logits(net, h), axis=1))
+    profiles = estimate_md_multioutput(score, net.n_out, sampler, n_samples, seed)
     return float(np.mean([p.md for p in profiles]))
 

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import log_softmax
 
 from meandim import boolfn
 from meandim.estimator import (
     InfluenceProfile,
     InputSampler,
+    LinearFirstLayer,
     ScoreEvaluationError,
     estimate_md,
     estimate_md_binary_fast,
@@ -15,6 +19,10 @@ from meandim.estimator import (
     profile_summary,
     write_profile_csv,
 )
+from meandim.rfm import Activation, forward, random_rfm, score_fn
+from meandim.trainer import (TeacherTask, TrainConfig, forward_mlp, gen_multiclass_task,
+                             gen_teacher_student, init_mlp, mlp_score_fn, train_gd,
+                             train_rfm_ridge)
 
 
 def random_table(n, seed):
@@ -257,3 +265,125 @@ class TestSerialization:
         text = profile_summary(prof)
         assert "md = undefined" in text
         assert "participation_ratio = undefined" in text
+
+
+def _tanh_head(a):
+    return lambda h: np.tanh(h) @ a
+
+
+def _softmax_head(A):
+    return lambda h: log_softmax(np.tanh(h) @ A, axis=1)
+
+
+class TestLinearFirstLayer:
+    """The rank-1 probe path against the full head(x @ W + b)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), width=st.integers(1, 9),
+           m=st.integers(1, 12), n_cols=st.integers(0, 3),
+           rows=st.sampled_from(["all", "some", "none"]), multi=st.booleans(),
+           resize=st.booleans())
+    def test_matches_full_evaluation(self, seed, n, width, m, n_cols, rows, multi, resize):
+        rng = np.random.default_rng(seed)
+        W = rng.standard_normal((n, width))
+        b = rng.standard_normal(width)
+        head = _softmax_head(rng.standard_normal((width, 3))) if multi \
+            else _tanh_head(rng.standard_normal(width))
+        f = LinearFirstLayer(W, b, head)
+        x0 = rng.standard_normal((m, n))
+        assert np.array_equal(f(x0), head(x0 @ W + b))
+        x = rng.standard_normal((m + 1, n)) if resize else x0.copy()
+        for i in rng.choice(n, size=min(n_cols, n), replace=False):
+            moved = {"all": np.ones(x.shape[0], dtype=bool), "none": np.zeros(x.shape[0], dtype=bool),
+                     "some": rng.random(x.shape[0]) < 0.5}[rows]
+            x[moved, i] = rng.standard_normal(int(moved.sum()))
+        want = head(x @ W + b)
+        got = f(x)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        # a probe leaves the cache alone and a full evaluation replaces it,
+        # so x0 is answered exactly either way
+        assert np.array_equal(f(x0), head(x0 @ W + b))
+
+    def test_one_dimensional_input_through_rfm_score(self):
+        model = random_rfm(5, 7, Activation.tanh(), seed=5)
+        f = score_fn(model)
+        x = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+        first = f(x)
+        assert first.shape == (1,)
+        assert abs(first[0] - forward(model, x)) <= 1e-12 * abs(forward(model, x))
+        x[2] = -1.0  # one column of the cached 1-row batch moves
+        assert abs(f(x)[0] - forward(model, x)) <= 1e-12 * abs(forward(model, x))
+
+    def test_estimate_agrees_with_generic_path(self):
+        rng = np.random.default_rng(3)
+        W, b, a = rng.standard_normal((9, 20)), rng.standard_normal(20), rng.standard_normal(20)
+        head = _tanh_head(a)
+        for sampler in (InputSampler.binary(9), InputSampler.gaussian(9)):
+            fast = estimate_md(LinearFirstLayer(W, b, head), sampler, 3000, seed=4)
+            ref = estimate_md(lambda x: head(x @ W + b), sampler, 3000, seed=4)
+            assert np.allclose(fast.tau_sq, ref.tau_sq, rtol=1e-12, atol=0)
+            assert abs(fast.md - ref.md) <= 1e-12 * ref.md
+
+    @pytest.mark.parametrize("D", [1, 2, 7])
+    def test_bit_identical_whatever_the_call_history(self, D):
+        # D = 1 always evaluates in full: every batch differs from the
+        # cached one in the only column, backgrounds included
+        model = random_rfm(D, 6, Activation.tanh(), seed=D)
+        used = score_fn(model)
+        runs = [
+            lambda f: estimate_md(f, InputSampler.binary(D), 700, seed=2),
+            lambda f: estimate_md_binary_fast(f, D, 700, seed=2),
+            lambda f: estimate_md(f, InputSampler.gaussian(D), 700, seed=5),
+        ]
+        first = [run(used) for run in runs]
+        again = [run(used) for run in reversed(runs)][::-1]
+        fresh = [run(score_fn(model)) for run in runs]
+        for a, b, c in zip(first, again, fresh):
+            assert np.array_equal(a.tau_sq, b.tau_sq) and np.array_equal(a.tau_sq, c.tau_sq)
+            assert a.md == b.md == c.md and a.std_err_md == b.std_err_md == c.std_err_md
+
+
+class TestExactOracleThroughLinearFirstLayer:
+    """Exact BMD from the full vertex table against the rank-1 estimator path."""
+
+    @staticmethod
+    def exact_md(table):
+        return boolfn.degree_profile(boolfn.walsh_hadamard(table)).mean_dimension
+
+    def test_ridge_trained_rfm(self):
+        D = 12
+        task = TeacherTask.random(D, seed=1)
+        train, _ = gen_teacher_student(D, 30, 10, task, seed=1)
+        fit = train_rfm_ridge(random_rfm(D, 24, Activation.tanh(), seed=1), train, 1e-3)
+        exact = self.exact_md(forward(fit.model, boolfn.vertex_spins(D)))
+        f = score_fn(fit.model)
+        for prof in (estimate_md_binary_fast(f, D, 20_000, seed=6),
+                     estimate_md(f, InputSampler.binary(D), 20_000, seed=7)):
+            assert abs(prof.md - exact) <= 6 * prof.std_err_md, (prof.md, exact)
+
+    def test_three_class_mlp_outputs(self):
+        D = 10
+        train, _ = gen_multiclass_task(D, 60, 10, 3, input_kind="binary", seed=2)
+        net = train_gd(init_mlp(D, 12, 3, seed=2), train,
+                       TrainConfig(loss="ce", optimizer="minibatch-gd", lr=1e-2,
+                                   epochs=20, batch_size=16, seed=2)).model
+        logp = log_softmax(forward_mlp(net, boolfn.vertex_spins(D)), axis=1)
+        exact = [self.exact_md(logp[:, k]) for k in range(3)]
+        score = LinearFirstLayer(net.W1, net.b1,
+                                 lambda h: log_softmax(np.tanh(h) @ net.W2 + net.b2, axis=1))
+        joint = estimate_md_multioutput(score, 3, InputSampler.binary(D), 20_000, seed=8)
+        for k in range(3):
+            head = lambda h, k=k: log_softmax(np.tanh(h) @ net.W2 + net.b2, axis=1)[:, k]
+            flip = estimate_md_binary_fast(LinearFirstLayer(net.W1, net.b1, head), D,
+                                           20_000, seed=9)
+            for prof in (joint[k], flip):
+                assert abs(prof.md - exact[k]) <= 6 * prof.std_err_md, (k, prof.md, exact[k])
+
+    def test_scalar_mlp_score_matches_forward(self):
+        net = init_mlp(6, 5, 1, seed=3)
+        x = InputSampler.binary(6).sample_background(np.random.default_rng(0), 40)
+        f = mlp_score_fn(net)
+        assert np.array_equal(f(x), forward_mlp(net, x))
+        x[:, 4] = -x[:, 4]
+        assert np.allclose(f(x), forward_mlp(net, x), rtol=1e-12, atol=1e-15)

@@ -19,7 +19,7 @@ from meandim.experiments import (
     summarize_peaks,
     write_sweep_csv,
 )
-from meandim.experiments import _minmax_dataset, _run_cells
+from meandim.experiments import _minmax_dataset, _pearson, _run_cells, _spearman
 from meandim.heatmap_svg import CELL_PX, emit_heatmap_svg, render_heatmap_svg
 from meandim.replica import CURVE_HEADER
 from meandim.rfm import Activation, random_rfm, save_rfm
@@ -713,3 +713,29 @@ def test_cli_theory_rejects_bad_alpha_t(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "meandim theory: alpha ratios must be positive and finite" in captured.err
+
+
+class TestCorrelations:
+    """numpy Pearson and Spearman, checked against hand-computed values."""
+
+    def test_pearson_hand_value(self):
+        # deviations (-1.5, -.5, .5, 1.5) and (-.5, .5, -.5, .5): r = 1 / sqrt(5)
+        r = _pearson(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 0.0, 1.0]))
+        assert abs(r - 1.0 / np.sqrt(5.0)) < 1e-15
+
+    def test_spearman_averages_tied_ranks(self):
+        # ranks (1, 2.5, 2.5, 4) and (1, 3, 2, 4): r = 4.5 / sqrt(4.5 * 5) = sqrt(0.9)
+        r = _spearman(np.array([1.0, 2.0, 2.0, 3.0]), np.array([10.0, 30.0, 20.0, 40.0]))
+        assert abs(r - np.sqrt(0.9)) < 1e-15
+        # both sides tied: ranks (1.5, 1.5, 3, 4) and (1, 2, 3.5, 3.5), r = 4 / sqrt(4.5 * 4.5)
+        r = _spearman(np.array([5.0, 5.0, 6.0, 7.0]), np.array([1.0, 2.0, 3.0, 3.0]))
+        assert abs(r - 4.0 / 4.5) < 1e-15
+        assert _spearman(np.array([1.0, 2.0, 3.0]), np.array([9.0, 4.0, 1.0])) == -1.0
+
+    def test_constant_or_nan_input_gives_nan_without_warning(self):
+        flat, ramp = np.full(4, 2.0), np.arange(4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for corr in (_pearson, _spearman):
+                assert np.isnan(corr(flat, ramp)) and np.isnan(corr(ramp, flat))
+                assert np.isnan(corr(np.array([0.0, np.nan, 1.0, 2.0]), ramp))
