@@ -18,11 +18,6 @@ so converged solutions can be audited by finite differences.
 Observables: eps_g = arccos(M / sqrt(Q_d)) / pi against the clean teacher,
 per-sample train and test losses, and the mean dimension
 1 + (kbar2 - k2) q_d / Q_d.
-
-``spectral_ols`` gives the independent eigenvalue-trace route to (q_d,
-Q_d) for the ridge case, either from sampled feature spectra or from the
-Marchenko-Pastur law, which isolates the secondary mean-dimension peak at
-N = D.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ __all__ = [
     "observables",
     "generalization_error",
     "sweep_curve",
-    "spectral_ols",
     "mse_inner_max",
     "ce_inner_max",
     "write_curve_csv",
@@ -163,12 +157,15 @@ def ce_inner_max(h0: np.ndarray, dQ: float):
 
     In terms of x = h0 + sqrt(dQ) z1 the stationarity condition is
     (x - h0)/dQ + sigmoid(x) - 1 = 0, strictly monotone with the root
-    bracketed in [h0, h0 + dQ]; solved by Newton with a bisection
-    safeguard, vectorized over h0, to a step below 1e-13 or 80 steps.
+    bracketed in [h0, h0 + dQ]; solved by Newton, vectorized over h0, to a
+    move below 1e-13 or 80 steps. A Newton step of 1e-13 or more becomes a
+    bisection when it leaves the bracket or exceeds half the move before
+    last (the rtsafe test, Numerical Recipes 9.4).
     """
     lo = np.asarray(h0, dtype=float).copy()
     hi = lo + dQ
     x = lo + dQ * (1.0 - expit(lo))  # one fixed-point pass as the start
+    older = last = np.inf  # the moves of the two previous steps
     for _ in range(80):
         sig = expit(x)
         g = (x - h0) / dQ + sig - 1.0
@@ -176,12 +173,11 @@ def ce_inner_max(h0: np.ndarray, dQ: float):
         hi = np.where(g > 0, x, hi)
         step = g / (1.0 / dQ + sig * (1.0 - sig))
         nxt = x - step
-        outside = (nxt <= lo) | (nxt >= hi)
-        nxt = np.where(outside, 0.5 * (lo + hi), nxt)
-        if np.max(np.abs(nxt - x)) < 1e-13:
-            x = nxt
+        unsafe = (nxt <= lo) | (nxt >= hi) | (np.abs(step) > 0.5 * np.abs(older))
+        nxt = np.where(unsafe & (np.abs(step) >= 1e-13), 0.5 * (lo + hi), nxt)
+        older, last, x = last, nxt - x, nxt
+        if np.max(np.abs(last)) < 1e-13:
             break
-        x = nxt
     z1 = (x - h0) / np.sqrt(dQ)
     value = -0.5 * z1**2 - np.logaddexp(0.0, -x)
     return z1, value
@@ -281,16 +277,14 @@ def solve_saddle(inp: ReplicaInput, init: OrderParams | None = None,
     make; iteration stops when it drops below tol. The default tol 1e-9 on
     this proposal residual leaves finite-difference gradients of the
     potential at the 1e-6 scale or better; drop to 1e-12 when the audit
-    needs to be sharper. The damping starts at 0.5 and halves after 25
-    consecutive residual increases (floor 0.05).
+    needs to be sharper. Each step moves the parameters halfway to the
+    proposal, a fixed damping of 0.5.
     """
     if inp.lam == 0.0 and abs(1.0 / inp.alpha - 1.0) < 0.05:
         warnings.warn("lam = 0 at the interpolation point N = P: "
                       "the saddle is singular there", RuntimeWarning, stacklevel=2)
     p = init if init is not None else _DEFAULT_INIT
-    gamma = 0.5
-    prev_resid = np.inf
-    rising = 0
+    resid = np.inf
     for _ in range(max_iter):
         prop = _proposal(p, inp)
         resid = float(np.max(np.abs(prop.as_array() - p.as_array())))
@@ -298,18 +292,10 @@ def solve_saddle(inp: ReplicaInput, init: OrderParams | None = None,
             raise ConvergenceError(f"iteration produced non-finite parameters at {inp}")
         if resid < tol:
             return prop
-        if resid > prev_resid:
-            rising += 1
-            if rising >= 25:
-                gamma = max(gamma / 2.0, 0.05)
-                rising = 0
-        else:
-            rising = 0
-        prev_resid = resid
-        mixed = p.as_array() + gamma * (prop.as_array() - p.as_array())
+        mixed = p.as_array() + 0.5 * (prop.as_array() - p.as_array())
         p = OrderParams(*mixed)
     raise ConvergenceError(
-        f"no convergence after {max_iter} iterations (last residual {prev_resid:.3e}) at {inp}")
+        f"no convergence after {max_iter} iterations (last residual {resid:.3e}) at {inp}")
 
 
 def generalization_error(M: float, Q_d: float) -> float:
@@ -365,7 +351,7 @@ class CurvePoint:
 
 
 def sweep_curve(kappas: KappaSet, loss: str, lam: float, alpha_t: float,
-                inv_alphas, delta: float = 0.0, tol: float = 1e-9) -> list[CurvePoint]:
+                inv_alphas, delta: float = 0.0) -> list[CurvePoint]:
     """Solve along a monotone 1/alpha grid with warm-start continuation.
 
     A point that fails to converge is kept as a NaN row (converged False)
@@ -383,7 +369,7 @@ def sweep_curve(kappas: KappaSet, loss: str, lam: float, alpha_t: float,
         inp = ReplicaInput(alpha=1.0 / inv_alpha, lam=lam, loss=loss,
                            kappas=kappas, delta=delta, alpha_t=alpha_t)
         try:
-            params = solve_saddle(inp, init=carry, tol=tol)
+            params = solve_saddle(inp, init=carry)
             carry = params
             obs = observables(params, inp)
             _, Q_d, _ = params.overlaps(kappas)
@@ -397,77 +383,6 @@ def sweep_curve(kappas: KappaSet, loss: str, lam: float, alpha_t: float,
                 eps_g=np.nan, train_loss=np.nan, test_loss=np.nan, bmd=np.nan,
                 q_d=np.nan, p_d=np.nan, Q_d=np.nan, converged=False))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# spectral route to the ridge overlaps (secondary-peak analysis)
-
-def _mp_rule(alpha_d: float):
-    """Marchenko-Pastur quadrature for the spectrum of F^T F / D.
-
-    The aspect ratio of the overlap matrix is gamma = N/D = 1/alpha_d;
-    below alpha_d = 1 an atom of mass 1 - alpha_d sits at zero. The
-    continuous part uses 400 Gauss-Legendre nodes.
-    """
-    gamma = 1.0 / alpha_d
-    lo = (1.0 - np.sqrt(gamma)) ** 2
-    hi = (1.0 + np.sqrt(gamma)) ** 2
-    x, w = np.polynomial.legendre.leggauss(400)
-    rho = 0.5 * (x + 1.0) * (hi - lo) + lo
-    dens = np.sqrt(np.maximum((hi - rho) * (rho - lo), 0.0)) / (2.0 * np.pi * gamma * rho)
-    weights = w * 0.5 * (hi - lo) * dens
-    atom = max(1.0 - alpha_d, 0.0)
-    return rho, weights, atom
-
-
-def spectral_ols(alpha_d: float, lam: float, kappas: KappaSet, spectrum="mp",
-                 alpha: float | None = None):
-    """Ridge overlaps of the sign teacher as traces over the feature spectrum.
-
-    With alpha given, q_d and Q_d are the finite-sample traces
-
-        q_d = (1/N) sum_i num_i / (alpha (k1^2 rho_i + k_star_sq) + lam)^2
-        Q_d = same with an extra (k1^2 rho_i + k_star_sq) in the numerator
-
-    where num_i = (2/pi)(k1^2 (alpha^2/alpha_d) rho_i + alpha k_star_sq)
-    + (1 - 2/pi) alpha (k1^2 rho_i + k_star_sq).
-    alpha=None takes the infinite-sample limit where lam counts per sample.
-    spectrum is either "mp" (Marchenko-Pastur quadrature) or an eigenvalue
-    sample of F^T F / D. Returns (q_d, Q_d, bmd).
-    """
-    if alpha_d <= 0 or lam < 0:
-        raise ValueError("alpha_d must be positive and lam >= 0")
-    if lam == 0.0 and abs(alpha_d - 1.0) < 0.05:
-        warnings.warn("lam = 0 with alpha_d near 1: the spectrum touches the "
-                      "origin and the traces diverge", RuntimeWarning, stacklevel=2)
-    if isinstance(spectrum, str):
-        if spectrum != "mp":
-            raise ValueError(f"unknown spectrum {spectrum!r}")
-        rho, wts, atom = _mp_rule(alpha_d)
-    else:
-        rho = np.asarray(spectrum, dtype=float)
-        wts = np.full(rho.size, 1.0 / rho.size)
-        atom = 0.0
-    k1sq, ksq = kappas.k1**2, kappas.k_star_sq
-    overlap = k1sq * rho + ksq
-    teach = 2.0 / np.pi
-    if alpha is None:
-        num = teach * k1sq * rho / alpha_d
-        den = (overlap + lam) ** 2
-        atom_num, atom_den = 0.0, (ksq + lam) ** 2
-    else:
-        num = (teach * (k1sq * (alpha**2 / alpha_d) * rho + alpha * ksq)
-               + (1.0 - teach) * alpha * overlap)
-        den = (alpha * overlap + lam) ** 2
-        atom_num = alpha * ksq  # num at rho = 0
-        atom_den = (alpha * ksq + lam) ** 2
-    q_d = float(wts @ (num / den) + atom * atom_num / atom_den)
-    big_q = float(wts @ (num * overlap / den) + atom * atom_num * ksq / atom_den)
-    if np.isfinite(kappas.kbar2):
-        bmd = 1.0 + (kappas.kbar2 - kappas.k2) * q_d / big_q
-    else:
-        bmd = np.inf
-    return q_d, big_q, bmd
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
-"""Tests for the saddle-point solver and the spectral ridge shortcut.
+"""Tests for the saddle-point solver, checked against a spectral ridge oracle.
 
 The stationarity checks are the load-bearing ones: every update rule in
 _proposal was derived by hand from free_energy, and a finite-difference
 audit of the converged point is what certifies the transcription.
+spectral_ols below is the independent eigenvalue-trace route to (q_d, Q_d)
+for the ridge student, from a sampled feature spectrum or from the
+Marchenko-Pastur law, which isolates the secondary mean-dimension peak at
+N = D.
 """
 
 import contextlib
@@ -12,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.special import expit
 
 from meandim.replica import (
     CURVE_HEADER,
@@ -20,14 +25,13 @@ from meandim.replica import (
     OrderParams,
     ReplicaInput,
     _FIELDS,
-    _mp_rule,
+    _z0_rule,
     ce_inner_max,
     free_energy,
     generalization_error,
     mse_inner_max,
     observables,
     solve_saddle,
-    spectral_ols,
     sweep_curve,
     write_curve_csv,
 )
@@ -104,6 +108,18 @@ def test_ce_inner_matches_scalar_minimizer():
                               options={"xatol": 1e-12})
         _, val = ce_inner_max(np.array([h0]), dq)
         assert abs(val[0] + ref.fun) < 1e-10
+
+
+def test_ce_inner_stationary_at_every_node():
+    # dQ >= 30 puts nodes near the sigmoid's inflection, where plain Newton
+    # ping-pongs inside its bracket
+    z0, _ = _z0_rule()
+    for q_d in np.logspace(-1, 3, 9):
+        h0 = np.sqrt(q_d) * z0
+        for dq in np.logspace(-3, 5, 17):
+            z1, _ = ce_inner_max(h0, dq)
+            x = h0 + np.sqrt(dq) * z1
+            assert np.max(np.abs((x - h0) / dq + expit(x) - 1.0)) < 1e-10
 
 
 def test_ce_inner_vectorized_matches_elementwise():
@@ -226,6 +242,19 @@ def test_sweep_ce_converges():
     assert all(0.0 < r.eps_g < 0.5 for r in rows)
 
 
+def test_sweep_ce_peaks_at_interpolation():
+    # cross-entropy at weak ridge: bmd, test loss and the weight norm q_d
+    # (about 0.2 / lam) all peak at the same grid point, the threshold
+    # 1/alpha = 10^-0.5 where ce first fits the training set
+    rows = sweep_curve(KAPPAS, "ce", 1e-4, 3.0, np.logspace(-1, 1, 21))
+    assert all(r.converged for r in rows)
+    peaks = {int(np.argmax([getattr(r, name) for r in rows]))
+             for name in ("bmd", "test_loss", "q_d")}
+    assert peaks == {5}
+    assert rows[5].inv_alpha == pytest.approx(10 ** -0.5)
+    assert 1.0 < rows[5].bmd < 2.0 and rows[5].q_d > 1e3
+
+
 def test_sweep_requires_monotone_grid():
     with pytest.raises(ValueError, match="monotone"):
         sweep_curve(KAPPAS, "mse", 1e-2, 3.0, np.array([0.5, 1.5, 1.0]))
@@ -259,7 +288,71 @@ def test_curve_csv_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# spectral shortcut for the ridge student
+# spectral oracle for the ridge student
+
+
+def _mp_rule(alpha_d: float):
+    """Marchenko-Pastur quadrature for the spectrum of F^T F / D.
+
+    The aspect ratio of the overlap matrix is gamma = N/D = 1/alpha_d;
+    below alpha_d = 1 an atom of mass 1 - alpha_d sits at zero. The
+    continuous part uses 400 Gauss-Legendre nodes.
+    """
+    gamma = 1.0 / alpha_d
+    lo = (1.0 - np.sqrt(gamma)) ** 2
+    hi = (1.0 + np.sqrt(gamma)) ** 2
+    x, w = np.polynomial.legendre.leggauss(400)
+    rho = 0.5 * (x + 1.0) * (hi - lo) + lo
+    dens = np.sqrt(np.maximum((hi - rho) * (rho - lo), 0.0)) / (2.0 * np.pi * gamma * rho)
+    weights = w * 0.5 * (hi - lo) * dens
+    atom = max(1.0 - alpha_d, 0.0)
+    return rho, weights, atom
+
+
+def spectral_ols(alpha_d: float, lam: float, kappas, spectrum="mp",
+                 alpha: float | None = None):
+    """Ridge overlaps of the sign teacher as traces over the feature spectrum.
+
+    With alpha given, q_d and Q_d are the finite-sample traces
+
+        q_d = (1/N) sum_i num_i / (alpha (k1^2 rho_i + k_star_sq) + lam)^2
+        Q_d = same with an extra (k1^2 rho_i + k_star_sq) in the numerator
+
+    where num_i = (2/pi)(k1^2 (alpha^2/alpha_d) rho_i + alpha k_star_sq)
+    + (1 - 2/pi) alpha (k1^2 rho_i + k_star_sq).
+    alpha=None takes the infinite-sample limit where lam counts per sample.
+    spectrum is either "mp" (Marchenko-Pastur quadrature) or an eigenvalue
+    sample of F^T F / D. Returns (q_d, Q_d, bmd).
+    """
+    if lam == 0.0 and abs(alpha_d - 1.0) < 0.05:
+        warnings.warn("lam = 0 with alpha_d near 1: the spectrum touches the "
+                      "origin and the traces diverge", RuntimeWarning, stacklevel=2)
+    if isinstance(spectrum, str):
+        rho, wts, atom = _mp_rule(alpha_d)
+    else:
+        rho = np.asarray(spectrum, dtype=float)
+        wts = np.full(rho.size, 1.0 / rho.size)
+        atom = 0.0
+    k1sq, ksq = kappas.k1**2, kappas.k_star_sq
+    overlap = k1sq * rho + ksq
+    teach = 2.0 / np.pi
+    if alpha is None:
+        num = teach * k1sq * rho / alpha_d
+        den = (overlap + lam) ** 2
+        atom_num, atom_den = 0.0, (ksq + lam) ** 2
+    else:
+        num = (teach * (k1sq * (alpha**2 / alpha_d) * rho + alpha * ksq)
+               + (1.0 - teach) * alpha * overlap)
+        den = (alpha * overlap + lam) ** 2
+        atom_num = alpha * ksq  # num at rho = 0
+        atom_den = (alpha * ksq + lam) ** 2
+    q_d = float(wts @ (num / den) + atom * atom_num / atom_den)
+    big_q = float(wts @ (num * overlap / den) + atom * atom_num * ksq / atom_den)
+    if np.isfinite(kappas.kbar2):
+        bmd = 1.0 + (kappas.kbar2 - kappas.k2) * q_d / big_q
+    else:
+        bmd = np.inf
+    return q_d, big_q, bmd
 
 
 def test_mp_rule_mass_and_mean():
