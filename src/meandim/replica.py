@@ -12,8 +12,8 @@ where M = k1 r, Q_d = k_star_sq q_d + k1^2 p_d and dQ = k_star_sq dq +
 k1^2 dp collapse the activation to its Gaussian moments. The inner max is
 closed-form for the square loss and a safeguarded Newton solve for
 cross-entropy. ``solve_saddle`` iterates the stationarity conditions of
-the potential with damping; ``free_energy`` exposes the potential itself
-so converged solutions can be audited by finite differences.
+the potential with safeguarded Anderson mixing; ``free_energy`` exposes
+the potential so converged solutions can be audited by finite differences.
 
 Observables: eps_g = arccos(M / sqrt(Q_d)) / pi against the clean teacher,
 per-sample train and test losses, and the mean dimension
@@ -53,7 +53,7 @@ Z0_CUTOFF = 8.0  # Gaussian tail mass beyond |z| = 8 is ~ 1e-15
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the damped fixed-point iteration does not settle."""
+    """Raised when the saddle-point iteration does not settle."""
 
 
 @dataclass(frozen=True)
@@ -269,31 +269,65 @@ _DEFAULT_INIT = OrderParams(q_d=0.5, delta_q=1.0, delta_q_hat=0.5, delta_Q_hat=1
                             r=0.3, r_hat=0.3)
 
 
+def _admissible(x: np.ndarray, inp: ReplicaInput) -> bool:
+    """Whether an extrapolated point lies where _proposal is defined."""
+    if not np.all(np.isfinite(x)):
+        return False
+    p = OrderParams(*x)
+    M, Q_d, dQ = p.overlaps(inp.kappas)
+    return min(p.q_d, p.p_d, p.delta_q, dQ, Q_d - M * M + inp.delta) > 0.0
+
+
 def solve_saddle(inp: ReplicaInput, init: OrderParams | None = None,
                  tol: float = 1e-9, max_iter: int = 100_000) -> OrderParams:
-    """Damped fixed-point iteration of the stationarity conditions.
+    """Safeguarded Anderson mixing of the stationarity conditions.
 
-    The residual is the largest change a full (undamped) update pass would
-    make; iteration stops when it drops below tol. The default tol 1e-9 on
-    this proposal residual leaves finite-difference gradients of the
-    potential at the 1e-6 scale or better; drop to 1e-12 when the audit
-    needs to be sharper. Each step moves the parameters halfway to the
-    proposal, a fixed damping of 0.5.
+    The residual f = proposal - p is the change a full update pass would
+    make; at most max_iter passes run, and iteration stops when the largest
+    entry of f drops below tol. The default 1e-9 leaves finite-difference
+    gradients at the 1e-6 scale or better; use 1e-12 for a sharper audit.
+
+    Each step is type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal.
+    49(4), 2011) over the last 6 iterates: with dX, dF the differences of
+    the iterates and of their residuals and gamma the least-squares solution
+    of dF gamma = f, the candidate is the damped step p + f/2 minus
+    (dX + dF/2) gamma. The damped step is taken instead, and the history
+    cleared, when the candidate is not finite or leaves the domain (q_d,
+    p_d, delta_q, dQ and Q_d - M^2 + delta positive), or when its proposal
+    is not finite. When a candidate's residual is more than twice the one
+    before, the history restarts from the iterate it was extrapolated from.
     """
     if inp.lam == 0.0 and abs(1.0 / inp.alpha - 1.0) < 0.05:
         warnings.warn("lam = 0 at the interpolation point N = P: "
                       "the saddle is singular there", RuntimeWarning, stacklevel=2)
-    p = init if init is not None else _DEFAULT_INIT
+    p = (init if init is not None else _DEFAULT_INIT).as_array()
+    xs, fs = [], []
+    damped = None  # the damped step p replaced, while p is a candidate
     resid = np.inf
     for _ in range(max_iter):
-        prop = _proposal(p, inp)
-        resid = float(np.max(np.abs(prop.as_array() - p.as_array())))
-        if not np.isfinite(resid):
-            raise ConvergenceError(f"iteration produced non-finite parameters at {inp}")
-        if resid < tol:
-            return prop
-        mixed = p.as_array() + 0.5 * (prop.as_array() - p.as_array())
-        p = OrderParams(*mixed)
+        prop = _proposal(OrderParams(*p), inp).as_array()
+        f = prop - p
+        norm = float(np.max(np.abs(f)))
+        if not np.isfinite(norm):
+            if damped is None:
+                raise ConvergenceError(f"iteration produced non-finite parameters at {inp}")
+            p, damped, xs, fs = damped, None, [], []
+            continue
+        if norm < tol:
+            return OrderParams(*prop)
+        if damped is not None and norm > 2.0 * resid:
+            xs, fs = xs[-1:], fs[-1:]
+        xs, fs = xs[-5:] + [p], fs[-5:] + [f]
+        resid = norm
+        p, damped = p + 0.5 * f, None
+        if len(xs) > 1:
+            dX, dF = np.diff(xs, axis=0).T, np.diff(fs, axis=0).T
+            gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
+            candidate = p - (dX + 0.5 * dF) @ gamma
+            if _admissible(candidate, inp):
+                p, damped = candidate, p
+            else:
+                xs, fs = [], []
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (last residual {resid:.3e}) at {inp}")
 

@@ -376,18 +376,24 @@ class _Adam:
         self.t = 0
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
+        self.scratch = [(np.empty(s), np.empty(s)) for s in shapes]
 
     def step(self, params, grads):
+        """Update the moments and params in place, without temporaries."""
         b1, b2, eps = 0.9, 0.999, 1e-8
         self.t += 1
-        out = []
-        for k, (p, g) in enumerate(zip(params, grads)):
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g**2
-            mhat = self.m[k] / (1 - b1**self.t)
-            vhat = self.v[k] / (1 - b2**self.t)
-            out.append(p - self.lr * mhat / (np.sqrt(vhat) + eps))
-        return out
+        for p, g, m, v, (mhat, vhat) in zip(params, grads, self.m, self.v, self.scratch):
+            m *= b1
+            m += np.multiply(1 - b1, g, out=mhat)
+            v *= b2
+            v += np.multiply(1 - b2, np.multiply(g, g, out=vhat), out=vhat)
+            np.divide(m, 1 - b1**self.t, out=mhat)
+            np.divide(v, 1 - b2**self.t, out=vhat)
+            mhat *= self.lr
+            np.sqrt(vhat, out=vhat)
+            vhat += eps
+            mhat /= vhat
+            p -= mhat
 
 
 def train_gd(skeleton: Mlp, ds: Dataset, config: TrainConfig,
@@ -417,7 +423,7 @@ def train_gd(skeleton: Mlp, ds: Dataset, config: TrainConfig,
             if adam is None:
                 params[:] = [p - config.lr * g for p, g in zip(params, grads)]
             else:
-                params[:] = adam.step(params, grads)
+                adam.step(params, grads)
             history[epoch] += value * rows.size / P
         if initial_loss is None:
             initial_loss = abs(value) + 1e-12

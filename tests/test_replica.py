@@ -6,7 +6,8 @@ audit of the converged point is what certifies the transcription.
 spectral_ols below is the independent eigenvalue-trace route to (q_d, Q_d)
 for the ridge student, from a sampled feature spectrum or from the
 Marchenko-Pastur law, which isolates the secondary mean-dimension peak at
-N = D.
+N = D. _damped_saddle is the plain fixed-0.5 damped iteration that
+solve_saddle's Anderson mixing must agree with.
 """
 
 import contextlib
@@ -18,13 +19,16 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
+from meandim import replica
 from meandim.replica import (
     CURVE_HEADER,
     ConvergenceError,
     CurvePoint,
     OrderParams,
     ReplicaInput,
+    _DEFAULT_INIT,
     _FIELDS,
+    _proposal,
     _z0_rule,
     ce_inner_max,
     free_energy,
@@ -74,6 +78,83 @@ def test_fd_stationarity_with_label_noise():
                        alpha_t=2.0, delta=5.0)
     params = solve_saddle(inp, tol=1e-12)
     assert np.max(np.abs(_fd_gradients(params, inp))) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the mixing scheme: agreement with plain damping, and its proposal budget
+
+
+def _damped_saddle(inp, init=None, tol=1e-9, max_iter=100_000):
+    """Reference solver: every step moves halfway to the proposal."""
+    p = init if init is not None else _DEFAULT_INIT
+    resid = np.inf
+    for _ in range(max_iter):
+        prop = _proposal(p, inp)
+        resid = float(np.max(np.abs(prop.as_array() - p.as_array())))
+        if resid < tol:
+            return prop
+        p = OrderParams(*(p.as_array() + 0.5 * (prop.as_array() - p.as_array())))
+    raise ConvergenceError(f"no convergence (last residual {resid:.3e})")
+
+
+@pytest.fixture
+def proposals(monkeypatch):
+    """The number of _proposal passes made since the fixture was set up."""
+    count = [0]
+
+    def counted(p, inp):
+        count[0] += 1
+        return _proposal(p, inp)
+
+    monkeypatch.setattr(replica, "_proposal", counted)
+    return count
+
+
+def test_anderson_matches_damped_oracle():
+    leaky = compute_kappas(Activation.from_tag("leaky-relu:0.1"))
+    cases = [dict(alpha=3.0, lam=1e-4, loss="mse", kappas=KAPPAS, alpha_t=3.0),
+             dict(alpha=1 / 0.9, lam=1e-4, loss="mse", kappas=KAPPAS, alpha_t=3.0),
+             dict(alpha=2.0, lam=1e-2, loss="ce", kappas=KAPPAS, alpha_t=3.0),
+             dict(alpha=1.5, lam=1e-3, loss="mse", kappas=KAPPAS, alpha_t=2.0, delta=5.0),
+             dict(alpha=0.5, lam=1e-2, loss="ce", kappas=KAPPAS, alpha_t=3.0, delta=0.3),
+             dict(alpha=2.0, lam=1e-3, loss="mse", kappas=leaky, alpha_t=3.0),
+             dict(alpha=0.7, lam=1e-2, loss="ce", kappas=leaky, alpha_t=3.0)]
+    for case in cases:
+        inp = ReplicaInput(**case)
+        ref, got = _damped_saddle(inp, tol=1e-12), solve_saddle(inp, tol=1e-12)
+        obs_ref, obs_got = observables(ref, inp), observables(got, inp)
+        for name in ("bmd", "eps_g", "test_loss"):
+            want = getattr(obs_ref, name)
+            assert abs(getattr(obs_got, name) - want) <= 1e-9 * abs(want), (name, inp)
+        assert abs(got.q_d - ref.q_d) <= 1e-9 * ref.q_d, inp
+
+
+@pytest.mark.parametrize("warm_start", [_damped_saddle, solve_saddle],
+                         ids=["damped", "anderson"])
+def test_ce_threshold_point_within_500_proposals(proposals, warm_start):
+    # ce at weak ridge, at its interpolation threshold 1/alpha = 10^-0.5 and
+    # warm-started over the grid points before it: the fixed 0.5 damping
+    # needs 1,432 proposals here
+    grid = np.logspace(-1, 1, 21)
+
+    def inp(inv_alpha):
+        return ReplicaInput(alpha=1.0 / inv_alpha, lam=1e-4, loss="ce",
+                            kappas=KAPPAS, alpha_t=3.0)
+
+    carry = None
+    for inv_alpha in grid[:5]:
+        carry = warm_start(inp(inv_alpha), init=carry)
+    proposals[0] = 0
+    params = solve_saddle(inp(grid[5]), init=carry, max_iter=500)
+    assert proposals[0] <= 500
+    assert params.q_d > 1e3
+
+
+def test_mse_sweep_proposal_budget(proposals):
+    # the fixed 0.5 damping spends 3,127 proposals on this curve
+    rows = sweep_curve(KAPPAS, "mse", 1e-4, 3.0, np.logspace(-1, 1, 21))
+    assert all(r.converged for r in rows)
+    assert proposals[0] <= 1000
 
 
 # ---------------------------------------------------------------------------
