@@ -284,8 +284,11 @@ def solve_saddle(inp: ReplicaInput, init: OrderParams | None = None,
 
     The residual f = proposal - p is the change a full update pass would
     make; at most max_iter passes run, and iteration stops when the largest
-    entry of f drops below tol. The default 1e-9 leaves finite-difference
-    gradients at the 1e-6 scale or better; use 1e-12 for a sharper audit.
+    of |f_k| / max(1, |p_k|) drops below tol. The test is relative for
+    parameters above 1 because at lam = 0 past the threshold delta_p grows
+    to about 3.5e10, whose float spacing exceeds any absolute tol near 1e-9.
+    The default 1e-9 leaves finite-difference gradients at the 1e-6 scale
+    or better; use 1e-12 for a sharper audit.
 
     Each step is type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal.
     49(4), 2011) over the last 6 iterates: with dX, dF the differences of
@@ -307,7 +310,7 @@ def solve_saddle(inp: ReplicaInput, init: OrderParams | None = None,
     for _ in range(max_iter):
         prop = _proposal(OrderParams(*p), inp).as_array()
         f = prop - p
-        norm = float(np.max(np.abs(f)))
+        norm = float(np.max(np.abs(f) / np.maximum(1.0, np.abs(p))))
         if not np.isfinite(norm):
             if damped is None:
                 raise ConvergenceError(f"iteration produced non-finite parameters at {inp}")

@@ -267,7 +267,7 @@ def score_fn(model: RfmModel) -> LinearFirstLayer:
 def analytic_bmd(model: RfmModel) -> float:
     """Closed-form mean dimension w^T psi_bar w / w^T psi w.
 
-    With the feature overlap omega = F^T F / D,
+    With the feature overlap omega = F^T F / D (N x N),
 
         psi     = k_star_sq I + k1^2 omega           (output variance kernel)
         psi_bar = kbar_star_sq diag(omega_ii) + kbar0^2 omega + kbar1^2 omega*omega
@@ -276,6 +276,17 @@ def analytic_bmd(model: RfmModel) -> float:
     Exact in the wide limit for any input law matching the first two
     binary moments. Raises for sign activation (kbar2 diverges) and for
     zero weights.
+
+    Neither N x N kernel is formed. With F_i the i-th feature column,
+
+        w^T psi w     = k_star_sq |w|^2 + k1^2 |F w|^2 / D
+        w^T psi_bar w = kbar_star_sq sum_i w_i^2 |F_i|^2 / D
+                        + kbar0^2 |F w|^2 / D + kbar1^2 |F diag(w) F^T|_F^2 / D^2
+
+    the last term because sum_ij w_i w_j (F_i . F_j)^2 is the squared
+    Frobenius norm of the D x D matrix sum_i w_i F_i F_i^T. That costs
+    O(D^2 N) time and D x D memory, against O(N^2 D) and N x N for the
+    kernels themselves.
     """
     if not np.any(model.w):
         raise ValueError("mean dimension of the zero function is undefined")
@@ -283,12 +294,13 @@ def analytic_bmd(model: RfmModel) -> float:
         raise ValueError(
             f"mean dimension diverges for {model.activation.tag}: the squared weak "
             "derivative is not Gaussian integrable")
-    k = model.kappas
-    omega = model.F.T @ model.F / model.D
-    psi = k.k_star_sq * np.eye(model.N) + k.k1**2 * omega
-    psi_bar = (k.kbar_star_sq * np.diag(np.diag(omega))
-               + k.kbar0**2 * omega + k.kbar1**2 * omega**2)
-    return float((model.w @ psi_bar @ model.w) / (model.w @ psi @ model.w))
+    k, F, w, D = model.kappas, model.F, model.w, model.D
+    overlap = np.sum((F @ w) ** 2) / D  # w^T omega w
+    diag = np.sum(F**2, axis=0) @ w**2 / D  # w^T diag(omega) w
+    square = np.sum(((F * w) @ F.T) ** 2) / D**2  # w^T (omega * omega) w
+    psi = k.k_star_sq * (w @ w) + k.k1**2 * overlap
+    psi_bar = k.kbar_star_sq * diag + k.kbar0**2 * overlap + k.kbar1**2 * square
+    return float(psi_bar / psi)
 
 
 def bmd_from_overlaps(kappas: KappaSet, q_d: float, p_d: float) -> float:

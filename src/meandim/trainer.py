@@ -228,17 +228,37 @@ def train_rfm_ridge(model: RfmModel, ds: Dataset, lam: float,
                     test_ds: Dataset | None = None) -> TrainedModel:
     """Closed-form ridge fit of the second layer under MSE.
 
-    Solves (Xp^T Xp / N + lam I) w = Xp^T y / sqrt(N) with Xp the design
-    matrix, then checks the gradient residual of the ridge objective
-    0.5 ||y - Xp w / sqrt(N)||^2 + lam ||w||^2 / 2 is below 1e-8
-    (iterative refinement pushes it there even near interpolation).
+    Minimises the ridge objective 0.5 ||y - Xp w / sqrt(N)||^2 + lam ||w||^2 / 2
+    with Xp the (P, N) design matrix, by one of two Cholesky routes that
+    give the same minimiser:
+
+    - primal, when N <= P or lam = 0: solve (Xp^T Xp / N + lam I) w =
+      Xp^T y / sqrt(N), an N x N system;
+    - dual, when N > P and lam > 0: solve (Xp Xp^T / N + lam I) a =
+      y / sqrt(N), a P x P system, and set w = Xp^T a (the push-through
+      identity).
+
+    The shape picks the route so that the smaller Gram is factored: past
+    the interpolation threshold a fit costs O(N P^2 + P^3), linear in the
+    width, instead of O(N^2 P + N^3). At lam = 0 past the threshold the
+    minimiser is not unique, so lam = 0 always takes the primal route,
+    which raises LinAlgError when its system is rank-deficient.
+
+    Iterative refinement on the factored system pushes the gradient of the
+    objective, Xp^T (Xp w / N - y / sqrt(N)) + lam w, below 1e-8 even near
+    interpolation; a larger final gradient raises RuntimeError.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
     Xp = design_matrix(model, ds.X)
     N = model.N
-    A = Xp.T @ Xp / N + lam * np.eye(N)
-    b = Xp.T @ ds.y / np.sqrt(N)
+    dual = lam > 0.0 and N > ds.P
+    if dual:
+        A = Xp @ Xp.T / N + lam * np.eye(ds.P)
+        b = ds.y / np.sqrt(N)
+    else:
+        A = Xp.T @ Xp / N + lam * np.eye(N)
+        b = Xp.T @ ds.y / np.sqrt(N)
     if lam == 0.0:
         cond = np.linalg.cond(A)
         if cond > 1e12:
@@ -246,13 +266,19 @@ def train_rfm_ridge(model: RfmModel, ds: Dataset, lam: float,
                 f"rank-deficient system at lam=0 (condition number {cond:.2e}); "
                 "add ridge regularization")
     factor = cho_factor(A)
-    w = cho_solve(factor, b)
+    x = cho_solve(factor, b)
     for _ in range(4):  # refinement: drive the stationarity residual down
-        residual = b - A @ w
-        if np.linalg.norm(residual) < 1e-8:
+        residual = b - A @ x
+        # the objective's gradient is -residual (primal) or -Xp^T residual (dual)
+        if np.linalg.norm(Xp.T @ residual if dual else residual) < 1e-8:
             break
-        w = w + cho_solve(factor, residual)
-    grad_norm = float(np.linalg.norm(A @ w - b))
+        x = x + cho_solve(factor, residual)
+    if dual:
+        w = Xp.T @ x
+        grad_norm = float(np.linalg.norm(Xp.T @ (Xp @ w / N - b) + lam * w))
+    else:
+        w = x
+        grad_norm = float(np.linalg.norm(A @ w - b))
     if grad_norm >= 1e-8:
         raise RuntimeError(f"ridge stationarity check failed: |grad| = {grad_norm:.3e}")
     fitted = with_weights(model, w)

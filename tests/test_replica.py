@@ -157,6 +157,15 @@ def test_mse_sweep_proposal_budget(proposals):
     assert proposals[0] <= 1000
 
 
+def test_mse_ridgeless_sweep_converges(proposals):
+    # past the threshold at lam = 0, delta_p reaches about 3.5e10, whose float
+    # spacing (7.6e-6) is far above tol = 1e-9: only a stop relative to the
+    # size of each parameter can be met there
+    rows = sweep_curve(KAPPAS, "mse", 0.0, 3.0, np.logspace(-1, 1, 20))
+    assert all(r.converged for r in rows)
+    assert proposals[0] <= 1000
+
+
 # ---------------------------------------------------------------------------
 # inner single-sample maximizers
 

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meandim.estimator import InputSampler, estimate_md, estimate_md_binary_fast
 from meandim.rfm import (
     Activation,
     KappaSet,
+    RfmModel,
     analytic_bmd,
     bmd_from_overlaps,
     compute_kappas,
@@ -96,7 +99,6 @@ class TestForward:
 
     def test_single_unit_linear(self):
         ks = compute_kappas(Activation.linear())
-        from meandim.rfm import RfmModel
         model = RfmModel(D=1, N=1, F=np.array([[1.0]]), w=np.array([1.0]),
                          activation=Activation.linear(), kappas=ks)
         assert forward(model, np.array([2.0])) == 2.0
@@ -118,8 +120,36 @@ class TestForward:
         assert out.shape == (3,)
 
 
+def _analytic_bmd_dense(model):
+    """Reference: the ratio w^T psi_bar w / w^T psi w from the N x N kernels."""
+    k = model.kappas
+    omega = model.F.T @ model.F / model.D
+    psi = k.k_star_sq * np.eye(model.N) + k.k1**2 * omega
+    psi_bar = (k.kbar_star_sq * np.diag(np.diag(omega))
+               + k.kbar0**2 * omega + k.kbar1**2 * omega**2)
+    return float((model.w @ psi_bar @ model.w) / (model.w @ psi @ model.w))
+
+
+ORACLE_KAPPAS = {tag: compute_kappas(Activation.from_tag(tag))
+                 for tag in ("tanh", "linear", "leaky-relu:0.0", "leaky-relu:0.1")}
+
+
 class TestPsiMatrices:
     """The kernels inside analytic_bmd, checked through its value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), D=st.integers(2, 24), step=st.integers(1, 40),
+           shape=st.sampled_from(["N<D", "N=D", "N>D"]),
+           tag=st.sampled_from(sorted(ORACLE_KAPPAS)),
+           scale=st.sampled_from([1e-3, 1.0, -2.5, 1e3]))
+    def test_matches_dense_kernels(self, seed, D, step, shape, tag, scale):
+        N = {"N<D": max(1, D - step), "N=D": D, "N>D": D + step}[shape]
+        rng = np.random.default_rng(seed)
+        model = RfmModel(D=D, N=N, F=rng.standard_normal((D, N)),
+                         w=scale * rng.standard_normal(N),
+                         activation=Activation.from_tag(tag), kappas=ORACLE_KAPPAS[tag])
+        want = _analytic_bmd_dense(model)
+        assert abs(analytic_bmd(model) - want) <= 1e-12 * want
 
     def test_orthonormal_features_give_identity_overlap(self):
         # omega = I makes psi = k2 I and psi_bar = kbar2 I for an odd
@@ -129,7 +159,6 @@ class TestPsiMatrices:
         F = q * np.sqrt(8.0)
         assert np.allclose(F.T @ F / 8.0, np.eye(4), atol=1e-12)
         ks = compute_kappas(Activation.tanh())
-        from meandim.rfm import RfmModel
         for w in (np.ones(4), rng.standard_normal(4)):
             model = RfmModel(D=8, N=4, F=F, w=w, activation=Activation.tanh(), kappas=ks)
             assert abs(analytic_bmd(model) - ks.kbar2 / ks.k2) < 1e-12
@@ -144,7 +173,6 @@ class TestPsiMatrices:
         F = np.array([[1.0, 2.0], [3.0, 4.0]])
         ks = KappaSet(k0=0.5, k1=2.0, k2=7.5, k_star_sq=3.0,
                       kbar0=1.5, kbar1=0.5, kbar2=7.5, kbar_star_sq=5.0)
-        from meandim.rfm import RfmModel
         model = RfmModel(D=2, N=2, F=F, w=np.array([1.0, 1.0]),
                          activation=Activation.tanh(), kappas=ks)
         # omega = [[5, 7], [7, 10]]
@@ -183,7 +211,6 @@ class TestAnalyticBmd:
         F = rng.standard_normal((D, N))
         F *= np.sqrt(D) / np.linalg.norm(F, axis=0)
         ks = compute_kappas(Activation.tanh())
-        from meandim.rfm import RfmModel
         model = RfmModel(D=D, N=N, F=F, w=rng.standard_normal(N),
                          activation=Activation.tanh(), kappas=ks)
         omega = F.T @ F / D

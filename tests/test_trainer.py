@@ -132,14 +132,18 @@ class TestFlipLabels:
 
 class TestRidge:
     def test_matches_hand_solve(self):
-        model = make_model(4, 3, seed=0)
-        task = TeacherTask.random(4, seed=1)
-        ds, _ = gen_teacher_student(4, 3, 10, task, seed=2)
-        lam = 0.5
-        fitted = train_rfm_ridge(model, ds, lam)
-        Xp = design_matrix(model, ds.X)
-        w_hand = np.linalg.inv(Xp.T @ Xp / 3 + lam * np.eye(3)) @ Xp.T @ ds.y / np.sqrt(3)
-        assert np.allclose(fitted.model.w, w_hand, atol=1e-10)
+        # (D, N, P, lam): N <= P takes the primal route, N > P with lam > 0 the dual
+        for D, N, P, lam in ((4, 3, 3, 0.5), (6, 12, 5, 1e-6), (6, 12, 5, 1e-4),
+                             (6, 12, 5, 1.0)):
+            model = make_model(D, N, seed=0)
+            task = TeacherTask.random(D, seed=1)
+            ds, _ = gen_teacher_student(D, P, 10, task, seed=2)
+            fitted = train_rfm_ridge(model, ds, lam)
+            Xp = design_matrix(model, ds.X)
+            w_hand = np.linalg.solve(Xp.T @ Xp / N + lam * np.eye(N),
+                                     Xp.T @ ds.y / np.sqrt(N))
+            gap = np.max(np.abs(fitted.model.w - w_hand))
+            assert gap <= 1e-10 * np.max(np.abs(w_hand)), (D, N, P, lam, gap)
 
     def test_shrinkage_monotone(self):
         model = make_model(10, 12, seed=3)
@@ -151,8 +155,8 @@ class TestRidge:
     def test_interpolation_past_threshold(self):
         model = make_model(15, 80, seed=6)
         ds, _ = gen_teacher_student(15, 40, 10, TeacherTask.random(15, seed=7), seed=8)
-        fitted = train_rfm_ridge(model, ds, 1e-6)
-        assert fitted.train_error == 0.0
+        for lam in (1e-6, 1e-4):
+            assert train_rfm_ridge(model, ds, lam).train_error == 0.0, lam
 
     def test_rank_deficient_at_zero_lambda(self):
         model = make_model(15, 80, seed=9)
