@@ -1,4 +1,8 @@
-"""Random feature model: kappa quadrature, the Psi kernels, closed-form BMD."""
+"""Random feature model: kappa quadrature, the Psi kernels, closed-form BMD.
+
+_analytic_bmd_dense builds the N x N kernels psi and psi_bar explicitly; it
+is the reference that analytic_bmd's D x D evaluation must agree with.
+"""
 
 import numpy as np
 import pytest
