@@ -112,11 +112,11 @@ def _butterfly(table: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform of a length-2^n array, in place."""
     half = 1
     while half < table.shape[0]:
-        view = table.reshape(-1, 2 * half)
-        top = view[:, :half].copy()
-        bot = view[:, half:].copy()
-        view[:, :half] = top + bot
-        view[:, half:] = top - bot
+        view = table.reshape(-1, 2, half)
+        top, bot = view[:, 0], view[:, 1]
+        diff = top - bot
+        top += bot
+        bot[...] = diff
         half *= 2
     return table
 
@@ -130,7 +130,7 @@ def degree_profile(spectrum: FourierSpectrum) -> DegreeProfile:
     NaN.
     """
     n = spectrum.n
-    orders = popcount(np.arange(1 << n))
+    orders = _interaction_orders(n)
     energy = spectrum.coeffs**2
     per_order = np.zeros(n + 1)
     np.add.at(per_order, orders, energy)
@@ -143,14 +143,16 @@ def degree_profile(spectrum: FourierSpectrum) -> DegreeProfile:
     return DegreeProfile(n=n, variance=variance, weights=weights, mean_dimension=md)
 
 
-def popcount(masks: np.ndarray) -> np.ndarray:
-    """Number of set bits per entry, vectorized."""
-    masks = np.asarray(masks, dtype=np.uint64)
-    counts = np.zeros(masks.shape, dtype=np.int64)
-    while np.any(masks):
-        counts += (masks & 1).astype(np.int64)
-        masks >>= 1
-    return counts
+def _interaction_orders(n: int) -> np.ndarray:
+    """orders[u] = |u|, the number of set bits of each mask u < 2^n.
+
+    Built by doubling: the masks with bit k set are those below 2^k plus
+    2^k, and each has one more element.
+    """
+    orders = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        orders = np.concatenate((orders, orders + 1))
+    return orders
 
 
 def exact_md_via_anova(values: np.ndarray) -> float:
@@ -191,14 +193,34 @@ def spins_to_index(spins: np.ndarray) -> np.ndarray:
     return bits @ (1 << np.arange(spins.shape[-1], dtype=np.int64))
 
 
-def table_score_fn(values: np.ndarray):
+def table_score_fn(values: np.ndarray) -> "_TableScore":
     """Wrap a vertex table as a batched score function over spin rows."""
     values, _ = _check_table(values)
+    return _TableScore(values)
 
-    def score(x: np.ndarray) -> np.ndarray:
-        return values[spins_to_index(x)]
 
-    return score
+class _TableScore:
+    """Vertex-table lookup over spin rows, with coordinate probes.
+
+    A call maps each row to its vertex index and keeps those indices;
+    ``probe(i, column)`` answers the last batch with column i replaced by
+    setting bit i of every kept index from ``column < 0``.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self._index = None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        self._index = spins_to_index(x)
+        return self.values[self._index]
+
+    def probe(self, i: int, column: np.ndarray) -> np.ndarray:
+        if self._index is None:
+            raise RuntimeError("probe needs a batch evaluated first")
+        index = self._index & ~(1 << i)
+        index |= (np.asarray(column) < 0).astype(np.int64) << i
+        return self.values[index]
 
 
 def dictator_table(n: int, coordinate: int = 0) -> np.ndarray:

@@ -15,9 +15,16 @@ not cancel it away). Standard errors come from 10 batch means.
 
 Score functions are batched: they receive an (m, n) array of inputs and must
 return m finite reals (or an (m, k) block for the multi-output variant).
-A score may keep state between calls (``LinearFirstLayer`` caches its last
-full evaluation), so use one score object per thread; the experiment
-harness builds one per cell.
+A score may also have a method ``probe(i, column)`` that returns f of the
+batch it was last called with, column i replaced by the length-m array
+``column``; the estimator then calls f once per background and ``probe``
+once per coordinate (``LinearFirstLayer`` and ``boolfn.table_score_fn``
+answer a probe without redoing the unchanged columns). A score without
+``probe`` is called on the background with column i swapped in place and
+restored afterwards, so it must not keep a reference to its input batch;
+returning a view of it is fine. A score may keep state between calls
+(``LinearFirstLayer`` caches its last full evaluation), so use one score
+object per thread; the experiment harness builds one per cell.
 """
 
 from __future__ import annotations
@@ -117,16 +124,20 @@ class LinearFirstLayer:
 
     W has shape (n, N); head maps the (m, N) preactivation to m values (or
     an (m, k) block) row by row. The last full evaluation is kept as
-    (x0, h0, f0). A batch of x0's shape that differs from x0 in exactly one
-    column i, as every probe of the estimator does, costs a rank-1 update:
-    the rows that changed get head(h0 + (x_i - x0_i) W_i) and the others
-    reuse f0. Any other batch gets a full evaluation and replaces the cache.
-    With n = 1 every batch differs in the only column, so the update would
-    save nothing and every batch is evaluated in full. For n >= 2 the
-    estimator's backgrounds get full evaluations unless one agrees with the
-    cached batch in all but one column, which m binary rows do with
-    probability 2^-(m (n - 1)); so a reused score gives the same bits as a
-    fresh one.
+    (x0, h0, f0). ``probe(i, column)`` answers the last batch passed to the
+    score with column i replaced by ``column``; when that batch is x0 it
+    costs a rank-1 update: the rows whose coordinate i moved get
+    head(h0 + (column - x0_i) W_i) and the others reuse f0. A call with a
+    batch of x0's shape that differs from x0 in exactly one column takes
+    the same update, so a score hidden behind a plain closure (which the
+    estimator probes by swapping a column of its background in place) gives
+    the same bits as one probed directly. Any other batch gets a full
+    evaluation and replaces the cache. With n = 1 every batch differs in the
+    only column, so the update would save nothing and every batch and probe
+    is evaluated in full. For n >= 2 the estimator's backgrounds get full
+    evaluations unless one agrees with the cached batch in all but one
+    column, which m binary rows do with probability 2^-(m (n - 1)); so a
+    reused score gives the same bits as a fresh one.
     """
 
     def __init__(self, W: np.ndarray, b, head):
@@ -134,30 +145,64 @@ class LinearFirstLayer:
         self.b = b
         self.head = head
         self._x0 = self._h0 = self._f0 = None
+        # the last batch passed in: the x0 it was compared with, and the one
+        # column (index, values) in which it differs from that x0, if any
+        self._last = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         x0 = self._x0
         if x0 is not None and x.shape == x0.shape and x.shape[1] > 1:
-            changed = x != x0
-            cols = np.flatnonzero(changed.any(axis=0))
+            cols = np.flatnonzero((x != x0).any(axis=0))
             if cols.size == 0:
+                self._last = (x0, None, None)
                 return self._f0.copy()
             if cols.size == 1:
                 i = cols[0]
-                rows = np.flatnonzero(changed[:, i])
-                if rows.size == x.shape[0]:
-                    rows = slice(None)  # every row moved: index without copies
-                h = np.multiply.outer(x[rows, i] - x0[rows, i], self.W[i])
-                h += self._h0[rows]
-                out = self._f0.copy()
-                out[rows] = self.head(h)
-                return out
+                column = x[:, i].copy()
+                self._last = (x0, i, column)
+                return self._rank1(i, column)
         h = x @ self.W
         h += self.b
         out = self.head(h)
         self._x0, self._h0, self._f0 = x.copy(), h, out
+        self._last = (self._x0, None, None)
         return out.copy()
+
+    def probe(self, i: int, column: np.ndarray) -> np.ndarray:
+        """f of the last batch passed to the score, with column i set to ``column``."""
+        if self._last is None:
+            raise RuntimeError("probe needs a batch evaluated first")
+        base, j, moved = self._last
+        column = np.asarray(column, dtype=float)
+        if column.shape != (base.shape[0],):
+            raise ValueError(f"probe column has shape {column.shape}, expected ({base.shape[0]},)")
+        if base is self._x0 and base.shape[1] > 1 and j in (None, i):
+            return self._rank1(i, column)
+        # the last batch is not the cached one: evaluate the probed batch as
+        # a call would, then point back at the last batch
+        x = base.copy()
+        if j is not None:
+            x[:, j] = moved
+        x[:, i] = column
+        last = self._last
+        out = self(x)
+        self._last = last
+        return out
+
+    def _rank1(self, i: int, column: np.ndarray) -> np.ndarray:
+        """f of x0 with column i set to ``column``, from the cached h0 and f0."""
+        x0_i = self._x0[:, i]
+        rows = np.flatnonzero(column != x0_i)
+        if rows.size == 0:
+            return self._f0.copy()
+        if rows.size == column.shape[0]:
+            rows = slice(None)  # every row moved: index without copies
+        h = np.multiply.outer(column[rows] - x0_i[rows], self.W[i])
+        h += self._h0[rows]
+        out = self._f0.copy()
+        out[rows] = self.head(h)
+        return out
 
 
 @dataclass(frozen=True)
@@ -223,20 +268,22 @@ def _accumulate(f, sampler: InputSampler, n_samples: int, seed: int, mode: str,
     f_sq_sum = np.zeros((N_BATCHES, n_outputs))
     batch_count = np.zeros(N_BATCHES, dtype=np.int64)
 
-    def evaluate(x: np.ndarray, where: str) -> np.ndarray:
-        out = np.asarray(f(x), dtype=float)
-        expected = (x.shape[0],) if n_outputs == 1 else (x.shape[0], n_outputs)
+    def checked(out, m: int, where: str) -> np.ndarray:
+        out = np.asarray(out, dtype=float)
+        expected = (m,) if n_outputs == 1 else (m, n_outputs)
         if out.shape != expected:
             raise ValueError(f"score function returned shape {out.shape}, expected {expected}")
         _check_finite(out, where)
-        return out.reshape(x.shape[0], n_outputs)
+        return out.reshape(m, n_outputs)
 
+    probe = getattr(f, "probe", None)
     done = 0
     chunk = _chunk_size(dim)
     while done < n_samples:
         m = min(chunk, n_samples - done)
+        samples = f"samples {done}..{done + m - 1}"
         x = sampler.sample_background(rng, m)
-        base = evaluate(x, f"background samples {done}..{done + m - 1}")
+        base = checked(f(x), m, f"background {samples}")
         if done == 0:
             origin = base[0].copy()
         batches = np.arange(done, done + m) * N_BATCHES // n_samples
@@ -246,14 +293,20 @@ def _accumulate(f, sampler: InputSampler, n_samples: int, seed: int, mode: str,
         np.add.at(f_sq_sum, batches, shifted)
         np.add.at(batch_count, batches, np.ones(m, dtype=np.int64))
         for i in range(dim):
-            x_mod = x.copy()
             if mode == "resample":
-                x_mod[:, i] = sampler.resample_coordinate(rng, m)
+                column = sampler.resample_coordinate(rng, m)
                 scale = 0.5
             else:  # flip: compare the two spin states of coordinate i
-                x_mod[:, i] = -x_mod[:, i]
+                column = -x[:, i]
                 scale = 0.25
-            other = evaluate(x_mod, f"coordinate {i}, samples {done}..{done + m - 1}")
+            if probe is not None:
+                other = probe(i, column)
+            else:
+                saved = x[:, i].copy()
+                x[:, i] = column
+                other = np.array(f(x), dtype=float)  # a copy: f may return a view of x
+                x[:, i] = saved
+            other = checked(other, m, f"coordinate {i}, {samples}")
             np.add.at(tau_sums, (batches, i), scale * (base - other) ** 2)
         done += m
     return tau_sums, f_sum, f_sq_sum, batch_count

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit, log_softmax
+from scipy.special import expit
 
 from .estimator import InputSampler, LinearFirstLayer, estimate_md_multioutput
 from .rfm import RfmModel, forward, with_weights
@@ -373,6 +373,19 @@ def predict_labels(net: Mlp, X: np.ndarray) -> np.ndarray:
     return out.argmax(axis=1).astype(float)
 
 
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax, the expression of scipy.special.log_softmax(z, axis=1).
+
+    Written out because scipy's array-API wrapper costs more than the
+    arithmetic on the small blocks of a minibatch step.
+    """
+    z_max = z.max(axis=1, keepdims=True)
+    z_max[~np.isfinite(z_max)] = 0.0
+    tmp = z - z_max
+    with np.errstate(divide="ignore"):
+        return tmp - np.log(np.exp(tmp).sum(axis=1, keepdims=True))
+
+
 def _mlp_loss_and_grads(net: Mlp, X, y, loss: str):
     hidden = np.tanh(X @ net.W1 + net.b1)
     logits = hidden @ net.W2 + net.b2
@@ -382,7 +395,7 @@ def _mlp_loss_and_grads(net: Mlp, X, y, loss: str):
         value = _margin_loss(loss, y * yhat).mean()
         d_logits = (_margin_loss_grad(loss, y, yhat) / P)[:, None]
     else:
-        logp = log_softmax(logits, axis=1)
+        logp = _log_softmax(logits)
         idx = y.astype(int)
         value = -logp[np.arange(P), idx].mean()
         d_logits = np.exp(logp)
@@ -528,7 +541,7 @@ def robustness_flip_count(predict, ds: Dataset, seed: int,
 def multiclass_bmd(net: Mlp, sampler: InputSampler, n_samples: int, seed: int) -> float:
     """Mean of the per-class mean dimensions of the log-softmax outputs."""
     score = LinearFirstLayer(net.W1, net.b1,
-                             lambda h: log_softmax(_logits(net, h), axis=1))
+                             lambda h: _log_softmax(_logits(net, h)))
     profiles = estimate_md_multioutput(score, net.n_out, sampler, n_samples, seed)
     return float(np.mean([p.md for p in profiles]))
 

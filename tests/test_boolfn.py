@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meandim import boolfn
 
@@ -14,6 +16,20 @@ def projection_oracle(values):
         chi = np.prod(spins[:, coords], axis=1) if coords else np.ones(1 << n)
         coeffs[mask] = np.mean(values * chi)
     return coeffs
+
+
+def butterfly_reference(values):
+    # the transform with fresh copies of both halves at every level
+    table = np.array(values, dtype=float)
+    half = 1
+    while half < table.shape[0]:
+        view = table.reshape(-1, 2 * half)
+        top = view[:, :half].copy()
+        bot = view[:, half:].copy()
+        view[:, :half] = top + bot
+        view[:, half:] = top - bot
+        half *= 2
+    return table
 
 
 def _conditional_mean(values, n, mask, assignment):
@@ -87,15 +103,23 @@ class TestWalshHadamard:
         spec = boolfn.walsh_hadamard(boolfn.dictator_table(2, coordinate=0))
         np.testing.assert_allclose(spec.coeffs, [0.0, 1.0, 0.0, 0.0], atol=1e-15)
 
-    def test_synthesize_inverts_transform(self):
-        rng = np.random.default_rng(7)
-        values = rng.standard_normal(64)
-        round_trip = boolfn.synthesize(boolfn.walsh_hadamard(values))
-        np.testing.assert_allclose(round_trip, values, atol=1e-12)
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-6, 1.0, 1e6]))
+    def test_synthesize_inverts_transform(self, n, seed, scale):
+        values = scale * np.random.default_rng(seed).standard_normal(1 << n)
+        spec = boolfn.walsh_hadamard(values)
+        # the in-place butterfly does the reference's arithmetic: same bits
+        assert np.array_equal(spec.coeffs * (1 << n), butterfly_reference(values))
+        round_trip = boolfn.synthesize(spec)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(round_trip - values)) <= 8 * n * eps * np.max(np.abs(values))
 
-    def test_parseval(self):
-        rng = np.random.default_rng(11)
-        values = rng.standard_normal(32)
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-6, 1.0, 1e6]))
+    def test_parseval(self, n, seed, scale):
+        values = scale * np.random.default_rng(seed).standard_normal(1 << n)
         spec = boolfn.walsh_hadamard(values)
         np.testing.assert_allclose(np.sum(spec.coeffs**2), np.mean(values**2), rtol=1e-12)
 
@@ -247,7 +271,22 @@ class TestHelpers:
         score = boolfn.table_score_fn(values)
         np.testing.assert_array_equal(score(boolfn.vertex_spins(3)), values)
 
-    def test_popcount(self):
-        np.testing.assert_array_equal(
-            boolfn.popcount(np.array([0, 1, 3, 7, 255])), [0, 1, 2, 3, 8]
-        )
+    def test_table_score_probe_matches_lookup(self):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(1 << 6)
+        score = boolfn.table_score_fn(values)
+        with pytest.raises(RuntimeError):
+            score.probe(0, np.ones(3))
+        x = 1.0 - 2.0 * rng.integers(0, 2, size=(40, 6))
+        score(x)
+        for i in range(6):
+            for column in (-x[:, i], 1.0 - 2.0 * rng.integers(0, 2, size=40), x[:, i]):
+                x_mod = x.copy()
+                x_mod[:, i] = column
+                np.testing.assert_array_equal(score.probe(i, column),
+                                              values[boolfn.spins_to_index(x_mod)])
+
+    def test_interaction_orders_count_set_bits(self):
+        for n in range(13):
+            expected = [bin(u).count("1") for u in range(1 << n)]
+            np.testing.assert_array_equal(boolfn._interaction_orders(n), expected)

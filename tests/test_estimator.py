@@ -29,6 +29,12 @@ def random_table(n, seed):
     return np.random.default_rng(seed).standard_normal(2**n)
 
 
+def assert_same_bits(a, b):
+    for p, q in zip(a, b, strict=True):
+        assert np.array_equal(p.tau_sq, q.tau_sq)
+        assert p.md == q.md and p.std_err_md == q.std_err_md
+
+
 class TestExactCases:
     def test_dictator_influences_exact(self):
         # the discrete derivative of s -> s_3 is constant, so every sample
@@ -54,6 +60,13 @@ class TestExactCases:
         f = boolfn.table_score_fn(boolfn.majority_table(3))
         prof = estimate_md_binary_fast(f, n=3, n_samples=200_000, seed=2)
         assert abs(prof.md - 1.5) < 3 * prof.std_err_md
+
+    def test_score_returning_a_view_of_its_input(self):
+        # the generic route swaps columns of the background in place, so a
+        # score that hands back a column of its input must still be exact
+        f = lambda x: x[:, 1]
+        prof = estimate_md_binary_fast(f, n=3, n_samples=500, seed=0)
+        assert np.array_equal(prof.tau_sq, [0.0, 1.0, 0.0])
 
     def test_linear_md_one_gaussian_inputs(self):
         # f(x) = sum_i x_i / sqrt(n) has md = 1 under any product sampler
@@ -117,6 +130,48 @@ class TestDeterminismAndScaling:
             g = boolfn.table_score_fn(a * table + ratio * a)
             md = estimate_md_binary_fast(g, 10, 5000, seed=10).md
             assert md is not None and abs(md - ref) < 1e-9 * ref, (a, ratio)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), flip=st.booleans())
+    def test_seed_determinism(self, n, seed, flip):
+        values = random_table(n, seed)
+
+        def run(f):
+            if flip:
+                return estimate_md_binary_fast(f, n, 300, seed)
+            return estimate_md(f, InputSampler.binary(n), 300, seed)
+
+        reused = boolfn.table_score_fn(values)
+        first = run(reused)
+        assert_same_bits([first], [run(reused)])
+        assert_same_bits([first], [run(boolfn.table_score_fn(values))])
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), log_a=st.floats(-3, 3),
+           sign=st.sampled_from([-1.0, 1.0]), ratio=st.floats(-1e6, 1e6), flip=st.booleans())
+    def test_affine_invariance_property(self, n, seed, log_a, sign, ratio, flip):
+        # md(a f + c) = md(f); c = ratio * a, so rounding of the shifted
+        # table costs about eps * |ratio| relative
+        values = random_table(n, seed)
+        a = sign * 10.0**log_a
+
+        def md(table):
+            f = boolfn.table_score_fn(table)
+            if flip:
+                return estimate_md_binary_fast(f, n, 300, seed).md
+            return estimate_md(f, InputSampler.binary(n), 300, seed).md
+
+        ref = md(values)
+        assert abs(md(a * values + ratio * a) - ref) <= 1e-8 * ref
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_table_probe_route_matches_closure_route(self, n):
+        values = random_table(n, n)
+        plain = lambda x: values[boolfn.spins_to_index(x)]
+        runs = [lambda f: estimate_md_binary_fast(f, n, 700, seed=1),
+                lambda f: estimate_md(f, InputSampler.binary(n), 700, seed=2)]
+        for run in runs:
+            assert_same_bits([run(boolfn.table_score_fn(values))], [run(plain)])
 
 
 class TestSamplers:
@@ -280,30 +335,74 @@ class TestLinearFirstLayer:
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), width=st.integers(1, 9),
-           m=st.integers(1, 12), n_cols=st.integers(0, 3),
+           m=st.integers(1, 12), n_probes=st.integers(1, 4),
            rows=st.sampled_from(["all", "some", "none"]), multi=st.booleans(),
-           resize=st.booleans())
-    def test_matches_full_evaluation(self, seed, n, width, m, n_cols, rows, multi, resize):
+           start=st.sampled_from(["cached", "one column moved", "resized"]))
+    def test_matches_full_evaluation(self, seed, n, width, m, n_probes, rows, multi, start):
         rng = np.random.default_rng(seed)
         W = rng.standard_normal((n, width))
         b = rng.standard_normal(width)
         head = _softmax_head(rng.standard_normal((width, 3))) if multi \
             else _tanh_head(rng.standard_normal(width))
         f = LinearFirstLayer(W, b, head)
+        twin = LinearFirstLayer(W, b, head)  # takes the same batches as calls
         x0 = rng.standard_normal((m, n))
         assert np.array_equal(f(x0), head(x0 @ W + b))
-        x = rng.standard_normal((m + 1, n)) if resize else x0.copy()
-        for i in rng.choice(n, size=min(n_cols, n), replace=False):
+        twin(x0)
+        # the batch probed: the cached one, one a call answers by the rank-1
+        # update (the cache stays x0), or one of another size
+        x = rng.standard_normal((m + 1, n)) if start == "resized" else x0.copy()
+        if start == "one column moved":
+            x[:, rng.integers(n)] = rng.standard_normal(m)
+        assert np.array_equal(f(x), twin(x))
+        for _ in range(n_probes):
+            i = rng.integers(n)
             moved = {"all": np.ones(x.shape[0], dtype=bool), "none": np.zeros(x.shape[0], dtype=bool),
                      "some": rng.random(x.shape[0]) < 0.5}[rows]
-            x[moved, i] = rng.standard_normal(int(moved.sum()))
+            column = x[:, i].copy()
+            column[moved] = rng.standard_normal(int(moved.sum()))
+            x_mod = x.copy()
+            x_mod[:, i] = column
+            want = head(x_mod @ W + b)
+            got = f.probe(i, column)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            # a call on the probed batch gives the same bits
+            assert np.array_equal(got, twin(x_mod))
+        # probes answer for the last batch passed in, whatever they did
+        i = rng.integers(n)
         want = head(x @ W + b)
-        got = f(x)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-        # a probe leaves the cache alone and a full evaluation replaces it,
-        # so x0 is answered exactly either way
-        assert np.array_equal(f(x0), head(x0 @ W + b))
+        assert np.max(np.abs(f.probe(i, x[:, i]) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_probe_needs_a_batch_of_its_length(self):
+        rng = np.random.default_rng(0)
+        f = LinearFirstLayer(rng.standard_normal((3, 4)), 0.0, _tanh_head(np.ones(4)))
+        with pytest.raises(RuntimeError):
+            f.probe(0, np.ones(5))
+        f(rng.standard_normal((5, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            f.probe(0, np.ones(4))
+
+    @pytest.mark.parametrize("D", [1, 2, 7])
+    def test_probe_route_matches_closure_route(self, D):
+        # a closure hides probe, so the estimator swaps columns in place and
+        # the call finds the one moved column: the bits must not change
+        rng = np.random.default_rng(D)
+        W, b = rng.standard_normal((D, 9)), rng.standard_normal(9)
+        a, A = rng.standard_normal(9), rng.standard_normal((9, 3))
+        runs = [
+            (_tanh_head(a), lambda f: [estimate_md(f, InputSampler.binary(D), 700, seed=1)]),
+            (_tanh_head(a), lambda f: [estimate_md(f, InputSampler.gaussian(D), 700, seed=2)]),
+            (_tanh_head(a), lambda f: [estimate_md(f, InputSampler.uniform(D, -2.0, 3.0), 700,
+                                                   seed=3)]),
+            (_tanh_head(a), lambda f: [estimate_md_binary_fast(f, D, 700, seed=4)]),
+            (_softmax_head(A), lambda f: estimate_md_multioutput(f, 3, InputSampler.binary(D),
+                                                                 700, seed=5)),
+        ]
+        for head, run in runs:
+            probed = LinearFirstLayer(W, b, head)
+            hidden = LinearFirstLayer(W, b, head)
+            assert_same_bits(run(probed), run(lambda x: hidden(x)))
 
     def test_one_dimensional_input_through_rfm_score(self):
         model = random_rfm(5, 7, Activation.tanh(), seed=5)
