@@ -358,7 +358,12 @@ def _validate_params(kind: str, params: dict) -> None:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    return parse_experiment_config(read_text(path))
+    """Read and parse a config file; a ValueError names the path."""
+    text = read_text(path)
+    try:
+        return parse_experiment_config(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from .rfm import KappaSet, bmd_from_overlaps
 from .textio import csv_lines, write_text
@@ -162,6 +161,8 @@ def ce_inner_max(h0: np.ndarray, dQ: float):
     bisection when it leaves the bracket or exceeds half the move before
     last (the rtsafe test, Numerical Recipes 9.4).
     """
+    from scipy.special import expit
+
     lo = np.asarray(h0, dtype=float).copy()
     hi = lo + dQ
     x = lo + dQ * (1.0 - expit(lo))  # one fixed-point pass as the start
@@ -190,6 +191,8 @@ def _energetic(loss: str, M: float, Q_d: float, dQ: float, delta: float):
     teacher label given z0; its own (Q_d, M) dependence enters the partials
     through the normal pdf at the H argument.
     """
+    from scipy.special import ndtr
+
     z0, wts = _z0_rule()
     s_sq = max(Q_d - M * M + delta, 1e-300)
     s = np.sqrt(s_sq)
@@ -345,6 +348,8 @@ def generalization_error(M: float, Q_d: float) -> float:
 
 def _test_loss(loss: str, M: float, Q_d: float, delta: float) -> float:
     """Expected loss on a fresh sample, 2 Int Dv loss(sqrt(Q_d) v) H(-Mv/s)."""
+    from scipy.special import ndtr
+
     v, wts = _z0_rule()
     s = np.sqrt(max(Q_d - M * M + delta, 1e-300))
     return float(2.0 * wts @ (_margin_loss(loss, np.sqrt(Q_d) * v) * ndtr(M * v / s)))

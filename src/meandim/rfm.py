@@ -24,7 +24,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .estimator import LinearFirstLayer
 from .textio import read_text, write_text
@@ -151,6 +150,8 @@ def _gaussian_rule(n_nodes: int, kink: float | None):
     the kink.
     """
     if kink is None:
+        from scipy.special import roots_hermite
+
         x, w = roots_hermite(n_nodes)
         return x * np.sqrt(2.0), w / np.sqrt(np.pi)
     x, w = np.polynomial.legendre.leggauss(n_nodes)

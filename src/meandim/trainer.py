@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit
 
 from .estimator import InputSampler, LinearFirstLayer, estimate_md_multioutput
 from .rfm import RfmModel, forward, with_weights
@@ -193,6 +191,8 @@ def _margin_loss_grad(kind: str, y: np.ndarray, yhat: np.ndarray) -> np.ndarray:
     if kind == "mse":
         return yhat - y
     if kind == "ce":
+        from scipy.special import expit
+
         return -y * expit(-y * yhat)
     raise ValueError(f"unknown loss {kind!r}")
 
@@ -248,6 +248,8 @@ def train_rfm_ridge(model: RfmModel, ds: Dataset, lam: float,
     objective, Xp^T (Xp w / N - y / sqrt(N)) + lam w, below 1e-8 even near
     interpolation; a larger final gradient raises RuntimeError.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     if lam < 0:
         raise ValueError("lam must be >= 0")
     Xp = design_matrix(model, ds.X)
@@ -435,15 +437,8 @@ class _Adam:
             p -= mhat
 
 
-def train_gd(skeleton: Mlp, ds: Dataset, config: TrainConfig,
-             test_ds: Dataset | None = None) -> TrainedModel:
-    """Gradient training of a two-layer MLP.
-
-    Deterministic for a fixed (skeleton, ds, config). history[k] is the
-    mean loss of epoch k's steps, each step weighted by its rows and taken
-    before its update; the converged flag records whether the last epoch's
-    loss sits within 1e-6 of its minimum over the last 10% of epochs.
-    """
+def _descend(skeleton: Mlp, ds: Dataset, config: TrainConfig) -> tuple[Mlp, np.ndarray]:
+    """The trained network and the per-epoch loss history of train_gd."""
     if not isinstance(skeleton, Mlp):
         raise ValueError("train_gd trains two-layer MLPs")
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
@@ -469,7 +464,19 @@ def train_gd(skeleton: Mlp, ds: Dataset, config: TrainConfig,
         if not np.isfinite(value) or abs(value) > 1e3 * initial_loss:
             raise RuntimeError(
                 f"training diverged at epoch {epoch} (loss {value!r}); lower the learning rate")
-    model = Mlp(*params)
+    return Mlp(*params), history
+
+
+def train_gd(skeleton: Mlp, ds: Dataset, config: TrainConfig,
+             test_ds: Dataset | None = None) -> TrainedModel:
+    """Gradient training of a two-layer MLP.
+
+    Deterministic for a fixed (skeleton, ds, config). history[k] is the
+    mean loss of epoch k's steps, each step weighted by its rows and taken
+    before its update; the converged flag records whether the last epoch's
+    loss sits within 1e-6 of its minimum over the last 10% of epochs.
+    """
+    model, history = _descend(skeleton, ds, config)
     train_err = float(np.mean(predict_labels(model, ds.X) != ds.y))
     test_err = np.nan
     if test_ds is not None:
@@ -496,8 +503,8 @@ def adversarial_init_protocol(skeleton: Mlp, ds: Dataset, pretrain_epochs: int,
     start = skeleton
     if pretrain_epochs > 0:
         corrupted = flip_labels(ds, 1.0, seed=config.seed + 1000)
-        start = train_gd(start, corrupted,
-                         replace(config, epochs=pretrain_epochs, seed=config.seed + 1000)).model
+        start, _ = _descend(start, corrupted,
+                            replace(config, epochs=pretrain_epochs, seed=config.seed + 1000))
     return train_gd(start, ds, replace(config, epochs=main_epochs), test_ds)
 
 

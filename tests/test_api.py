@@ -1,15 +1,25 @@
-"""The public names and result fields the benchmark harness binds.
+"""The public names and result fields the benchmark harness binds, and
+what importing the layers costs.
 
 bench/tracer.py wraps every function listed in the ``__all__`` of the seven
 layers and reads a few result fields; bench/workload.py calls the entry
 points below by name. A stale ``__all__`` entry or a renamed field would
 break every traced run, so these checks are cheap and run with the suite.
+The last two tests run in fresh interpreters: importing the layers loads
+no scipy, and the routines that need it load it on first use.
 """
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_experiments import TINY
 
 from meandim.trainer import (Dataset, TrainConfig, init_mlp, predict_labels,
                              robustness_flip_count, train_gd)
@@ -46,3 +56,69 @@ def test_bound_result_fields():
     assert fit.history.shape == (2,) and isinstance(fit.converged, bool)
     flips = robustness_flip_count(lambda x: predict_labels(fit.model, x), ds, seed=0)
     assert flips.n_evaluated == np.sum(predict_labels(fit.model, X) == ds.y)
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_fresh(script: str, tmp_path, **inputs) -> None:
+    """Run script in a new interpreter on the package in src/, with the
+    keyword inputs bound as globals; fail with its stderr if it fails."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = "".join(f"{k} = {json.dumps(v)}\n" for k, v in inputs.items())
+    proc = subprocess.run([sys.executable, "-c", code + textwrap.dedent(script)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_mlp_path_never_imports_scipy(tmp_path):
+    """Importing the seven layers and running the multiclass and binary mse
+    MLP experiments loads no scipy; the routines that need it import it on
+    first use and still work."""
+    run_fresh("""
+        import sys
+        import numpy as np
+        from meandim import boolfn, cli, estimator, experiments, replica, rfm, trainer
+
+        def scipy_modules():
+            return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+
+        assert scipy_modules() == [], scipy_modules()
+        for kind in configs:
+            cfg = experiments.parse_experiment_config(configs[kind])
+            experiments.run_experiment(cfg, out_dir=kind)
+        assert scipy_modules() == [], scipy_modules()
+
+        kappas = rfm.compute_kappas(rfm.Activation.tanh())
+        assert 0.0 < kappas.k_star_sq < kappas.k2
+        task = trainer.TeacherTask.random(6, seed=0)
+        train, _ = trainer.gen_teacher_student(6, 30, 10, task, seed=0)
+        model = rfm.random_rfm(6, 12, rfm.Activation.tanh(), seed=0)
+        fit = trainer.train_rfm_ridge(model, train, lam=1e-2)
+        assert np.all(np.isfinite(fit.model.w)) and 0.0 <= fit.train_error <= 1.0
+        inp = replica.ReplicaInput(alpha=2.0, lam=1e-2, loss="ce", kappas=kappas, alpha_t=3.0)
+        params = replica.solve_saddle(inp)
+        assert 0.0 < replica.observables(params, inp).eps_g < 0.5
+        assert "scipy.linalg" in sys.modules and "scipy.special" in sys.modules
+    """, tmp_path, configs={k: TINY[k] for k in ("adversarial-init", "robustness-sweep",
+                                       "double-descent-mlp")})
+
+
+def test_first_scipy_import_from_two_pool_threads(tmp_path):
+    """In a fresh interpreter the first ridge fits, and with them the first
+    import of scipy.linalg, run in two pool threads at once; the CSV must
+    be the bytes of a one-thread run."""
+    run_fresh("""
+        import sys
+        from meandim import experiments
+
+        assert not any(k == "scipy" or k.startswith("scipy.") for k in sys.modules)
+        csvs = []
+        for jobs in (2, 1):
+            cfg = experiments.parse_experiment_config(config)
+            paths = experiments.run_experiment(cfg, out_dir=f"jobs{jobs}", jobs=jobs)
+            with open(paths[0], "rb") as fh:
+                csvs.append(fh.read())
+        assert csvs[0] == csvs[1]
+    """, tmp_path, config=TINY["double-descent-rfm"])

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from meandim.cli import build_parser, main
 from meandim.experiments import (
@@ -22,7 +24,7 @@ from meandim.experiments import (
 from meandim.experiments import _minmax_dataset, _pearson, _run_cells, _spearman
 from meandim.heatmap_svg import CELL_PX, emit_heatmap_svg, render_heatmap_svg
 from meandim.replica import CURVE_HEADER
-from meandim.rfm import Activation, random_rfm, save_rfm
+from meandim.rfm import Activation, load_rfm, random_rfm, save_rfm
 from meandim.trainer import Dataset
 
 # ---------------------------------------------------------------------------
@@ -140,6 +142,13 @@ def test_load_experiment_config_roundtrip(tmp_path):
     path.write_text(RFM_CONFIG, encoding="ascii")
     cfg = load_experiment_config(path)
     assert cfg == parse_experiment_config(RFM_CONFIG)
+
+
+def test_load_experiment_config_names_the_path(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(RFM_CONFIG.replace("dim = 8", "dim = eight"), encoding="ascii")
+    with pytest.raises(ValueError, match=r"^.*exp\.cfg: config field 'dim': "):
+        load_experiment_config(path)
 
 
 def test_kinds_and_schemas_agree():
@@ -582,7 +591,8 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
     for text, message in cases:
         cfg_file.write_bytes(text.encode("utf-8"))
         assert main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 2, text
-        assert message in capsys.readouterr().err, text
+        err = capsys.readouterr().err
+        assert err.startswith(f"meandim run: {cfg_file}: ") and message in err, err
     assert not (tmp_path / "o").exists()
     # the replica curve is defined for sign: its BMD is simply infinite
     parse_experiment_config("kind = regularization-sweep\nlams = 1\nactivation = sign")
@@ -680,6 +690,64 @@ def test_cli_md_bad_checkpoint_exits_2(tmp_path, capsys):
     assert main(["md", str(bad), "--sampler", "binary", "--samples", "10",
                  "--seed", "0"]) == 2
     assert f"{bad}: not ASCII text" in capsys.readouterr().err
+
+
+_FUZZ = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+_BYTE = st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789.-+e=#:, \n"))
+
+
+def _loads_or_names_path(load, path, data: bytes) -> bool:
+    """Write data to path and load it: True if it loads, False if the
+    ValueError it raises starts with the path; anything else fails."""
+    path.write_bytes(data)
+    try:
+        load(str(path))
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: "), str(exc)
+        return False
+    return True
+
+
+def _garble(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for pos, byte in edits:
+        out[pos % len(out)] = byte
+    return bytes(out)
+
+
+class TestReadersNameThePath:
+    """A truncated or garbled checkpoint or config either still loads or
+    raises ValueError naming the file, never another exception."""
+
+    CONFIG = (TINY["adversarial-init"] + "\n").encode("ascii")
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_truncated_checkpoint(self, tmp_path, data):
+        good = read_bytes(checkpoint(tmp_path))
+        cut = data.draw(st.integers(0, len(good) - 1))
+        loaded = _loads_or_names_path(load_rfm, tmp_path / "cut.rfm", good[:cut])
+        # cut before the weight line starts: the file ends early
+        assert not loaded or cut > good.rstrip(b"\n").rfind(b"\n")
+
+    @_FUZZ
+    @given(edits=st.lists(st.tuples(st.integers(0, 10**6), _BYTE), min_size=1, max_size=4))
+    def test_garbled_checkpoint(self, tmp_path, edits):
+        good = read_bytes(checkpoint(tmp_path))
+        _loads_or_names_path(load_rfm, tmp_path / "bad.rfm", _garble(good, edits))
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_truncated_config(self, tmp_path, data):
+        cut = data.draw(st.integers(0, len(self.CONFIG) - 1))
+        _loads_or_names_path(load_experiment_config, tmp_path / "cut.cfg", self.CONFIG[:cut])
+
+    @_FUZZ
+    @given(edits=st.lists(st.tuples(st.integers(0, 10**6), _BYTE), min_size=1, max_size=4))
+    def test_garbled_config(self, tmp_path, edits):
+        _loads_or_names_path(load_experiment_config, tmp_path / "bad.cfg",
+                             _garble(self.CONFIG, edits))
 
 
 def test_cli_theory_prints_curve(tmp_path, capsys):
