@@ -34,7 +34,6 @@ __all__ = [
     "vertex_spins",
     "spins_to_index",
     "table_score_fn",
-    "dictator_table",
     "linear_table",
     "parity_table",
     "majority_table",
@@ -64,11 +63,6 @@ class FourierSpectrum:
 
     n: int
     coeffs: np.ndarray
-
-    def coefficient(self, mask: int) -> float:
-        if not 0 <= mask < (1 << self.n):
-            raise ValueError(f"mask {mask} out of range for n={self.n}")
-        return float(self.coeffs[mask])
 
     @property
     def variance(self) -> float:
@@ -221,11 +215,6 @@ class _TableScore:
         index = self._index & ~(1 << i)
         index |= (np.asarray(column) < 0).astype(np.int64) << i
         return self.values[index]
-
-
-def dictator_table(n: int, coordinate: int = 0) -> np.ndarray:
-    """f(s) = s_i."""
-    return vertex_spins(n)[:, coordinate].copy()
 
 
 def linear_table(n: int, coeffs: np.ndarray | None = None) -> np.ndarray:

@@ -14,10 +14,13 @@ Three subcommands:
                  --grid LO HI N [--delta D] [--activation TAG] [--out CSV]
       Solve the replica curve on a log-spaced 1/alpha grid.
 
-Bad input exits with code 2 and a `meandim <command>: <reason>` line on
-stderr: a missing file, a malformed or truncated checkpoint, a malformed
-config or a config value out of its range (checked before any experiment
-cell runs).
+Bad input exits with code 2, nothing on stdout and one `meandim <command>:
+<reason>` line on stderr: a missing file, a malformed or truncated
+checkpoint, a malformed config or a config value out of its range (checked
+before any experiment cell runs), sampler bounds that are not finite with
+--lo < --hi, a --data cell that is not a finite number, or a theory value
+(--alpha-t, --lambda, --delta, --grid) that is not finite and in range.
+The layer type that owns a value checks it; the commands only map flags.
 """
 
 import argparse
@@ -25,10 +28,10 @@ import sys
 
 import numpy as np
 
-from .estimator import (InputSampler, estimate_md, estimate_md_binary_fast,
+from .estimator import (SAMPLER_KINDS, InputSampler, estimate_md_best,
                         profile_summary, write_profile_csv)
 from .experiments import load_experiment_config, run_experiment
-from .replica import _curve_lines, sweep_curve, write_curve_csv
+from .replica import _curve_lines, log_grid, sweep_curve, write_curve_csv
 from .rfm import Activation, compute_kappas, load_rfm, score_fn
 from .textio import lines_text, read_text
 
@@ -49,8 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     md_p = sub.add_parser("md", help="estimate MD of a saved RFM checkpoint")
     md_p.add_argument("checkpoint", help="model file written by save_rfm")
-    md_p.add_argument("--sampler", required=True,
-                      choices=("binary", "gaussian", "uniform", "empirical"))
+    md_p.add_argument("--sampler", required=True, choices=SAMPLER_KINDS)
     md_p.add_argument("--samples", type=int, required=True,
                       help="number of Monte Carlo background draws")
     md_p.add_argument("--seed", type=int, required=True)
@@ -88,34 +90,22 @@ def _cmd_run(args) -> int:
 
 
 def _make_sampler(args, dim: int) -> InputSampler:
-    if args.sampler == "binary":
-        return InputSampler.binary(dim)
-    if args.sampler == "gaussian":
-        return InputSampler.gaussian(dim)
-    if args.sampler == "uniform":
-        return InputSampler.uniform(dim, args.lo, args.hi)
     if args.data is None:
-        raise ValueError("--sampler empirical requires --data CSV")
+        return InputSampler(args.sampler, dim, args.lo, args.hi)
     lines = read_text(args.data).splitlines()
-    if not any(line.split("#", 1)[0].strip() for line in lines):
-        raise ValueError(f"{args.data}: no data rows")
     try:
+        if not any(line.split("#", 1)[0].strip() for line in lines):
+            raise ValueError("no data rows")
         rows = np.loadtxt(lines, delimiter=",", ndmin=2)
+        return InputSampler(args.sampler, dim, args.lo, args.hi, rows)
     except ValueError as exc:
         raise ValueError(f"{args.data}: {exc}") from None
-    if rows.shape[1] != dim:
-        raise ValueError(f"{args.data}: {rows.shape[1]} columns, model expects {dim}")
-    return InputSampler.empirical(rows, args.lo, args.hi)
 
 
 def _cmd_md(args) -> int:
     model = load_rfm(args.checkpoint)
-    f = score_fn(model)
-    if args.sampler == "binary":
-        profile = estimate_md_binary_fast(f, model.D, args.samples, args.seed)
-    else:
-        sampler = _make_sampler(args, model.D)
-        profile = estimate_md(f, sampler, args.samples, args.seed)
+    sampler = _make_sampler(args, model.D)
+    profile = estimate_md_best(score_fn(model), sampler, args.samples, args.seed)
     sys.stdout.write(profile_summary(profile))
     if args.profile_out is not None:
         write_profile_csv(args.profile_out, profile)
@@ -124,11 +114,8 @@ def _cmd_md(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    lo, hi, n = float(args.grid[0]), float(args.grid[1]), int(args.grid[2])
-    if not (0 < lo < hi) or n < 2:
-        raise ValueError("--grid needs 0 < LO < HI and N >= 2")
+    grid = log_grid(float(args.grid[0]), float(args.grid[1]), int(args.grid[2]))
     kappas = compute_kappas(Activation.from_tag(args.activation))
-    grid = np.logspace(np.log10(lo), np.log10(hi), n)
     rows = sweep_curve(kappas, args.loss, args.lam, args.alpha_t, grid,
                        delta=args.delta)
     sys.stdout.write(lines_text(_curve_lines(rows)))

@@ -29,6 +29,7 @@ object per thread; the experiment harness builds one per cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +38,13 @@ from .textio import csv_lines, lines_text, write_text
 
 __all__ = [
     "InputSampler",
+    "SAMPLER_KINDS",
     "InfluenceProfile",
     "LinearFirstLayer",
     "ScoreEvaluationError",
     "estimate_md",
     "estimate_md_binary_fast",
+    "estimate_md_best",
     "estimate_md_multioutput",
     "influence_heatmap",
     "write_profile_csv",
@@ -50,6 +53,7 @@ __all__ = [
 
 N_BATCHES = 10
 SIGMA_SQ_FLOOR = 1e-12
+SAMPLER_KINDS = ("binary", "gaussian", "uniform", "empirical")
 
 
 class ScoreEvaluationError(RuntimeError):
@@ -64,8 +68,11 @@ class InputSampler:
       binary    i.i.d. uniform +-1 spins (mean 0, second moment 1)
       gaussian  i.i.d. standard normals (mean 0, second moment 1)
       uniform   i.i.d. uniform on [lo, hi]
-      empirical backgrounds are whole rows drawn from a stored dataset;
+      empirical backgrounds are whole rows of ``data``, a (rows, dim) array;
                 a resampled coordinate is drawn uniformly from [lo, hi]
+
+    Construction checks the kind, finite lo < hi with a finite hi - lo, and
+    that empirical data is a nonempty, finite (rows, dim) array.
     """
 
     kind: str
@@ -74,28 +81,41 @@ class InputSampler:
     hi: float = 1.0
     data: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.kind not in SAMPLER_KINDS:
+            raise ValueError(f"unknown sampler kind {self.kind!r}")
+        if not (math.isfinite(float(self.hi) - float(self.lo)) and self.lo < self.hi):
+            raise ValueError("sampler bounds need finite lo < hi with a finite hi - lo, "
+                             f"got lo = {self.lo!r}, hi = {self.hi!r}")
+        if self.kind == "empirical":
+            if self.data is None:
+                raise ValueError("empirical sampler requires --data rows")
+            data = np.asarray(self.data, dtype=float)
+            object.__setattr__(self, "data", data)
+            if data.ndim != 2 or data.shape[0] == 0 or data.shape[1] != self.dim:
+                raise ValueError(f"empirical data needs {self.dim} columns and a row, "
+                                 f"got shape {data.shape}")
+            bad = np.argwhere(~np.isfinite(data))
+            if bad.size:
+                raise ValueError(f"empirical data holds {float(data[tuple(bad[0])])!r} at "
+                                 f"data row {bad[0, 0] + 1}, column {bad[0, 1] + 1}")
+
     @classmethod
     def binary(cls, dim: int) -> "InputSampler":
-        return cls(kind="binary", dim=dim)
+        return cls("binary", dim)
 
     @classmethod
     def gaussian(cls, dim: int) -> "InputSampler":
-        return cls(kind="gaussian", dim=dim)
+        return cls("gaussian", dim)
 
     @classmethod
     def uniform(cls, dim: int, lo: float = -1.0, hi: float = 1.0) -> "InputSampler":
-        if not hi > lo:
-            raise ValueError("uniform sampler needs hi > lo")
-        return cls(kind="uniform", dim=dim, lo=lo, hi=hi)
+        return cls("uniform", dim, lo, hi)
 
     @classmethod
     def empirical(cls, data: np.ndarray, lo: float = -1.0, hi: float = 1.0) -> "InputSampler":
         data = np.asarray(data, dtype=float)
-        if data.ndim != 2 or data.shape[0] == 0:
-            raise ValueError("empirical sampler needs a nonempty (rows, dim) dataset")
-        if not hi > lo:
-            raise ValueError("empirical sampler needs hi > lo")
-        return cls(kind="empirical", dim=data.shape[1], lo=lo, hi=hi, data=data)
+        return cls("empirical", data.shape[-1] if data.ndim else 0, lo, hi, data)
 
     def sample_background(self, rng: np.random.Generator, m: int) -> np.ndarray:
         if self.kind == "binary":
@@ -104,19 +124,15 @@ class InputSampler:
             return rng.standard_normal((m, self.dim))
         if self.kind == "uniform":
             return rng.uniform(self.lo, self.hi, size=(m, self.dim))
-        if self.kind == "empirical":
-            rows = rng.integers(0, self.data.shape[0], size=m)
-            return self.data[rows].copy()
-        raise ValueError(f"unknown sampler kind {self.kind!r}")
+        rows = rng.integers(0, self.data.shape[0], size=m)  # empirical
+        return self.data[rows].copy()
 
     def resample_coordinate(self, rng: np.random.Generator, m: int) -> np.ndarray:
         if self.kind == "binary":
             return rng.integers(0, 2, size=m).astype(float) * 2.0 - 1.0
         if self.kind == "gaussian":
             return rng.standard_normal(m)
-        if self.kind in ("uniform", "empirical"):
-            return rng.uniform(self.lo, self.hi, size=m)
-        raise ValueError(f"unknown sampler kind {self.kind!r}")
+        return rng.uniform(self.lo, self.hi, size=m)  # uniform and empirical
 
 
 class LinearFirstLayer:
@@ -369,6 +385,14 @@ def estimate_md_binary_fast(f, n: int, n_samples: int, seed: int) -> InfluencePr
     """
     acc = _accumulate(f, InputSampler.binary(n), n_samples, seed, mode="flip", n_outputs=1)
     return _assemble(*acc, n_samples, seed, output=0)
+
+
+def estimate_md_best(f, sampler: InputSampler, n_samples: int, seed: int) -> InfluenceProfile:
+    """``estimate_md`` under sampler, except that the binary sampler takes
+    the lower-variance ``estimate_md_binary_fast``."""
+    if sampler.kind == "binary":
+        return estimate_md_binary_fast(f, sampler.dim, n_samples, seed)
+    return estimate_md(f, sampler, n_samples, seed)
 
 
 def estimate_md_multioutput(f, n_outputs: int, sampler: InputSampler, n_samples: int,

@@ -30,7 +30,7 @@ import numpy as np
 from .estimator import (InputSampler, estimate_md, estimate_md_binary_fast,
                         influence_heatmap, write_profile_csv)
 from .heatmap_svg import emit_heatmap_svg
-from .replica import sweep_curve, write_curve_csv
+from .replica import log_grid, sweep_curve, write_curve_csv
 from .rfm import Activation, analytic_bmd, compute_kappas, random_rfm, score_fn
 from .textio import csv_lines, read_text, write_text
 from .trainer import (TeacherTask, TrainConfig, adversarial_init_protocol,
@@ -88,18 +88,20 @@ def _parse_list(conv):
     return parse
 
 
-def _parse_range(conv, lo, hi=math.inf, open_lo=False):
+def _parse_range(conv, lo=-math.inf, hi=math.inf, open_lo=False):
     """Parser for one finite conv value in [lo, hi], or in (lo, hi] if open_lo."""
     if hi < math.inf:
-        want = f"in {'(' if open_lo else '['}{lo}, {hi}]"
+        want = f" in {'(' if open_lo else '['}{lo}, {hi}]"
+    elif lo > -math.inf:
+        want = f" {'>' if open_lo else '>='} {lo}"
     else:
-        want = f"{'>' if open_lo else '>='} {lo}"
+        want = ""
 
     def parse(s: str):
         value = conv(s)
         above = lo < value if open_lo else lo <= value
         if not (math.isfinite(value) and above and value <= hi):
-            raise ValueError(f"expected a finite value {want}, got {s!r}")
+            raise ValueError(f"expected a finite value{want}, got {s!r}")
         return value
     return parse
 
@@ -117,23 +119,19 @@ def _parse_activation(s: str) -> str:
     return s
 
 
-def _parse_ranges(s: str):
-    """Whitespace-separated lo:hi pairs, e.g. '-1:1 -3:3 -5:5'."""
-    out = []
-    for tok in s.split():
-        lo, _, hi = tok.partition(":")
-        if not _:
-            raise ValueError(f"range {tok!r} is not lo:hi")
-        lo_f, hi_f = float(lo), float(hi)
-        if not lo_f < hi_f:
-            raise ValueError(f"range {tok!r} must have lo < hi")
-        out.append((lo_f, hi_f))
-    if not out:
-        raise ValueError("empty list")
-    return tuple(out)
+def _parse_lo_hi(tok: str) -> tuple:
+    """One lo:hi pair of finite floats with lo < hi, e.g. '-1:1'."""
+    lo, sep, hi = tok.partition(":")
+    if not sep:
+        raise ValueError(f"range {tok!r} is not lo:hi")
+    lo, hi = _FINITE(lo), _FINITE(hi)
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ValueError(f"range {tok!r} must have lo < hi and a finite hi - lo")
+    return lo, hi
 
 
 _REQUIRED = object()
+_FINITE = _parse_range(float)
 
 _INPUT_KIND = _parse_choice("binary", "gaussian")
 _LOSS = _parse_choice("mse", "ce")
@@ -147,7 +145,7 @@ _FRACTION = _parse_range(float, 0, 1)
 _POSITIVE = _parse_range(float, 0, open_lo=True)
 
 _COMMON_SCHEMA = {
-    "seed": (int, 0),
+    "seed": (_parse_range(int, 0), 0),
     "reps": (int, 1),
     "out": (str, "out"),
     "jobs": (int, 1),
@@ -156,7 +154,7 @@ _COMMON_SCHEMA = {
 _GRID_SCHEMA = {
     "grid_min": (float, 0.1),
     "grid_max": (float, 10.0),
-    "grid_points": (_parse_range(int, 2), 21),
+    "grid_points": (int, 21),  # log_grid checks the three grid fields
 }
 
 _SCHEMAS = {
@@ -275,7 +273,7 @@ _SCHEMAS = {
         "widths": (_COUNTS, _REQUIRED),
         "lam": (_NONNEG, 1e-4),
         "samples": (_SAMPLES, 10000),
-        "ranges": (_parse_ranges, ((-1.0, 1.0), (-3.0, 3.0), (-5.0, 5.0))),
+        "ranges": (_parse_list(_parse_lo_hi), ((-1.0, 1.0), (-3.0, 3.0), (-5.0, 5.0))),
         "label_noise_fraction": (_FRACTION, 0.0),
         "activation": (_parse_activation, "tanh"),
     },
@@ -343,8 +341,12 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
 
 
 def _validate_params(kind: str, params: dict) -> None:
-    if "grid_points" in params and not 0 < params["grid_min"] < params["grid_max"]:
-        raise ValueError("config fields 'grid_min' < 'grid_max' must be positive")
+    if "grid_points" in params:
+        try:
+            log_grid(params["grid_min"], params["grid_max"], params["grid_points"])
+        except ValueError as exc:
+            raise ValueError("config fields 'grid_min', 'grid_max', 'grid_points': "
+                             f"{exc}") from None
     if kind == "double-descent-mlp" and params["n_classes"] > 2 and params["loss"] != "ce":
         raise ValueError("config field 'loss': n_classes > 2 trains with cross-entropy, "
                          "so the loss must be ce")
@@ -697,8 +699,7 @@ def _run_mlp_sweep(cfg: ExperimentConfig) -> tuple:
 def _theory_sweep(p, kappas, lam, path) -> list:
     """Solve the replica curve at ridge strength lam on the config's log
     grid of 1/alpha; write it to path and return its rows."""
-    grid = np.logspace(np.log10(p["grid_min"]), np.log10(p["grid_max"]),
-                       p["grid_points"])
+    grid = log_grid(p["grid_min"], p["grid_max"], p["grid_points"])
     rows = sweep_curve(kappas, p["loss"], lam, p["alpha_t"], grid, delta=p["delta"])
     write_curve_csv(path, rows)
     return rows
@@ -875,12 +876,8 @@ def run_experiment(config, out_dir=None, jobs=None) -> list:
     """
     if not isinstance(config, ExperimentConfig):
         config = load_experiment_config(config)
-    if out_dir is not None or jobs is not None:
-        config = ExperimentConfig(
-            kind=config.kind, seed=config.seed, reps=config.reps,
-            out_dir=out_dir if out_dir is not None else config.out_dir,
-            jobs=jobs if jobs is not None else config.jobs,
-            params=config.params)
+    overrides = {"out_dir": out_dir, "jobs": jobs}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     os.makedirs(config.out_dir, exist_ok=True)
     paths, summary_lines = _RUNNERS[config.kind](config)
     return paths + [_write_summary(config, summary_lines)]

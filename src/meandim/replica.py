@@ -22,8 +22,9 @@ per-sample train and test losses, and the mean dimension
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "observables",
     "generalization_error",
     "sweep_curve",
+    "log_grid",
     "mse_inner_max",
     "ce_inner_max",
     "write_curve_csv",
@@ -61,7 +63,7 @@ class ReplicaInput:
 
     alpha = P/N and alpha_t = P/D; the width ratio alpha_d = D/N follows
     as alpha/alpha_t. delta is the variance of the pre-sign Gaussian label
-    noise.
+    noise. Each is checked finite, the ratios > 0 and lam, delta >= 0.
     """
 
     alpha: float
@@ -72,14 +74,14 @@ class ReplicaInput:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha_t) and self.alpha_t > 0 and self.alpha > 0):
+        if not (0 < self.alpha_t < math.inf and 0 < self.alpha < math.inf
+                and 0 < self.alpha_d < math.inf):
             raise ValueError("alpha ratios must be positive and finite")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        for name in ("lam", "delta"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
         if self.loss not in ("mse", "ce"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
         if self.kappas.k_star_sq <= 0:
             raise ValueError("replica equations need k_star_sq > 0 (nonlinear activation)")
 
@@ -111,13 +113,10 @@ class OrderParams:
         return M, Q_d, dQ
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.q_d, self.delta_q, self.delta_q_hat, self.delta_Q_hat,
-                         self.p_d, self.delta_p, self.delta_p_hat, self.delta_P_hat,
-                         self.r, self.r_hat])
+        return np.array([getattr(self, name) for name in _FIELDS])
 
 
-_FIELDS = ("q_d", "delta_q", "delta_q_hat", "delta_Q_hat", "p_d",
-           "delta_p", "delta_p_hat", "delta_P_hat", "r", "r_hat")
+_FIELDS = tuple(f.name for f in fields(OrderParams))
 
 
 @dataclass(frozen=True)
@@ -408,23 +407,27 @@ def sweep_curve(kappas: KappaSet, loss: str, lam: float, alpha_t: float,
     rows = []
     carry = None
     for inv_alpha in inv_alphas:
-        inp = ReplicaInput(alpha=1.0 / inv_alpha, lam=lam, loss=loss,
+        # float division overflows to inf without a warning; ReplicaInput rejects it
+        inp = ReplicaInput(alpha=1.0 / float(inv_alpha), lam=lam, loss=loss,
                            kappas=kappas, delta=delta, alpha_t=alpha_t)
         try:
-            params = solve_saddle(inp, init=carry)
-            carry = params
-            obs = observables(params, inp)
-            _, Q_d, _ = params.overlaps(kappas)
-            rows.append(CurvePoint(
-                inv_alpha=float(inv_alpha), alpha_t=alpha_t, lam=lam, loss=loss,
-                eps_g=obs.eps_g, train_loss=obs.train_loss, test_loss=obs.test_loss,
-                bmd=obs.bmd, q_d=params.q_d, p_d=params.p_d, Q_d=Q_d, converged=True))
+            carry = solve_saddle(inp, init=carry)
+            obs = observables(carry, inp)
+            point = (obs.eps_g, obs.train_loss, obs.test_loss, obs.bmd,
+                     carry.q_d, carry.p_d, carry.overlaps(kappas)[1], True)
         except ConvergenceError:
-            rows.append(CurvePoint(
-                inv_alpha=float(inv_alpha), alpha_t=alpha_t, lam=lam, loss=loss,
-                eps_g=np.nan, train_loss=np.nan, test_loss=np.nan, bmd=np.nan,
-                q_d=np.nan, p_d=np.nan, Q_d=np.nan, converged=False))
+            point = (np.nan,) * 7 + (False,)
+        rows.append(CurvePoint(float(inv_alpha), alpha_t, lam, loss, *point))
     return rows
+
+
+def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """n values of 1/alpha from lo to hi, evenly spaced in log; the one
+    check of a grid's bounds: finite 0 < lo < hi and n >= 2."""
+    if not (0 < lo < hi < math.inf and n >= 2):
+        raise ValueError("1/alpha grid needs finite 0 < lo < hi and n >= 2, "
+                         f"got lo = {lo!r}, hi = {hi!r}, n = {n!r}")
+    return np.logspace(np.log10(lo), np.log10(hi), n)
 
 
 # ---------------------------------------------------------------------------

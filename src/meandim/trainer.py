@@ -332,10 +332,6 @@ class Mlp:
     b2: np.ndarray
 
     @property
-    def width(self) -> int:
-        return self.W1.shape[1]
-
-    @property
     def n_out(self) -> int:
         return self.W2.shape[1]
 

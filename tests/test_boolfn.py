@@ -100,7 +100,7 @@ class TestWalshHadamard:
         np.testing.assert_allclose(spec.coeffs, expected, atol=1e-15)
 
     def test_dictator_spectrum(self):
-        spec = boolfn.walsh_hadamard(boolfn.dictator_table(2, coordinate=0))
+        spec = boolfn.walsh_hadamard(boolfn.vertex_spins(2)[:, 0])
         np.testing.assert_allclose(spec.coeffs, [0.0, 1.0, 0.0, 0.0], atol=1e-15)
 
     @settings(max_examples=60, deadline=None)
@@ -240,7 +240,7 @@ class TestExactMd:
         assert abs(via_flips - via_fourier) < 1e-9
 
     def test_linear_is_exactly_one(self):
-        assert boolfn.exact_md_via_anova(boolfn.dictator_table(6)) == 1.0
+        assert boolfn.exact_md_via_anova(boolfn.vertex_spins(6)[:, 0]) == 1.0
         assert boolfn.exact_md_via_anova(boolfn.linear_table(6)) == 1.0
 
     def test_parity_is_exactly_k(self):

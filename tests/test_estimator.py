@@ -39,7 +39,7 @@ class TestExactCases:
     def test_dictator_influences_exact(self):
         # the discrete derivative of s -> s_3 is constant, so every sample
         # contributes tau_3^2 = 1 and tau_i^2 = 0 exactly
-        f = boolfn.table_score_fn(boolfn.dictator_table(5, coordinate=3))
+        f = boolfn.table_score_fn(boolfn.vertex_spins(5)[:, 3])
         prof = estimate_md_binary_fast(f, n=5, n_samples=2000, seed=0)
         expected = np.zeros(5)
         expected[3] = 1.0
@@ -264,7 +264,7 @@ class TestMultiOutput:
 
 class TestHeatmap:
     def test_single_hot_cell(self):
-        f = boolfn.table_score_fn(boolfn.dictator_table(6, coordinate=3))
+        f = boolfn.table_score_fn(boolfn.vertex_spins(6)[:, 3])
         prof = estimate_md_binary_fast(f, n=6, n_samples=500, seed=0)
         grid = influence_heatmap(prof, width=3, height=2)
         expected = np.zeros((2, 3))

@@ -587,6 +587,9 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
         ("kind = theory-curve\nalpha_t = 0\n", "'alpha_t': expected a finite value > 0"),
         ("kind = theory-curve\ndelta = nan\n", "'delta': expected a finite value >= 0"),
         ("kind = regularization-sweep\nlams = 1 -1\n", "'lams': expected a finite value >= 0"),
+        (rfm + "seed = -1\n", "'seed': expected a finite value >= 0"),
+        ("kind = normalization-comparison\ndim = 4\nn_train = 8\nwidths = 4\n"
+         "ranges = -inf:1\n", "'ranges': expected a finite value, got '-inf'"),
     ]
     for text, message in cases:
         cfg_file.write_bytes(text.encode("utf-8"))
@@ -690,6 +693,55 @@ def test_cli_md_bad_checkpoint_exits_2(tmp_path, capsys):
     assert main(["md", str(bad), "--sampler", "binary", "--samples", "10",
                  "--seed", "0"]) == 2
     assert f"{bad}: not ASCII text" in capsys.readouterr().err
+
+
+THEORY_ARGV = ["theory", "--loss", "mse", "--alpha-t", "3", "--lambda", "1e-4",
+               "--grid", "0.5", "2", "3"]
+# (command, flags, non-finite --data cell); a repeated flag overrides the
+# one in the base command line, and empirical runs read a 30 x 6 --data file
+BAD_FRONT_DOOR_INPUTS = [
+    ("theory", ["--lambda", "nan"], None),
+    ("theory", ["--lambda", "inf"], None),
+    ("theory", ["--delta", "nan"], None),
+    ("theory", ["--delta", "inf"], None),
+    ("theory", ["--alpha-t", "1e-320"], None),  # alpha / alpha_t overflows
+    ("theory", ["--grid", "1e-320", "2", "3"], None),  # 1 / LO overflows
+    ("theory", ["--grid", "0.5", "inf", "3"], None),
+    ("md", ["--sampler", "uniform", "--hi", "inf"], None),
+    ("md", ["--sampler", "uniform", "--lo=-inf"], None),
+    ("md", ["--sampler", "uniform", "--lo=-1e308", "--hi=1e308"], None),
+    ("md", ["--sampler", "empirical", "--hi", "inf"], None),
+    ("md", ["--sampler", "empirical", "--lo=-inf"], None),
+    ("md", ["--sampler", "empirical", "--lo=-1e308", "--hi=1e308"], None),
+    ("md", ["--sampler", "empirical"], "nan"),
+    ("md", ["--sampler", "empirical"], "inf"),
+]
+
+
+@pytest.mark.parametrize("command,flags,cell", BAD_FRONT_DOOR_INPUTS,
+                         ids=[" ".join(flags) + (f" cell={cell}" if cell else "")
+                              for _, flags, cell in BAD_FRONT_DOOR_INPUTS])
+def test_cli_bad_values_exit_2_with_one_line(command, flags, cell, tmp_path, capsys):
+    """Each value is checked by the type that owns it, so a bad one exits 2
+    with one stderr line: no traceback, no NaN curve, nothing on stdout."""
+    if command == "theory":
+        argv = THEORY_ARGV + flags
+    else:
+        argv = ["md", checkpoint(tmp_path, D=6), "--samples", "200", "--seed", "1"] + flags
+    if "empirical" in flags:
+        rows = np.random.default_rng(0).uniform(-1, 1, (30, 6))
+        if cell is not None:
+            rows[4, 2] = float(cell)
+        data = tmp_path / "rows.csv"
+        np.savetxt(data, rows, delimiter=",")
+        argv += ["--data", str(data)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a second line
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert captured.err.startswith(f"meandim {command}: ") and "Traceback" not in captured.err
 
 
 _FUZZ = settings(max_examples=150, deadline=None,
