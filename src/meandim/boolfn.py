@@ -64,10 +64,6 @@ class FourierSpectrum:
     n: int
     coeffs: np.ndarray
 
-    @property
-    def variance(self) -> float:
-        return float(np.sum(self.coeffs[1:] ** 2))
-
 
 @dataclass(frozen=True)
 class DegreeProfile:

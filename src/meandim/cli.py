@@ -21,6 +21,10 @@ before any experiment cell runs), sampler bounds that are not finite with
 --lo < --hi, a --data cell that is not a finite number, or a theory value
 (--alpha-t, --lambda, --delta, --grid) that is not finite and in range.
 The layer type that owns a value checks it; the commands only map flags.
+A config that parses but whose experiment cell fails (say, lam = 0 past
+the interpolation threshold, or a learning rate that diverges) exits 1
+with one `meandim run: experiment cell <coordinate>, rep=<r> failed:
+<cause>` line on stderr.
 """
 
 import argparse
@@ -30,7 +34,7 @@ import numpy as np
 
 from .estimator import (SAMPLER_KINDS, InputSampler, estimate_md_best,
                         profile_summary, write_profile_csv)
-from .experiments import load_experiment_config, run_experiment
+from .experiments import CellError, load_experiment_config, run_experiment
 from .replica import _curve_lines, log_grid, sweep_curve, write_curve_csv
 from .rfm import Activation, compute_kappas, load_rfm, score_fn
 from .textio import lines_text, read_text
@@ -131,9 +135,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, CellError) as exc:
         print(f"meandim {args.command}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, CellError) else 2
 
 
 if __name__ == "__main__":

@@ -16,20 +16,21 @@ not cancel it away). Standard errors come from 10 batch means.
 Score functions are batched: they receive an (m, n) array of inputs and must
 return m finite reals (or an (m, k) block for the multi-output variant).
 A score may also have a method ``probe(i, column)`` that returns f of the
-batch it was last called with, column i replaced by the length-m array
-``column``; the estimator then calls f once per background and ``probe``
-once per coordinate (``LinearFirstLayer`` and ``boolfn.table_score_fn``
-answer a probe without redoing the unchanged columns). A score without
-``probe`` is called on the background with column i swapped in place and
-restored afterwards, so it must not keep a reference to its input batch;
-returning a view of it is fine. A score may keep state between calls
-(``LinearFirstLayer`` caches its last full evaluation), so use one score
-object per thread; the experiment harness builds one per cell.
+batch it last evaluated in full, column i replaced by the length-m array
+``column``; the estimator then calls f once per background (a new array
+each time) and ``probe`` once per coordinate (``LinearFirstLayer`` and
+``boolfn.table_score_fn`` answer a probe without redoing the unchanged
+columns). A score without ``probe`` is called on the background with
+column i swapped in place and restored afterwards, so it must keep a copy,
+not a reference, of any batch it needs later; returning a view is fine. A
+score may keep state between calls, so use one score object per thread;
+the experiment harness builds one per cell.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,72 +140,45 @@ class LinearFirstLayer:
     """Score f(x) = head(x @ W + b) that updates single-coordinate probes.
 
     W has shape (n, N); head maps the (m, N) preactivation to m values (or
-    an (m, k) block) row by row. The last full evaluation is kept as
-    (x0, h0, f0). ``probe(i, column)`` answers the last batch passed to the
-    score with column i replaced by ``column``; when that batch is x0 it
-    costs a rank-1 update: the rows whose coordinate i moved get
-    head(h0 + (column - x0_i) W_i) and the others reuse f0. A call with a
-    batch of x0's shape that differs from x0 in exactly one column takes
-    the same update, so a score hidden behind a plain closure (which the
-    estimator probes by swapping a column of its background in place) gives
-    the same bits as one probed directly. Any other batch gets a full
-    evaluation and replaces the cache. With n = 1 every batch differs in the
-    only column, so the update would save nothing and every batch and probe
-    is evaluated in full. For n >= 2 the estimator's backgrounds get full
-    evaluations unless one agrees with the cached batch in all but one
-    column, which m binary rows do with probability 2^-(m (n - 1)); so a
-    reused score gives the same bits as a fresh one.
+    an (m, k) block) row by row. A call evaluates its batch in full and
+    caches a copy x0, h0 = x0 @ W + b and f0, unless the batch is the array
+    object last evaluated in full, changed in place in at most one column
+    i: then, as for ``probe(i, column)`` on x0, the rows whose coordinate i
+    moved get head(h0 + (x_i - x0_i) W_i) and the others reuse f0. So a
+    score behind a closure gives the bits of one probed directly, and a
+    reused score those of a fresh one. The batch is held by weak reference.
     """
 
     def __init__(self, W: np.ndarray, b, head):
         self.W = np.asarray(W, dtype=float)
         self.b = b
         self.head = head
+        self._batch = lambda: None  # weak reference to the batch of x0
         self._x0 = self._h0 = self._f0 = None
-        # the last batch passed in: the x0 it was compared with, and the one
-        # column (index, values) in which it differs from that x0, if any
-        self._last = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        x0 = self._x0
-        if x0 is not None and x.shape == x0.shape and x.shape[1] > 1:
-            cols = np.flatnonzero((x != x0).any(axis=0))
+        if x is self._batch() and x.shape == self._x0.shape:
+            cols = np.flatnonzero((x != self._x0).any(axis=0))
             if cols.size == 0:
-                self._last = (x0, None, None)
                 return self._f0.copy()
             if cols.size == 1:
-                i = cols[0]
-                column = x[:, i].copy()
-                self._last = (x0, i, column)
-                return self._rank1(i, column)
+                return self._rank1(cols[0], x[:, cols[0]])
         h = x @ self.W
         h += self.b
         out = self.head(h)
+        self._batch = weakref.ref(x)
         self._x0, self._h0, self._f0 = x.copy(), h, out
-        self._last = (self._x0, None, None)
         return out.copy()
 
     def probe(self, i: int, column: np.ndarray) -> np.ndarray:
-        """f of the last batch passed to the score, with column i set to ``column``."""
-        if self._last is None:
+        """f of the batch last evaluated in full, with column i set to ``column``."""
+        if self._x0 is None:
             raise RuntimeError("probe needs a batch evaluated first")
-        base, j, moved = self._last
         column = np.asarray(column, dtype=float)
-        if column.shape != (base.shape[0],):
-            raise ValueError(f"probe column has shape {column.shape}, expected ({base.shape[0]},)")
-        if base is self._x0 and base.shape[1] > 1 and j in (None, i):
-            return self._rank1(i, column)
-        # the last batch is not the cached one: evaluate the probed batch as
-        # a call would, then point back at the last batch
-        x = base.copy()
-        if j is not None:
-            x[:, j] = moved
-        x[:, i] = column
-        last = self._last
-        out = self(x)
-        self._last = last
-        return out
+        if column.shape != self._x0.shape[:1]:
+            raise ValueError(f"probe column has shape {column.shape}, expected {self._x0.shape[:1]}")
+        return self._rank1(i, column)
 
     def _rank1(self, i: int, column: np.ndarray) -> np.ndarray:
         """f of x0 with column i set to ``column``, from the cached h0 and f0."""

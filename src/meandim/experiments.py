@@ -40,6 +40,7 @@ from .trainer import (TeacherTask, TrainConfig, adversarial_init_protocol,
 
 __all__ = [
     "EXPERIMENT_KINDS",
+    "CellError",
     "ExperimentConfig",
     "SweepResult",
     "PeakReport",
@@ -63,6 +64,10 @@ _TITLES = {
     "normalization-comparison": "input normalization ranges and the BMD pattern",
 }
 EXPERIMENT_KINDS = tuple(_TITLES)
+
+
+class CellError(RuntimeError):
+    """An experiment cell failed; the message names its coordinates and cause."""
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +526,7 @@ def _run_cells(cell_fn, coords, metric_names, reps: int, jobs: int,
         try:
             return cell_fn(i, rep)
         except Exception as exc:
-            raise RuntimeError(
+            raise CellError(
                 f"experiment cell {coordinate}={coords[i]}, rep={rep} failed: {exc}"
             ) from exc
 

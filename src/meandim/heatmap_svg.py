@@ -8,21 +8,11 @@ compared with plain file equality.
 
 import numpy as np
 
-from .textio import lines_text, write_text
+from .textio import write_text
 
-__all__ = ["emit_heatmap_svg", "render_heatmap_svg", "CELL_PX"]
+__all__ = ["emit_heatmap_svg", "CELL_PX"]
 
 CELL_PX = 16
-
-
-def render_heatmap_svg(grid) -> str:
-    """Return the SVG document for a rectangular grid of values in [0, 1].
-
-    Row r, column c of the grid becomes the cell at (c, r) in image
-    coordinates, CELL_PX pixels on a side. Luminance is the linear map
-    round(255 * value), so 0.0 is black and 1.0 is white.
-    """
-    return lines_text(_svg_lines(grid))
 
 
 def _svg_lines(grid) -> list:
@@ -58,5 +48,10 @@ def _svg_lines(grid) -> list:
 
 
 def emit_heatmap_svg(grid, path) -> None:
-    """Write the grid as a grayscale SVG file (see render_heatmap_svg)."""
+    """Write the SVG document for a rectangular grid of values in [0, 1].
+
+    Row r, column c of the grid becomes the cell at (c, r) in image
+    coordinates, CELL_PX pixels on a side. Luminance is the linear map
+    round(255 * value), so 0.0 is black and 1.0 is white.
+    """
     write_text(path, _svg_lines(grid))

@@ -63,7 +63,8 @@ class ReplicaInput:
 
     alpha = P/N and alpha_t = P/D; the width ratio alpha_d = D/N follows
     as alpha/alpha_t. delta is the variance of the pre-sign Gaussian label
-    noise. Each is checked finite, the ratios > 0 and lam, delta >= 0.
+    noise. Each is checked finite, the ratios > 0 and lam, delta >= 0;
+    the proposal forms 2 alpha_t, so that must be finite too.
     """
 
     alpha: float
@@ -74,9 +75,9 @@ class ReplicaInput:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.alpha_t < math.inf and 0 < self.alpha < math.inf
+        if not (0 < 2.0 * float(self.alpha_t) < math.inf and 0 < self.alpha < math.inf
                 and 0 < self.alpha_d < math.inf):
-            raise ValueError("alpha ratios must be positive and finite")
+            raise ValueError("alpha ratios must be positive and finite, and 2 alpha_t finite")
         for name in ("lam", "delta"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")

@@ -53,11 +53,14 @@ class Dataset:
 
     y holds the labels actually trained on; y_clean keeps the noiseless
     teacher labels so generalization can be scored against the clean rule.
+    n_classes is None for +-1 sign labels, else the number of classes whose
+    integer indices y holds (some may be absent from y).
     """
 
     X: np.ndarray
     y: np.ndarray
     y_clean: np.ndarray | None = None
+    n_classes: int | None = None
 
     def __post_init__(self):
         if self.X.ndim != 2 or self.y.shape != (self.X.shape[0],):
@@ -148,15 +151,16 @@ def gen_multiclass_task(D: int, P_train: int, P_test: int, n_classes: int,
     for P in (P_train, P_test):
         X = InputSampler(input_kind, D).sample_background(rng, P)
         y = np.argmax(X @ protos.T / np.sqrt(D), axis=1).astype(float)
-        sets.append(Dataset(X=X, y=y, y_clean=y.copy()))
+        sets.append(Dataset(X=X, y=y, y_clean=y.copy(), n_classes=n_classes))
     return sets[0], sets[1]
 
 
 def flip_labels(ds: Dataset, fraction: float, seed: int) -> Dataset:
     """Corrupt exactly floor(fraction * P) labels, each to a wrong value.
 
-    Binary labels flip sign; class indices move uniformly among the other
-    classes. y_clean keeps the labels from before the first corruption.
+    Sign labels flip; class indices move uniformly among the other
+    ds.n_classes - 1 classes. y_clean keeps the labels from before the
+    first corruption.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
@@ -166,12 +170,11 @@ def flip_labels(ds: Dataset, fraction: float, seed: int) -> Dataset:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 29]))
     rows = rng.choice(ds.P, size=n_flip, replace=False)
     y = ds.y.copy()
-    if set(np.unique(ds.y)) <= {-1.0, 1.0}:
+    if ds.n_classes is None:
         y[rows] = -y[rows]
     else:
-        n_classes = int(ds.y.max()) + 1
-        shift = rng.integers(1, n_classes, size=n_flip)
-        y[rows] = (y[rows].astype(int) + shift) % n_classes
+        shift = rng.integers(1, ds.n_classes, size=n_flip)
+        y[rows] = (y[rows].astype(int) + shift) % ds.n_classes
     return replace(ds, y=y, y_clean=ds.y.copy() if ds.y_clean is None else ds.y_clean)
 
 
@@ -459,7 +462,7 @@ def _descend(skeleton: Mlp, ds: Dataset, config: TrainConfig) -> tuple[Mlp, np.n
             initial_loss = abs(value) + 1e-12
         if not np.isfinite(value) or abs(value) > 1e3 * initial_loss:
             raise RuntimeError(
-                f"training diverged at epoch {epoch} (loss {value!r}); lower the learning rate")
+                f"training diverged at epoch {epoch} (loss {float(value)!r}); lower the learning rate")
     return Mlp(*params), history
 
 

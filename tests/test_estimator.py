@@ -1,5 +1,7 @@
 """Monte Carlo mean dimension estimator against exact hypercube oracles."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -345,16 +347,16 @@ class TestLinearFirstLayer:
         head = _softmax_head(rng.standard_normal((width, 3))) if multi \
             else _tanh_head(rng.standard_normal(width))
         f = LinearFirstLayer(W, b, head)
-        twin = LinearFirstLayer(W, b, head)  # takes the same batches as calls
+        twin = LinearFirstLayer(W, b, head)  # takes the probed batches as in-place calls
         x0 = rng.standard_normal((m, n))
         assert np.array_equal(f(x0), head(x0 @ W + b))
-        twin(x0)
-        # the batch probed: the cached one, one a call answers by the rank-1
-        # update (the cache stays x0), or one of another size
+        # the batch probed: a copy of x0, a copy with one column moved, or
+        # one of another size; each is a new array, so a full evaluation
         x = rng.standard_normal((m + 1, n)) if start == "resized" else x0.copy()
         if start == "one column moved":
             x[:, rng.integers(n)] = rng.standard_normal(m)
-        assert np.array_equal(f(x), twin(x))
+        assert np.array_equal(f(x), head(x @ W + b))
+        assert np.array_equal(twin(x), head(x @ W + b))
         for _ in range(n_probes):
             i = rng.integers(n)
             moved = {"all": np.ones(x.shape[0], dtype=bool), "none": np.zeros(x.shape[0], dtype=bool),
@@ -367,12 +369,43 @@ class TestLinearFirstLayer:
             got = f.probe(i, column)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-            # a call on the probed batch gives the same bits
-            assert np.array_equal(got, twin(x_mod))
-        # probes answer for the last batch passed in, whatever they did
+            # the estimator's in-place swap of a column gives the same bits
+            saved = x[:, i].copy()
+            x[:, i] = column
+            assert np.array_equal(got, twin(x))
+            x[:, i] = saved
+        # probes answer for the last batch evaluated in full, whatever they did
         i = rng.integers(n)
         want = head(x @ W + b)
         assert np.max(np.abs(f.probe(i, x[:, i]) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_one_cache_rule(self, n):
+        rng = np.random.default_rng(n)
+        W, b = rng.standard_normal((n, 7)), rng.standard_normal(7)
+        head = _tanh_head(rng.standard_normal(7))
+        f = LinearFirstLayer(W, b, head)
+        x = rng.standard_normal((9, n))
+        f(x)
+        # a new array one column away from the cached batch: a full evaluation
+        y = x.copy()
+        y[:, n - 1] = rng.standard_normal(9)
+        assert np.array_equal(f(y), head(y @ W + b))
+        # the same array changed in place in one column: the probe's bits
+        column = rng.standard_normal(9)
+        want = f.probe(0, column)
+        y_full = y.copy()
+        y[:, 0] = column
+        assert np.array_equal(f(y), want)
+        # that call left the cache alone: probes answer the last full evaluation
+        column = rng.standard_normal(9)
+        y_full[:, n - 1] = column
+        want = head(y_full @ W + b)
+        assert np.max(np.abs(f.probe(n - 1, column) - want)) <= 1e-12 * np.max(np.abs(want))
+        # the score keeps no caller's batch alive
+        batch = weakref.ref(y)
+        del y
+        assert batch() is None
 
     def test_probe_needs_a_batch_of_its_length(self):
         rng = np.random.default_rng(0)
@@ -426,8 +459,8 @@ class TestLinearFirstLayer:
 
     @pytest.mark.parametrize("D", [1, 2, 7])
     def test_bit_identical_whatever_the_call_history(self, D):
-        # D = 1 always evaluates in full: every batch differs from the
-        # cached one in the only column, backgrounds included
+        # every background is a new array, so each is evaluated in full
+        # whatever the score saw before, D = 1 included
         model = random_rfm(D, 6, Activation.tanh(), seed=D)
         used = score_fn(model)
         runs = [

@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, sweep plumbing, SVG output, CLI."""
 
 import os
+import re
 import time
 import warnings
 
@@ -22,7 +23,7 @@ from meandim.experiments import (
     write_sweep_csv,
 )
 from meandim.experiments import _minmax_dataset, _pearson, _run_cells, _spearman
-from meandim.heatmap_svg import CELL_PX, emit_heatmap_svg, render_heatmap_svg
+from meandim.heatmap_svg import CELL_PX, emit_heatmap_svg
 from meandim.replica import CURVE_HEADER
 from meandim.rfm import Activation, load_rfm, random_rfm, save_rfm
 from meandim.trainer import Dataset
@@ -310,8 +311,14 @@ def test_run_cells_jobs_do_not_change_values():
 # SVG rendering
 
 
-def test_svg_single_white_cell():
-    doc = render_heatmap_svg([[1.0]])
+def svg_text(grid, tmp_path):
+    path = tmp_path / "grid.svg"
+    emit_heatmap_svg(grid, path)
+    return path.read_text(encoding="ascii")
+
+
+def test_svg_single_white_cell(tmp_path):
+    doc = svg_text([[1.0]], tmp_path)
     assert doc == (
         '<svg xmlns="http://www.w3.org/2000/svg" width="16" height="16" '
         'viewBox="0 0 16 16" shape-rendering="crispEdges">\n'
@@ -319,8 +326,8 @@ def test_svg_single_white_cell():
         "</svg>\n")
 
 
-def test_svg_grid_layout_and_levels():
-    doc = render_heatmap_svg([[0.0, 0.5], [1.0, 0.25]])
+def test_svg_grid_layout_and_levels(tmp_path):
+    doc = svg_text([[0.0, 0.5], [1.0, 0.25]], tmp_path)
     lines = doc.splitlines()
     assert 'width="32"' in lines[0] and 'height="32"' in lines[0]
     assert lines[1] == '<rect x="0" y="0" width="16" height="16" fill="#000000"/>'
@@ -330,25 +337,26 @@ def test_svg_grid_layout_and_levels():
     assert lines[5] == "</svg>"
 
 
-def test_svg_uniform_grid_single_color():
-    doc = render_heatmap_svg(np.full((3, 4), 0.2))
+def test_svg_uniform_grid_single_color(tmp_path):
+    doc = svg_text(np.full((3, 4), 0.2), tmp_path)
     rects = [l for l in doc.splitlines() if l.startswith("<rect")]
     assert len(rects) == 12
     fills = {r.split('fill="')[1][:7] for r in rects}
     assert len(fills) == 1
 
 
-def test_svg_input_validation():
+def test_svg_input_validation(tmp_path):
     with pytest.raises(ValueError, match="rectangular"):
-        render_heatmap_svg([[0.1, 0.2], [0.3]])
+        svg_text([[0.1, 0.2], [0.3]], tmp_path)
     with pytest.raises(ValueError, match="2-D"):
-        render_heatmap_svg([0.1, 0.2])
+        svg_text([0.1, 0.2], tmp_path)
     with pytest.raises(ValueError, match="2-D"):
-        render_heatmap_svg(np.zeros((0, 3)))
+        svg_text(np.zeros((0, 3)), tmp_path)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        render_heatmap_svg([[1.5]])
+        svg_text([[1.5]], tmp_path)
     with pytest.raises(ValueError, match="non-finite"):
-        render_heatmap_svg([[np.nan]])
+        svg_text([[np.nan]], tmp_path)
+    assert not (tmp_path / "grid.svg").exists()
 
 
 def test_emit_heatmap_svg_writes_bytes(tmp_path):
@@ -357,7 +365,9 @@ def test_emit_heatmap_svg_writes_bytes(tmp_path):
     emit_heatmap_svg(grid, p1)
     emit_heatmap_svg(grid, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert p1.read_text(encoding="ascii") == render_heatmap_svg(grid)
+    lines = p1.read_text(encoding="ascii").splitlines()
+    assert len(lines) == 2 * 3 + 2 and lines[-1] == "</svg>"
+    assert lines[-2] == f'<rect x="{2 * CELL_PX}" y="{CELL_PX}" width="16" height="16" fill="#ffffff"/>'
     assert CELL_PX == 16
 
 
@@ -546,6 +556,24 @@ def test_cli_run_missing_config_exits_2(tmp_path, capsys):
     assert "meandim run:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra,cause", [
+    ("lam = 0\n", r"width=24, rep=0 failed: rank-deficient system at lam=0 \(condition "
+                  r"number [0-9.e+]+\); add ridge regularization"),
+    ("lr = 1e6\n", r"width=4, rep=0 failed: training diverged at epoch 1 \(loss [0-9.]+\); "
+                   r"lower the learning rate"),
+], ids=["lam=0", "lr=1e6"])
+def test_cli_run_failed_cell_exits_1_with_one_line(extra, cause, tmp_path, capsys):
+    """A config that parses but whose cell fails: one stderr line, exit 1."""
+    kind = "double-descent-rfm" if extra.startswith("lam") else "double-descent-mlp"
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY[kind] + "\n" + extra, encoding="ascii")
+    code = main(["run", str(cfg_file), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert re.fullmatch(f"meandim run: experiment cell {cause}\n", captured.err), captured.err
+
+
 def test_cli_run_bad_config_exits_2(tmp_path, capsys):
     rfm = "kind = double-descent-rfm\ndim = 4\nn_train = 8\nwidths = 4\n"
     mlp = "kind = double-descent-mlp\ndim = 4\nn_train = 8\nwidths = 4\n"
@@ -705,6 +733,7 @@ BAD_FRONT_DOOR_INPUTS = [
     ("theory", ["--delta", "nan"], None),
     ("theory", ["--delta", "inf"], None),
     ("theory", ["--alpha-t", "1e-320"], None),  # alpha / alpha_t overflows
+    ("theory", ["--alpha-t", "1e308"], None),  # 2 alpha_t overflows
     ("theory", ["--grid", "1e-320", "2", "3"], None),  # 1 / LO overflows
     ("theory", ["--grid", "0.5", "inf", "3"], None),
     ("md", ["--sampler", "uniform", "--hi", "inf"], None),

@@ -121,13 +121,27 @@ class TestFlipLabels:
     def test_exact_count_multiclass(self):
         rng = np.random.default_rng(1)
         ds = Dataset(X=rng.standard_normal((1000, 2)),
-                     y=rng.integers(0, 10, 1000).astype(float))
+                     y=rng.integers(0, 10, 1000).astype(float), n_classes=10)
         flipped = flip_labels(ds, 0.2, seed=2)
         changed = np.flatnonzero(flipped.y != ds.y)
         assert changed.size == 200
         assert np.array_equal(np.flatnonzero(flipped.y != flipped.clean_labels), changed)
         assert np.all(flipped.y[changed] != ds.y[changed])
         assert set(np.unique(flipped.y)) <= set(range(10))
+
+    def test_class_count_comes_from_the_task(self):
+        # class 9 of this 10-class task is absent from the 20 training labels,
+        # yet a full corruption can move a label there
+        train, _ = gen_multiclass_task(100, 20, 5, n_classes=10, seed=1)
+        assert 9 not in train.y
+        flipped = flip_labels(train, 1.0, seed=0)
+        assert np.all(flipped.y != train.y)
+        assert 9 in flipped.y and set(np.unique(flipped.y)) <= set(range(10))
+
+    def test_all_ones_multiclass_labels_stay_class_indices(self):
+        train, _ = gen_multiclass_task(6, 30, 5, n_classes=3, seed=0)
+        flipped = flip_labels(replace(train, y=np.ones(30)), 1.0, seed=0)
+        assert set(np.unique(flipped.y)) == {0.0, 2.0}
 
 
 class TestRidge:
