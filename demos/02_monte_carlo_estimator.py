@@ -21,7 +21,8 @@ from meandim.estimator import (
     influence_heatmap,
     profile_summary,
 )
-from meandim.heatmap_svg import emit_heatmap_svg
+from meandim.heatmap_svg import svg_lines
+from meandim.textio import write_text
 
 
 def exact_md(table):
@@ -60,7 +61,7 @@ def main():
 
     grid = influence_heatmap(prof, width=3, height=3)
     out = os.path.join(tempfile.mkdtemp(prefix="meandim_demo_"), "influence.svg")
-    emit_heatmap_svg(grid, out)
+    write_text(out, svg_lines(grid))
     print(f"wrote {out} (3x3 cells, bright = influential)")
 
 

@@ -16,15 +16,16 @@ Three subcommands:
 
 Bad input exits with code 2, nothing on stdout and one `meandim <command>:
 <reason>` line on stderr: a missing file, a malformed or truncated
-checkpoint, a malformed config or a config value out of its range (checked
-before any experiment cell runs), sampler bounds that are not finite with
---lo < --hi, a --data cell that is not a finite number, or a theory value
-(--alpha-t, --lambda, --delta, --grid) that is not finite and in range.
-The layer type that owns a value checks it; the commands only map flags.
-A config that parses but whose experiment cell fails (say, lam = 0 past
-the interpolation threshold, or a learning rate that diverges) exits 1
-with one `meandim run: experiment cell <coordinate>, rep=<r> failed:
-<cause>` line on stderr.
+checkpoint (or one with D or N below 1 or a non-finite weight), a
+malformed config, a config value out of its range or a sweep list that is
+not strictly increasing (checked before any experiment cell runs), sampler
+bounds that are not finite with --lo < --hi, a --data cell that is not a
+finite number, or a theory value (--alpha-t, --lambda, --delta, --grid)
+that is not finite and in range. The layer type that owns a value checks
+it; the commands only map flags. A config that parses but whose experiment
+cell fails (say, lam = 0 past the interpolation threshold, or a learning
+rate that diverges) exits 1 with one `meandim run: experiment cell
+<coordinate>, rep=<r> failed: <cause>` line on stderr and writes no file.
 """
 
 import argparse
@@ -33,11 +34,11 @@ import sys
 import numpy as np
 
 from .estimator import (SAMPLER_KINDS, InputSampler, estimate_md_best,
-                        profile_summary, write_profile_csv)
+                        profile_csv_lines, profile_summary)
 from .experiments import CellError, load_experiment_config, run_experiment
-from .replica import _curve_lines, log_grid, sweep_curve, write_curve_csv
+from .replica import curve_lines, log_grid, sweep_curve
 from .rfm import Activation, compute_kappas, load_rfm, score_fn
-from .textio import lines_text, read_text
+from .textio import lines_text, read_text, write_text
 
 __all__ = ["main", "build_parser"]
 
@@ -112,7 +113,7 @@ def _cmd_md(args) -> int:
     profile = estimate_md_best(score_fn(model), sampler, args.samples, args.seed)
     sys.stdout.write(profile_summary(profile))
     if args.profile_out is not None:
-        write_profile_csv(args.profile_out, profile)
+        write_text(args.profile_out, profile_csv_lines(profile))
         print(f"profile: {args.profile_out}")
     return 0
 
@@ -122,9 +123,10 @@ def _cmd_theory(args) -> int:
     kappas = compute_kappas(Activation.from_tag(args.activation))
     rows = sweep_curve(kappas, args.loss, args.lam, args.alpha_t, grid,
                        delta=args.delta)
-    sys.stdout.write(lines_text(_curve_lines(rows)))
+    lines = curve_lines(rows)
+    sys.stdout.write(lines_text(lines))
     if args.out is not None:
-        write_curve_csv(args.out, rows)
+        write_text(args.out, lines)
     return 0
 
 

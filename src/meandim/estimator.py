@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .textio import csv_lines, lines_text, write_text
+from .textio import csv_lines, lines_text
 
 __all__ = [
     "InputSampler",
@@ -48,7 +48,7 @@ __all__ = [
     "estimate_md_best",
     "estimate_md_multioutput",
     "influence_heatmap",
-    "write_profile_csv",
+    "profile_csv_lines",
     "profile_summary",
 ]
 
@@ -399,8 +399,9 @@ def influence_heatmap(profile: InfluenceProfile, width: int, height: int) -> np.
 # ---------------------------------------------------------------------------
 # text output: CSV for the influence vector, flat key-value summary text
 
-def write_profile_csv(path, profile: InfluenceProfile) -> None:
-    write_text(path, csv_lines(("i", "tau_sq"), enumerate(profile.tau_sq.tolist())))
+def profile_csv_lines(profile: InfluenceProfile) -> list:
+    """The influence CSV: header i,tau_sq, then one line per coordinate."""
+    return csv_lines(("i", "tau_sq"), enumerate(profile.tau_sq.tolist()))
 
 
 def _format_value(value: float | int | None) -> str:

@@ -12,8 +12,10 @@ model at one grid point and repetition: `_rfm_cell` fits a random feature
 model by closed-form ridge and is keyed by the swept field and the MD
 method; `_mlp_cell` trains a two-layer network by gradient descent.
 `_run_cells` runs a cell over the grid x repetition lattice and `_sweep`
-writes the means, so a kind only picks the swept field, the fixed cell
-settings and its summary lines.
+returns the means as CSV lines, so a kind only picks the swept field, the
+fixed cell settings and its summary lines. A kind writes nothing: it
+returns {file name: lines}, and `run_experiment` writes those and
+summary.txt once every cell has succeeded, so a failed cell leaves no file.
 
 Config files are flat key-value text, one `key = value` per line, with
 `#` starting a comment. Repetition seeds are seed + rep_index, so any
@@ -28,9 +30,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .estimator import (InputSampler, estimate_md, estimate_md_binary_fast,
-                        influence_heatmap, write_profile_csv)
-from .heatmap_svg import emit_heatmap_svg
-from .replica import log_grid, sweep_curve, write_curve_csv
+                        influence_heatmap, profile_csv_lines)
+from .heatmap_svg import svg_lines
+from .replica import curve_lines, log_grid, sweep_curve
 from .rfm import Activation, analytic_bmd, compute_kappas, random_rfm, score_fn
 from .textio import csv_lines, read_text, write_text
 from .trainer import (TeacherTask, TrainConfig, adversarial_init_protocol,
@@ -48,7 +50,6 @@ __all__ = [
     "load_experiment_config",
     "run_experiment",
     "summarize_peaks",
-    "write_sweep_csv",
 ]
 
 _TITLES = {
@@ -83,13 +84,17 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-def _parse_list(conv):
-    """Parser for a non-empty comma- or space-separated list of conv values."""
+def _parse_list(conv, increasing=False):
+    """Parser for a non-empty comma- or space-separated list of conv values,
+    strictly increasing if increasing (a sweep grid)."""
     def parse(s: str) -> tuple:
         toks = s.replace(",", " ").split()
         if not toks:
             raise ValueError("empty list")
-        return tuple(conv(t) for t in toks)
+        values = tuple(conv(t) for t in toks)
+        if increasing and any(a >= b for a, b in zip(values, values[1:])):
+            raise ValueError(f"expected a strictly increasing list, got {s!r}")
+        return values
     return parse
 
 
@@ -142,7 +147,7 @@ _INPUT_KIND = _parse_choice("binary", "gaussian")
 _LOSS = _parse_choice("mse", "ce")
 _MLP_OPTIMIZER = _parse_choice("full-batch-gd", "minibatch-gd")
 _COUNT = _parse_range(int, 1)
-_COUNTS = _parse_list(_COUNT)
+_COUNTS = _parse_list(_COUNT, increasing=True)  # a sweep grid of counts
 _SAMPLES = _parse_range(int, 100)
 _CLASSES = _parse_range(int, 2)
 _NONNEG = _parse_range(float, 0)
@@ -229,7 +234,8 @@ _SCHEMAS = {
         "n_test": (_COUNT, 800),
         "width": (_COUNT, _REQUIRED),
         "n_classes": (_CLASSES, 10),
-        "pretrain_grid": (_parse_list(_parse_range(int, 0)), (0, 5, 20, 50)),
+        "pretrain_grid": (_parse_list(_parse_range(int, 0), increasing=True),
+                          (0, 5, 20, 50)),
         "epochs": (_COUNT, 60),
         "lr": (_POSITIVE, 3e-3),
         "batch_size": (_COUNT, 64),
@@ -413,7 +419,8 @@ class SweepResult:
         return np.where(counts > 1, np.sqrt(ss / np.maximum(counts - 1, 1)), np.nan)
 
 
-def write_sweep_csv(path, result: SweepResult) -> None:
+def _sweep_lines(result: SweepResult) -> list:
+    """The sweep CSV: the coordinate, then each metric's mean (and std)."""
     header, columns = [result.coordinate], [result.coords]
     for name in result.values:
         header.append(f"{name}_mean")
@@ -421,7 +428,7 @@ def write_sweep_csv(path, result: SweepResult) -> None:
         if result.reps > 1:
             header.append(f"{name}_std")
             columns.append(result.std(name))
-    write_text(path, csv_lines(header, zip(*columns)))
+    return csv_lines(header, zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -651,13 +658,10 @@ def _mlp_cell(p, width, seed, multiclass, pretrain=None, flips=False):
     return out
 
 
-def _sweep(cfg: ExperimentConfig, name: str, cell, coords,
-           metrics=_ERR_BMD, coordinate="width"):
-    """Run cell(i, rep) over coords x reps; write the means to <name>.csv."""
+def _sweep(cfg: ExperimentConfig, cell, coords, metrics=_ERR_BMD, coordinate="width"):
+    """Run cell(i, rep) over coords x reps; return the CSV lines and the result."""
     result = _run_cells(cell, coords, metrics, cfg.reps, cfg.jobs, coordinate)
-    path = os.path.join(cfg.out_dir, f"{name}.csv")
-    write_sweep_csv(path, result)
-    return path, result
+    return _sweep_lines(result), result
 
 
 def _peak_lines(result: SweepResult, pairs=None) -> list:
@@ -683,8 +687,8 @@ def _run_rfm_sweep(cfg: ExperimentConfig) -> tuple:
     def cell(i, rep):
         return _rfm_cell(p, act, kappas, cfg.seed + rep, "analytic", **{axis: coords[i]})
 
-    path, result = _sweep(cfg, cfg.kind, cell, coords, coordinate=axis)
-    return [path], _peak_lines(result)
+    lines, result = _sweep(cfg, cell, coords, coordinate=axis)
+    return {f"{cfg.kind}.csv": lines}, _peak_lines(result)
 
 
 def _run_mlp_sweep(cfg: ExperimentConfig) -> tuple:
@@ -697,17 +701,16 @@ def _run_mlp_sweep(cfg: ExperimentConfig) -> tuple:
         return _mlp_cell(p, p["widths"][i], cfg.seed + rep, multiclass, flips=robust)
 
     metrics = _ERR_BMD + (("flip_count",) if robust else ())
-    path, result = _sweep(cfg, cfg.kind, cell, p["widths"], metrics)
-    return [path], _peak_lines(result, (("bmd", "flip_count"),) if robust else None)
+    lines, result = _sweep(cfg, cell, p["widths"], metrics)
+    return ({f"{cfg.kind}.csv": lines},
+            _peak_lines(result, (("bmd", "flip_count"),) if robust else None))
 
 
-def _theory_sweep(p, kappas, lam, path) -> list:
-    """Solve the replica curve at ridge strength lam on the config's log
-    grid of 1/alpha; write it to path and return its rows."""
+def _theory_sweep(p, kappas, lam) -> list:
+    """The replica curve's rows at ridge strength lam on the config's log
+    grid of 1/alpha."""
     grid = log_grid(p["grid_min"], p["grid_max"], p["grid_points"])
-    rows = sweep_curve(kappas, p["loss"], lam, p["alpha_t"], grid, delta=p["delta"])
-    write_curve_csv(path, rows)
-    return rows
+    return sweep_curve(kappas, p["loss"], lam, p["alpha_t"], grid, delta=p["delta"])
 
 
 def _curve_sweep_result(rows) -> SweepResult:
@@ -724,21 +727,19 @@ def _curve_sweep_result(rows) -> SweepResult:
 def _run_theory_curve(cfg: ExperimentConfig) -> tuple:
     p = cfg.params
     _, kappas = _kappas(p)
-    csv_path = os.path.join(cfg.out_dir, "theory-curve.csv")
-    rows = _theory_sweep(p, kappas, p["lam"], csv_path)
-    return [csv_path], (_peak_lines(_curve_sweep_result(rows))
-                        + ["test_err here is the replica eps_g"])
+    rows = _theory_sweep(p, kappas, p["lam"])
+    return {"theory-curve.csv": curve_lines(rows)}, (
+        _peak_lines(_curve_sweep_result(rows)) + ["test_err here is the replica eps_g"])
 
 
 def _run_regularization_sweep(cfg: ExperimentConfig) -> tuple:
     p = cfg.params
     act, kappas = _kappas(p)
-    paths = []
+    files = {}
     peak_lines = []
     for lam in p["lams"]:
-        path = os.path.join(cfg.out_dir, f"theory_lam_{lam:g}.csv")
-        rows = _theory_sweep(p, kappas, lam, path)
-        paths.append(path)
+        rows = _theory_sweep(p, kappas, lam)
+        files[f"theory_lam_{lam:g}.csv"] = curve_lines(rows)
         bmds = np.array([r.bmd for r in rows])
         peak_lines.append(
             f"theory lam={lam:g}: peak bmd = {float(np.nanmax(bmds))!r} "
@@ -751,13 +752,12 @@ def _run_regularization_sweep(cfg: ExperimentConfig) -> tuple:
                 return _rfm_cell(p, act, kappas, cfg.seed + rep, "analytic",
                                  width=widths[i], lam=_lam, delta=0.0)
 
-            path, result = _sweep(cfg, f"empirical_lam_{lam:g}", cell, widths)
-            paths.append(path)
+            files[f"empirical_lam_{lam:g}.csv"], result = _sweep(cfg, cell, widths)
             peak_lines.append(
                 f"empirical lam={lam:g}: peak bmd = "
                 f"{float(np.nanmax(result.mean('bmd')))!r} "
                 f"at width = {_argmax(result, 'bmd')}")
-    return paths, peak_lines
+    return files, peak_lines
 
 
 def _run_adversarial_init(cfg: ExperimentConfig) -> tuple:
@@ -771,13 +771,13 @@ def _run_adversarial_init(cfg: ExperimentConfig) -> tuple:
         return _mlp_cell(p, p["width"], cfg.seed + rep, multiclass=True,
                          pretrain=grid[i])
 
-    path, result = _sweep(cfg, cfg.kind, cell, grid, coordinate="pretrain_epochs")
+    lines, result = _sweep(cfg, cell, grid, coordinate="pretrain_epochs")
     pre = np.asarray(grid, dtype=float)
     extra = []
     for name in ("bmd", "test_err"):
         rho = _spearman(pre, result.mean(name))  # NaN on a flat curve
         extra.append(f"spearman(pretrain_epochs, {name}) = {rho:.4f}")
-    return [path], extra
+    return {f"{cfg.kind}.csv": lines}, extra
 
 
 def _run_heatmap(cfg: ExperimentConfig) -> tuple:
@@ -804,13 +804,10 @@ def _run_heatmap(cfg: ExperimentConfig) -> tuple:
     fit = train_rfm_ridge(model, train, p["lam"])
     profile = estimate_md_binary_fast(score_fn(fit.model), dim, p["samples"],
                                       seed=cfg.seed)
-    grid = influence_heatmap(profile, width, height)
-    svg_path = os.path.join(cfg.out_dir, "heatmap.svg")
-    emit_heatmap_svg(grid, svg_path)
-    csv_path = os.path.join(cfg.out_dir, "influence.csv")
-    write_profile_csv(csv_path, profile)
+    files = {"heatmap.svg": svg_lines(influence_heatmap(profile, width, height)),
+             "influence.csv": profile_csv_lines(profile)}
     inside = float(profile.tau_sq[support].sum() / profile.total_influence)
-    return [svg_path, csv_path], [
+    return files, [
         f"teacher support cells: {int(support.sum())} of {dim}",
         f"influence mass on the support: {inside:.4f}",
         f"participation ratio: {profile.participation_ratio!r}",
@@ -828,29 +825,29 @@ def _run_distribution_comparison(cfg: ExperimentConfig) -> tuple:
                          width=widths[i], input_kind="binary", delta=0.0)
 
     names = tuple(f"md_{law}" for law in _SAMPLERS)
-    path, result = _sweep(cfg, cfg.kind, cell, widths, ("test_err",) + names)
-    return [path], [f"argmax {name}: width = {_argmax(result, name)}" for name in names]
+    lines, result = _sweep(cfg, cell, widths, ("test_err",) + names)
+    summary = [f"argmax {name}: width = {_argmax(result, name)}" for name in names]
+    return {f"{cfg.kind}.csv": lines}, summary
 
 
 def _run_normalization_comparison(cfg: ExperimentConfig) -> tuple:
     p = cfg.params
     act, kappas = _kappas(p)
     widths = p["widths"]
-    paths = []
+    files = {}
     extra = []
     for lo, hi in p["ranges"]:
         def cell(i, rep, _range=(lo, hi)):
             return _rfm_cell(p, act, kappas, cfg.seed + rep, "flip", rescale=_range,
                              width=widths[i], input_kind="gaussian", delta=0.0)
 
-        path, result = _sweep(cfg, f"range_{lo:g}_{hi:g}", cell, widths, ("test_err", "bmd"))
-        paths.append(path)
+        files[f"range_{lo:g}_{hi:g}.csv"], result = _sweep(cfg, cell, widths, ("test_err", "bmd"))
         extra.append(f"range [{lo:g}, {hi:g}]: argmax bmd at width = "
                      f"{_argmax(result, 'bmd')}")
-    return paths, extra
+    return files, extra
 
 
-# each runner writes its data files and returns (their paths, summary lines)
+# each runner returns ({file name: lines}, summary lines) and writes nothing
 _RUNNERS = {
     "double-descent-rfm": _run_rfm_sweep,
     "double-descent-mlp": _run_mlp_sweep,
@@ -865,24 +862,22 @@ _RUNNERS = {
 }
 
 
-def _write_summary(cfg: ExperimentConfig, body: list) -> str:
-    lines = [f"experiment: {cfg.kind}", f"title: {_TITLES[cfg.kind]}",
-             f"seed: {cfg.seed}", f"repetitions: {cfg.reps}"] + body
-    path = os.path.join(cfg.out_dir, "summary.txt")
-    write_text(path, lines)
-    return path
-
-
 def run_experiment(config, out_dir=None, jobs=None) -> list:
     """Run one experiment end to end; returns the list of written paths.
 
     config may be an ExperimentConfig or a path to a config file. out_dir
-    and jobs override the config values (the CLI flags map here).
+    and jobs override the config values (the CLI flags map here). The
+    directory is made and written only once every cell has succeeded.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_experiment_config(config)
     overrides = {"out_dir": out_dir, "jobs": jobs}
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    files, body = _RUNNERS[config.kind](config)
+    files["summary.txt"] = [f"experiment: {config.kind}", f"title: {_TITLES[config.kind]}",
+                            f"seed: {config.seed}", f"repetitions: {config.reps}"] + body
     os.makedirs(config.out_dir, exist_ok=True)
-    paths, summary_lines = _RUNNERS[config.kind](config)
-    return paths + [_write_summary(config, summary_lines)]
+    paths = [os.path.join(config.out_dir, name) for name in files]
+    for path, lines in zip(paths, files.values()):
+        write_text(path, lines)
+    return paths

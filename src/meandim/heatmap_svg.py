@@ -8,14 +8,18 @@ compared with plain file equality.
 
 import numpy as np
 
-from .textio import write_text
-
-__all__ = ["emit_heatmap_svg", "CELL_PX"]
+__all__ = ["svg_lines", "CELL_PX"]
 
 CELL_PX = 16
 
 
-def _svg_lines(grid) -> list:
+def svg_lines(grid) -> list:
+    """The SVG document for a rectangular grid of values in [0, 1].
+
+    Row r, column c of the grid becomes the cell at (c, r) in image
+    coordinates, CELL_PX pixels on a side. Luminance is the linear map
+    round(255 * value), so 0.0 is black and 1.0 is white.
+    """
     try:
         arr = np.asarray(grid, dtype=float)
     except ValueError as exc:
@@ -45,13 +49,3 @@ def _svg_lines(grid) -> list:
                 f'width="{CELL_PX}" height="{CELL_PX}" fill="{fill}"/>')
     lines.append("</svg>")
     return lines
-
-
-def emit_heatmap_svg(grid, path) -> None:
-    """Write the SVG document for a rectangular grid of values in [0, 1].
-
-    Row r, column c of the grid becomes the cell at (c, r) in image
-    coordinates, CELL_PX pixels on a side. Luminance is the linear map
-    round(255 * value), so 0.0 is black and 1.0 is white.
-    """
-    write_text(path, _svg_lines(grid))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .rfm import KappaSet, bmd_from_overlaps
-from .textio import csv_lines, write_text
+from .textio import csv_lines
 from .trainer import _margin_loss
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
     "log_grid",
     "mse_inner_max",
     "ce_inner_max",
-    "write_curve_csv",
+    "curve_lines",
 ]
 
 Z0_NODES = 400
@@ -437,12 +437,8 @@ def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
 CURVE_HEADER = "inv_alpha,alpha_T,lambda,loss,eps_g,train_loss,test_loss,bmd,q_d,p_d,Q_d,converged"
 
 
-def _curve_lines(rows: list[CurvePoint]) -> list:
+def curve_lines(rows: list[CurvePoint]) -> list:
     """The curve CSV: CURVE_HEADER, then one line per point."""
     return csv_lines(CURVE_HEADER.split(","), (
         (r.inv_alpha, r.alpha_t, r.lam, r.loss, r.eps_g, r.train_loss, r.test_loss,
          r.bmd, r.q_d, r.p_d, r.Q_d, int(r.converged)) for r in rows))
-
-
-def write_curve_csv(path, rows: list[CurvePoint]) -> None:
-    write_text(path, _curve_lines(rows))

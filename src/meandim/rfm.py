@@ -221,10 +221,14 @@ class RfmModel:
     kappas: KappaSet
 
     def __post_init__(self):
+        if self.D < 1 or self.N < 1:
+            raise ValueError(f"D and N must be >= 1, got D = {self.D}, N = {self.N}")
         if self.F.shape != (self.D, self.N):
             raise ValueError(f"F must be (D, N) = ({self.D}, {self.N}), got {self.F.shape}")
         if self.w.shape != (self.N,):
             raise ValueError(f"w must have shape ({self.N},), got {self.w.shape}")
+        if not (np.isfinite(self.F).all() and np.isfinite(self.w).all()):
+            raise ValueError("F and w must be finite")
 
 
 def random_rfm(D: int, N: int, activation: Activation, seed: int,

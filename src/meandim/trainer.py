@@ -89,8 +89,8 @@ class TeacherTask:
 
     def __post_init__(self):
         D = self.w_T.shape[0]
-        if abs(self.w_T @ self.w_T - D) > 1e-9:
-            raise ValueError(f"teacher norm^2 must equal D = {D} (to 1e-9)")
+        if not abs(self.w_T @ self.w_T - D) <= 1e-9 * D:
+            raise ValueError(f"teacher norm^2 must equal D = {D} (to 1e-9 D)")
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
         if self.input_kind not in ("binary", "gaussian"):

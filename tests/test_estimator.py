@@ -18,8 +18,8 @@ from meandim.estimator import (
     estimate_md_binary_fast,
     estimate_md_multioutput,
     influence_heatmap,
+    profile_csv_lines,
     profile_summary,
-    write_profile_csv,
 )
 from meandim.rfm import Activation, forward, random_rfm, score_fn
 from meandim.trainer import (TeacherTask, TrainConfig, forward_mlp, gen_multiclass_task,
@@ -286,14 +286,12 @@ class TestHeatmap:
 
 
 class TestSerialization:
-    def test_csv_roundtrip_exact(self, tmp_path):
+    def test_csv_roundtrip_exact(self):
         f = boolfn.table_score_fn(random_table(5, 7))
         prof = estimate_md_binary_fast(f, n=5, n_samples=500, seed=0)
-        path = tmp_path / "profile.csv"
-        write_profile_csv(path, prof)
-        with open(path, encoding="ascii") as fh:
-            assert fh.readline() == "i,tau_sq\n"
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        lines = profile_csv_lines(prof)
+        assert lines[0] == "i,tau_sq"
+        table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
         assert np.array_equal(table[:, 0], np.arange(5))
         assert np.array_equal(table[:, 1], prof.tau_sq)
 

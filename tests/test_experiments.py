@@ -20,12 +20,13 @@ from meandim.experiments import (
     load_experiment_config,
     run_experiment,
     summarize_peaks,
-    write_sweep_csv,
 )
-from meandim.experiments import _minmax_dataset, _pearson, _run_cells, _spearman
-from meandim.heatmap_svg import CELL_PX, emit_heatmap_svg
+from meandim.experiments import (_minmax_dataset, _pearson, _run_cells, _spearman,
+                                 _sweep_lines)
+from meandim.heatmap_svg import CELL_PX, svg_lines
 from meandim.replica import CURVE_HEADER
 from meandim.rfm import Activation, load_rfm, random_rfm, save_rfm
+from meandim.textio import write_text
 from meandim.trainer import Dataset
 
 # ---------------------------------------------------------------------------
@@ -196,20 +197,17 @@ def test_sweep_result_mean_and_std():
     assert single.std("bmd") is None
 
 
-def test_write_sweep_csv_columns(tmp_path):
+def test_sweep_lines_columns():
     res = make_sweep({"test_err": [[0.5, 0.3], [0.2, 0.4]],
                       "bmd": [[1.0, 1.2], [1.1, 1.3]]}, coords=(8, 16))
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(path, res)
-    lines = path.read_text(encoding="ascii").splitlines()
+    lines = _sweep_lines(res)
     assert lines[0] == "width,test_err_mean,test_err_std,bmd_mean,bmd_std"
     cells = lines[1].split(",")
     assert int(cells[0]) == 8
     assert float(cells[1]) == pytest.approx(0.4)
     # reps == 1 drops the std columns
     single = make_sweep({"bmd": [[1.0], [2.0]]}, coords=(8, 16))
-    write_sweep_csv(path, single)
-    assert path.read_text(encoding="ascii").splitlines()[0] == "width,bmd_mean"
+    assert _sweep_lines(single)[0] == "width,bmd_mean"
 
 
 def test_minmax_dataset_maps_columns_onto_range():
@@ -313,7 +311,7 @@ def test_run_cells_jobs_do_not_change_values():
 
 def svg_text(grid, tmp_path):
     path = tmp_path / "grid.svg"
-    emit_heatmap_svg(grid, path)
+    write_text(path, svg_lines(grid))
     return path.read_text(encoding="ascii")
 
 
@@ -359,13 +357,10 @@ def test_svg_input_validation(tmp_path):
     assert not (tmp_path / "grid.svg").exists()
 
 
-def test_emit_heatmap_svg_writes_bytes(tmp_path):
+def test_svg_lines_are_deterministic():
     grid = np.linspace(0.0, 1.0, 6).reshape(2, 3)
-    p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    emit_heatmap_svg(grid, p1)
-    emit_heatmap_svg(grid, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    lines = p1.read_text(encoding="ascii").splitlines()
+    lines = svg_lines(grid)
+    assert lines == svg_lines(grid.copy())
     assert len(lines) == 2 * 3 + 2 and lines[-1] == "</svg>"
     assert lines[-2] == f'<rect x="{2 * CELL_PX}" y="{CELL_PX}" width="16" height="16" fill="#ffffff"/>'
     assert CELL_PX == 16
@@ -556,22 +551,30 @@ def test_cli_run_missing_config_exits_2(tmp_path, capsys):
     assert "meandim run:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra,cause", [
-    ("lam = 0\n", r"width=24, rep=0 failed: rank-deficient system at lam=0 \(condition "
-                  r"number [0-9.e+]+\); add ridge regularization"),
-    ("lr = 1e6\n", r"width=4, rep=0 failed: training diverged at epoch 1 \(loss [0-9.]+\); "
-                   r"lower the learning rate"),
-], ids=["lam=0", "lr=1e6"])
-def test_cli_run_failed_cell_exits_1_with_one_line(extra, cause, tmp_path, capsys):
-    """A config that parses but whose cell fails: one stderr line, exit 1."""
-    kind = "double-descent-rfm" if extra.startswith("lam") else "double-descent-mlp"
+RANK_DEFICIENT = (r"failed: rank-deficient system at lam=0 \(condition number "
+                  r"[0-9.e+]+\); add ridge regularization")
+
+
+@pytest.mark.parametrize("config,cause", [
+    (TINY["double-descent-rfm"] + "\nlam = 0\n", "width=24, rep=0 " + RANK_DEFICIENT),
+    (TINY["double-descent-mlp"] + "\nlr = 1e6\n",
+     r"width=4, rep=0 failed: training diverged at epoch 1 \(loss [0-9.]+\); "
+     r"lower the learning rate"),
+    # the theory curves and the lam = 1e-4 sweep succeed before the failing cell
+    (TINY["regularization-sweep"].replace("lams = 1e-4 1", "lams = 1e-4 0")
+     .replace("widths = 4 8", "widths = 4 32"), "width=32, rep=0 " + RANK_DEFICIENT),
+], ids=["lam=0", "lr=1e6", "regularization-sweep-lam=0"])
+def test_cli_run_failed_cell_exits_1_with_one_line(config, cause, tmp_path, capsys):
+    """A config that parses but whose cell fails: one stderr line, exit 1,
+    and no output directory."""
     cfg_file = tmp_path / "exp.cfg"
-    cfg_file.write_text(TINY[kind] + "\n" + extra, encoding="ascii")
+    cfg_file.write_text(config, encoding="ascii")
     code = main(["run", str(cfg_file), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert len(captured.err.splitlines()) == 1, captured.err
     assert re.fullmatch(f"meandim run: experiment cell {cause}\n", captured.err), captured.err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_run_bad_config_exits_2(tmp_path, capsys):
@@ -603,6 +606,13 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
         (rfm.replace("n_train = 8", "n_train = -5"), "'n_train': expected a finite value >= 1"),
         (rfm + "n_test = 0\n", "'n_test': expected a finite value >= 1"),
         (rfm.replace("widths = 4", "widths = 0 5"), "'widths': expected a finite value >= 1"),
+        # sweep grids are strictly increasing: a repeated cell would run twice
+        (rfm.replace("widths = 4", "widths = 4 8 8 24"),
+         "'widths': expected a strictly increasing list, got '4 8 8 24'"),
+        (mlp.replace("widths = 4", "widths = 8, 4"), "'widths': expected a strictly increasing"),
+        ("kind = trainset-size-sweep\ndim = 4\nwidth = 4\nn_trains = 20 10\n",
+         "'n_trains': expected a strictly increasing"),
+        (adv + "pretrain_grid = 0 5 5\n", "'pretrain_grid': expected a strictly increasing"),
         (rfm + "lam = -1\n", "'lam': expected a finite value >= 0"),
         (rfm + "label_noise_fraction = 2\n",
          "'label_noise_fraction': expected a finite value in [0, 1]"),
@@ -716,6 +726,16 @@ def test_cli_md_bad_checkpoint_exits_2(tmp_path, capsys):
         assert main(["md", str(bad), "--sampler", "binary", "--samples", "10",
                      "--seed", "0"]) == 2
         assert f"{bad}: malformed checkpoint, expected {key}" in capsys.readouterr().err
+    # a checkpoint that is well formed but holds no features, or a NaN weight
+    empty = lines[:2] + ["N = 0"] + lines[3:5] + [""] * 6 + ["w =", ""]
+    nan_weight = lines[:-1] + [" ".join(["nan"] + lines[-1].split()[1:])]
+    for text, message in ((empty, "D and N must be >= 1, got D = 6, N = 0"),
+                          (nan_weight, "F and w must be finite")):
+        bad.write_text("\n".join(text) + "\n", encoding="ascii")
+        assert main(["md", str(bad), "--sampler", "binary", "--samples", "10",
+                     "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"meandim md: {bad}: malformed checkpoint, {message}\n", err
     data = read_bytes(checkpoint(tmp_path))
     bad.write_bytes(data[:15] + b"\xff" + data[16:])
     assert main(["md", str(bad), "--sampler", "binary", "--samples", "10",

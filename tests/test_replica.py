@@ -31,13 +31,13 @@ from meandim.replica import (
     _proposal,
     _z0_rule,
     ce_inner_max,
+    curve_lines,
     free_energy,
     generalization_error,
     mse_inner_max,
     observables,
     solve_saddle,
     sweep_curve,
-    write_curve_csv,
 )
 from meandim.rfm import Activation, bmd_from_overlaps, compute_kappas
 
@@ -355,15 +355,13 @@ def test_sweep_requires_monotone_grid():
     assert [r.inv_alpha for r in rows] == [1.5, 1.0, 0.5]
 
 
-def test_curve_csv_round_trip(tmp_path):
+def test_curve_csv_round_trip():
     rows = sweep_curve(KAPPAS, "mse", 1e-2, 3.0, np.linspace(0.5, 1.5, 5))
     rows.append(CurvePoint(inv_alpha=2.0, alpha_t=3.0, lam=1e-2, loss="mse",
                            eps_g=np.nan, train_loss=np.nan, test_loss=np.nan,
                            bmd=np.nan, q_d=np.nan, p_d=np.nan, Q_d=np.nan,
                            converged=False))
-    path = tmp_path / "curve.csv"
-    write_curve_csv(path, rows)
-    lines = path.read_text(encoding="ascii").splitlines()
+    lines = curve_lines(rows)
     assert lines[0] == CURVE_HEADER
     assert len(lines) == len(rows) + 1
     for row, line in zip(rows, lines[1:]):

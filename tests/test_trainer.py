@@ -40,6 +40,15 @@ class TestTeacher:
             TeacherTask(w_T=np.ones(4) * 2.0)
         TeacherTask(w_T=np.ones(4))  # ||w||^2 = 4 = D
 
+    def test_norm_constraint_is_relative_to_D(self):
+        # at D = 10^6 the rounding in w * sqrt(D) / ||w|| exceeds an absolute 1e-9
+        task = TeacherTask.random(10**6, seed=6)
+        assert abs(task.w_T @ task.w_T - 10**6) > 1e-9
+        with pytest.raises(ValueError, match="norm"):
+            TeacherTask(w_T=task.w_T * (1.0 + 1e-9))
+        with pytest.raises(ValueError, match="norm"):
+            TeacherTask(w_T=np.full(4, np.nan))
+
     def test_noiseless_labels_consistent(self):
         task = TeacherTask.random(D=12, seed=0)
         train, test = gen_teacher_student(12, 200, 100, task, seed=1)
