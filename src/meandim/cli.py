@@ -26,6 +26,11 @@ it; the commands only map flags. A config that parses but whose experiment
 cell fails (say, lam = 0 past the interpolation threshold, or a learning
 rate that diverges) exits 1 with one `meandim run: experiment cell
 <coordinate>, rep=<r> failed: <cause>` line on stderr and writes no file.
+When k of the n points of a theory curve do not converge, `meandim
+theory` prints one `meandim theory: k of n points did not converge` line
+on stderr; the curve, with those points as NaN rows, still goes to stdout
+and --out unless no point converged, in which case it exits 1 with
+nothing on stdout and writes no file.
 """
 
 import argparse
@@ -123,6 +128,12 @@ def _cmd_theory(args) -> int:
     kappas = compute_kappas(Activation.from_tag(args.activation))
     rows = sweep_curve(kappas, args.loss, args.lam, args.alpha_t, grid,
                        delta=args.delta)
+    failed = sum(not row.converged for row in rows)
+    if failed:
+        print(f"meandim theory: {failed} of {len(rows)} points did not converge",
+              file=sys.stderr)
+        if failed == len(rows):
+            return 1
     lines = curve_lines(rows)
     sys.stdout.write(lines_text(lines))
     if args.out is not None:

@@ -11,9 +11,10 @@ The sweep kinds are presets of one engine. A cell trains and measures one
 model at one grid point and repetition: `_rfm_cell` fits a random feature
 model by closed-form ridge and is keyed by the swept field and the MD
 method; `_mlp_cell` trains a two-layer network by gradient descent.
-`_run_cells` runs a cell over the grid x repetition lattice and `_sweep`
-returns the means as CSV lines, so a kind only picks the swept field, the
-fixed cell settings and its summary lines. A kind writes nothing: it
+`_run_cells` runs a cell over the grid x repetition lattice, in a pool of
+jobs threads with each OpenBLAS capped at cores // jobs threads, and
+`_sweep` returns the means as CSV lines, so a kind only picks the swept
+field, the fixed cell settings and its summary lines. A kind writes nothing: it
 returns {file name: lines}, and `run_experiment` writes those and
 summary.txt once every cell has succeeded, so a failed cell leaves no file.
 
@@ -22,6 +23,10 @@ Config files are flat key-value text, one `key = value` per line, with
 single cell can be reproduced in isolation.
 """
 
+import contextlib
+import ctypes
+import glob
+import importlib.util
 import math
 import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -84,9 +89,11 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-def _parse_list(conv, increasing=False):
+def _parse_list(conv, increasing=False, tag=None):
     """Parser for a non-empty comma- or space-separated list of conv values,
-    strictly increasing if increasing (a sweep grid)."""
+    strictly increasing if increasing (a sweep grid). tag(value) is the
+    part of a file name that a value gives its files; no two values of the
+    list may share it, or one file would replace the other."""
     def parse(s: str) -> tuple:
         toks = s.replace(",", " ").split()
         if not toks:
@@ -94,8 +101,24 @@ def _parse_list(conv, increasing=False):
         values = tuple(conv(t) for t in toks)
         if increasing and any(a >= b for a, b in zip(values, values[1:])):
             raise ValueError(f"expected a strictly increasing list, got {s!r}")
+        if tag is not None:
+            seen = {}
+            for tok, value in zip(toks, values):
+                name = tag(value)
+                if name in seen:
+                    raise ValueError(f"{seen[name]!r} and {tok!r} both name their "
+                                     f"files by {name!r}")
+                seen[name] = tok
         return values
     return parse
+
+
+def _lam_tag(lam: float) -> str:
+    return f"{lam:g}"
+
+
+def _range_tag(lo_hi: tuple) -> str:
+    return f"{lo_hi[0]:g}_{lo_hi[1]:g}"
 
 
 def _parse_range(conv, lo=-math.inf, hi=math.inf, open_lo=False):
@@ -203,7 +226,7 @@ _SCHEMAS = {
         **_GRID_SCHEMA,
     },
     "regularization-sweep": {
-        "lams": (_parse_list(_NONNEG), _REQUIRED),
+        "lams": (_parse_list(_NONNEG, tag=_lam_tag), _REQUIRED),
         "loss": (_LOSS, "mse"),
         "alpha_t": (_POSITIVE, 3.0),
         "delta": (_NONNEG, 0.0),
@@ -284,7 +307,8 @@ _SCHEMAS = {
         "widths": (_COUNTS, _REQUIRED),
         "lam": (_NONNEG, 1e-4),
         "samples": (_SAMPLES, 10000),
-        "ranges": (_parse_list(_parse_lo_hi), ((-1.0, 1.0), (-3.0, 3.0), (-5.0, 5.0))),
+        "ranges": (_parse_list(_parse_lo_hi, tag=_range_tag),
+                   ((-1.0, 1.0), (-3.0, 3.0), (-5.0, 5.0))),
         "label_noise_fraction": (_FRACTION, 0.0),
         "activation": (_parse_activation, "tanh"),
     },
@@ -518,6 +542,47 @@ def summarize_peaks(result: SweepResult, pairs=None) -> PeakReport:
 # cell execution
 
 
+def _openblas_thread_controls():
+    """(get, set) of the thread count of the OpenBLAS that the numpy and the
+    scipy wheels ship in <package>.libs. Each is loaded by path, which
+    imports no scipy module and maps the copy that a later scipy import
+    uses."""
+    controls = []
+    for package, suffix in (("numpy", "64_"), ("scipy", "")):
+        spec = importlib.util.find_spec(package)
+        if spec is None or not spec.submodule_search_locations:
+            continue
+        libs = spec.submodule_search_locations[0] + ".libs"
+        for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+            try:
+                lib = ctypes.CDLL(path)
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            controls.append((get, put))
+    return controls
+
+
+@contextlib.contextmanager
+def _blas_threads(jobs: int):
+    """Run the body with each OpenBLAS capped at max(1, cores // jobs)
+    threads when jobs > 1, so that jobs cells calling BLAS at once do not
+    oversubscribe the cores; the counts the getters read are restored
+    afterwards. A library or symbol that is missing is left alone."""
+    controls = _openblas_thread_controls() if jobs > 1 else []
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(max(1, (os.cpu_count() or 1) // jobs))
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)
+
+
 def _run_cells(cell_fn, coords, metric_names, reps: int, jobs: int,
                coordinate: str) -> SweepResult:
     """Run cell_fn(i_coord, rep) over the grid x repetition lattice.
@@ -541,7 +606,7 @@ def _run_cells(cell_fn, coords, metric_names, reps: int, jobs: int,
     if jobs == 1:
         outs = [wrapped(i, rep) for i, rep in lattice]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with _blas_threads(jobs), ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(wrapped, i, rep) for i, rep in lattice]
             wait(futures, return_when=FIRST_EXCEPTION)
             pool.shutdown(cancel_futures=True)
@@ -739,7 +804,7 @@ def _run_regularization_sweep(cfg: ExperimentConfig) -> tuple:
     peak_lines = []
     for lam in p["lams"]:
         rows = _theory_sweep(p, kappas, lam)
-        files[f"theory_lam_{lam:g}.csv"] = curve_lines(rows)
+        files[f"theory_lam_{_lam_tag(lam)}.csv"] = curve_lines(rows)
         bmds = np.array([r.bmd for r in rows])
         peak_lines.append(
             f"theory lam={lam:g}: peak bmd = {float(np.nanmax(bmds))!r} "
@@ -752,7 +817,7 @@ def _run_regularization_sweep(cfg: ExperimentConfig) -> tuple:
                 return _rfm_cell(p, act, kappas, cfg.seed + rep, "analytic",
                                  width=widths[i], lam=_lam, delta=0.0)
 
-            files[f"empirical_lam_{lam:g}.csv"], result = _sweep(cfg, cell, widths)
+            files[f"empirical_lam_{_lam_tag(lam)}.csv"], result = _sweep(cfg, cell, widths)
             peak_lines.append(
                 f"empirical lam={lam:g}: peak bmd = "
                 f"{float(np.nanmax(result.mean('bmd')))!r} "
@@ -841,7 +906,8 @@ def _run_normalization_comparison(cfg: ExperimentConfig) -> tuple:
             return _rfm_cell(p, act, kappas, cfg.seed + rep, "flip", rescale=_range,
                              width=widths[i], input_kind="gaussian", delta=0.0)
 
-        files[f"range_{lo:g}_{hi:g}.csv"], result = _sweep(cfg, cell, widths, ("test_err", "bmd"))
+        name = f"range_{_range_tag((lo, hi))}.csv"
+        files[name], result = _sweep(cfg, cell, widths, ("test_err", "bmd"))
         extra.append(f"range [{lo:g}, {hi:g}]: argmax bmd at width = "
                      f"{_argmax(result, 'bmd')}")
     return files, extra

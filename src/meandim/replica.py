@@ -9,11 +9,15 @@ student-feature term, and an energetic term
               max_z1 [ -z1^2/2 - loss(sqrt(Q_d) z0 + sqrt(dQ) z1) ]
 
 where M = k1 r, Q_d = k_star_sq q_d + k1^2 p_d and dQ = k_star_sq dq +
-k1^2 dp collapse the activation to its Gaussian moments. The inner max is
-closed-form for the square loss and a safeguarded Newton solve for
-cross-entropy. ``solve_saddle`` iterates the stationarity conditions of
-the potential with safeguarded Anderson mixing; ``free_energy`` exposes
-the potential so converged solutions can be audited by finite differences.
+k1^2 dp collapse the activation to its Gaussian moments. For the square
+loss the inner max is closed-form, and so are G_E, its partials, the train
+and the test loss: each is a Gaussian moment of a quadratic against the
+H factor (as in Gerace et al., ICML 2020, and Mei & Montanari, 2019).
+For cross-entropy the inner max is a safeguarded Newton solve at each node
+of a Gauss-Legendre z0 grid. ``solve_saddle`` iterates the stationarity
+conditions of the potential with safeguarded Anderson mixing;
+``free_energy`` exposes the potential so converged solutions can be
+audited by finite differences.
 
 Observables: eps_g = arccos(M / sqrt(Q_d)) / pi against the clean teacher,
 per-sample train and test losses, and the mean dimension
@@ -44,13 +48,13 @@ __all__ = [
     "generalization_error",
     "sweep_curve",
     "log_grid",
-    "mse_inner_max",
     "ce_inner_max",
     "curve_lines",
 ]
 
 Z0_NODES = 400
 Z0_CUTOFF = 8.0  # Gaussian tail mass beyond |z| = 8 is ~ 1e-15
+ALPHA_T_MAX = 1e100  # see ReplicaInput
 
 
 class ConvergenceError(RuntimeError):
@@ -63,8 +67,15 @@ class ReplicaInput:
 
     alpha = P/N and alpha_t = P/D; the width ratio alpha_d = D/N follows
     as alpha/alpha_t. delta is the variance of the pre-sign Gaussian label
-    noise. Each is checked finite, the ratios > 0 and lam, delta >= 0;
-    the proposal forms 2 alpha_t, so that must be finite too.
+    noise. Each is checked finite, the ratios > 0 and lam, delta >= 0.
+
+    alpha_t is also at most ALPHA_T_MAX = 1e100. The conjugates r_hat and
+    delta_P_hat of _proposal grow as alpha_t, so its product hat_mix *
+    delta_q * delta_P_hat (hat_mix ~ r_hat^2) grows as alpha_t^3 times a
+    factor of the state: about 0.4 on the mse curve at lam = 1e-4,
+    1/alpha = 0.5, where it overflows from alpha_t = 1e103. At 1e100,
+    alpha_t^3 = 1e300 leaves eight decades below the float maximum for
+    that factor.
     """
 
     alpha: float
@@ -75,9 +86,10 @@ class ReplicaInput:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (0 < 2.0 * float(self.alpha_t) < math.inf and 0 < self.alpha < math.inf
+        if not (0 < self.alpha_t <= ALPHA_T_MAX and 0 < self.alpha < math.inf
                 and 0 < self.alpha_d < math.inf):
-            raise ValueError("alpha ratios must be positive and finite, and 2 alpha_t finite")
+            raise ValueError("alpha ratios must be positive and finite, "
+                             f"and alpha_t at most {ALPHA_T_MAX:g}")
         for name in ("lam", "delta"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
@@ -144,13 +156,6 @@ def _z0_rule() -> tuple[np.ndarray, np.ndarray]:
     return _Z0_RULE
 
 
-def mse_inner_max(h0: np.ndarray, dQ: float):
-    """argmax_z1 and max of -z1^2/2 - (1-h0-sqrt(dQ) z1)^2/2, closed form."""
-    z1 = np.sqrt(dQ) * (1.0 - h0) / (1.0 + dQ)
-    value = -0.5 * (1.0 - h0) ** 2 / (1.0 + dQ)
-    return z1, value
-
-
 def ce_inner_max(h0: np.ndarray, dQ: float):
     """argmax_z1 and max of -z1^2/2 - log(1+e^-(h0+sqrt(dQ) z1)).
 
@@ -184,13 +189,40 @@ def ce_inner_max(h0: np.ndarray, dQ: float):
     return z1, value
 
 
+def _mse_terms(M: float, Q_d: float, delta: float):
+    """a, i1, j2/s^3 and A of the square-loss energetic term, closed form.
+
+    The teacher label given z0 has probability Phi(c z0), c = M/s, with
+    s^2 = Q_d - M^2 + delta. With a = sqrt(Q_d) and t = s^2 + M^2 (so
+    that c/sqrt(1+c^2) = M/sqrt(t), free of overflow), the Gaussian moments
+    are i1 = Int Dz z Phi(cz) = M/sqrt(2 pi t) and j2/s^3 = Int Dz z^2
+    phi(cz) / s^3 = (2 pi)^(-1/2) t^(-3/2); A = 2 Int Dz Phi(cz)
+    (1 - a z)^2/2 = 1/2 - 2 a i1 + a^2/2 is the expected square loss of
+    the output sqrt(Q_d) z.
+    """
+    s_sq = max(Q_d - M * M + delta, 1e-300)
+    a, t = math.sqrt(Q_d), s_sq + M * M
+    i1 = M / math.sqrt(2.0 * math.pi * t)
+    j2_s3 = 1.0 / (math.sqrt(2.0 * math.pi) * t * math.sqrt(t))
+    return a, i1, j2_s3, 0.5 - 2.0 * a * i1 + 0.5 * a * a
+
+
 def _energetic(loss: str, M: float, Q_d: float, dQ: float, delta: float):
     """Value and partials of G_E w.r.t. (Q_d, M, dQ), plus the train loss.
 
-    Works on the shared z0 grid. The H factor is the probability of the
+    For the square loss the inner max is -(1 - h0)^2 / (2u), u = 1 + dQ,
+    so with the terms of _mse_terms G_E = -A/u, and the dQ partial and the
+    train loss are both A/u^2. Cross-entropy works on the shared z0 grid
+    with the Newton inner max. The H factor is the probability of the
     teacher label given z0; its own (Q_d, M) dependence enters the partials
     through the normal pdf at the H argument.
     """
+    if loss == "mse":
+        a, i1, j2_s3, A = _mse_terms(M, Q_d, delta)
+        u = 1.0 + dQ
+        g_Q = (i1 - 0.5 * a) / (a * u) - M * a * j2_s3 / u
+        g_M = 2.0 * (Q_d + delta) * a * j2_s3 / u
+        return -A / u, g_Q, g_M, A / u**2, A / u**2
     from scipy.special import ndtr
 
     z0, wts = _z0_rule()
@@ -200,8 +232,7 @@ def _energetic(loss: str, M: float, Q_d: float, dQ: float, delta: float):
     Hfac = ndtr(-arg)  # H(x) = 1 - Phi(x) = Phi(-x)
     pdf = np.exp(-arg * arg / 2.0) / np.sqrt(2.0 * np.pi)
     h0 = np.sqrt(Q_d) * z0
-    inner = mse_inner_max if loss == "mse" else ce_inner_max
-    z1, E = inner(h0, dQ)
+    z1, E = ce_inner_max(h0, dQ)
     x_star = h0 + np.sqrt(dQ) * z1
     # envelope theorem: d E / d h0 = -loss'(x*) = z1 / sqrt(dQ)
     dE_dQd = (z1 / np.sqrt(dQ)) * z0 / (2.0 * np.sqrt(Q_d))
@@ -347,7 +378,10 @@ def generalization_error(M: float, Q_d: float) -> float:
 
 
 def _test_loss(loss: str, M: float, Q_d: float, delta: float) -> float:
-    """Expected loss on a fresh sample, 2 Int Dv loss(sqrt(Q_d) v) H(-Mv/s)."""
+    """Expected loss on a fresh sample, 2 Int Dv loss(sqrt(Q_d) v) H(-Mv/s);
+    A of _mse_terms for the square loss."""
+    if loss == "mse":
+        return _mse_terms(M, Q_d, delta)[3]
     from scipy.special import ndtr
 
     v, wts = _z0_rule()

@@ -105,6 +105,28 @@ def test_mlp_path_never_imports_scipy(tmp_path):
                                        "double-descent-mlp")})
 
 
+def test_pool_caps_blas_threads_and_restores_them(tmp_path):
+    """Inside a pool of 4 cells each OpenBLAS runs max(1, cores // 4)
+    threads; the counts come back afterwards, and loading the libraries
+    imports no scipy module."""
+    run_fresh("""
+        import os, sys
+        import numpy
+        from meandim import experiments
+
+        controls = experiments._openblas_thread_controls()
+        assert controls or not os.path.isdir(os.path.dirname(numpy.__file__) + ".libs")
+        before = [get() for get, _ in controls]
+        with experiments._blas_threads(1):
+            assert [get() for get, _ in controls] == before
+        with experiments._blas_threads(4):
+            capped = [get() for get, _ in controls]
+        assert capped == [max(1, os.cpu_count() // 4)] * len(controls), capped
+        assert [get() for get, _ in controls] == before
+        assert not any(k == "scipy" or k.startswith("scipy.") for k in sys.modules)
+    """, tmp_path)
+
+
 def test_first_scipy_import_from_two_pool_threads(tmp_path):
     """In a fresh interpreter the first ridge fits, and with them the first
     import of scipy.linalg, run in two pool threads at once; the CSV must

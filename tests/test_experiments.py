@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from meandim import replica
 from meandim.cli import build_parser, main
 from meandim.experiments import (
     EXPERIMENT_KINDS,
@@ -613,6 +614,13 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
         ("kind = trainset-size-sweep\ndim = 4\nwidth = 4\nn_trains = 20 10\n",
          "'n_trains': expected a strictly increasing"),
         (adv + "pretrain_grid = 0 5 5\n", "'pretrain_grid': expected a strictly increasing"),
+        # values that name files alike would write one file over the other
+        ("kind = regularization-sweep\nlams = 1e-4 1 1.000001e-4\n",
+         "'lams': '1e-4' and '1.000001e-4' both name their files by '0.0001'"),
+        ("kind = regularization-sweep\nlams = 1, 1\n", "'1' and '1' both name their files"),
+        ("kind = normalization-comparison\ndim = 4\nn_train = 8\nwidths = 4\n"
+         "ranges = -1:1 -3:3 -1.0000001:1\n",
+         "'ranges': '-1:1' and '-1.0000001:1' both name their files by '-1_1'"),
         (rfm + "lam = -1\n", "'lam': expected a finite value >= 0"),
         (rfm + "label_noise_fraction = 2\n",
          "'label_noise_fraction': expected a finite value in [0, 1]"),
@@ -754,6 +762,7 @@ BAD_FRONT_DOOR_INPUTS = [
     ("theory", ["--delta", "inf"], None),
     ("theory", ["--alpha-t", "1e-320"], None),  # alpha / alpha_t overflows
     ("theory", ["--alpha-t", "1e308"], None),  # 2 alpha_t overflows
+    ("theory", ["--alpha-t", "1e150"], None),  # alpha_t^3 overflows in the proposal
     ("theory", ["--grid", "1e-320", "2", "3"], None),  # 1 / LO overflows
     ("theory", ["--grid", "0.5", "inf", "3"], None),
     ("md", ["--sampler", "uniform", "--hi", "inf"], None),
@@ -865,6 +874,30 @@ def test_cli_theory_prints_curve(tmp_path, capsys):
     row = printed[1].split(",")
     assert row[3] == "mse" and row[-1] == "1"
     assert float(row[0]) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("failing,code", [({2.0}, 0), ({0.5, 1.0, 2.0}, 1)],
+                         ids=["one-of-three", "all"])
+def test_cli_theory_reports_points_that_did_not_converge(failing, code, monkeypatch,
+                                                         tmp_path, capsys):
+    solve = replica.solve_saddle
+
+    def stalls_at(inp, init=None):
+        if 1.0 / inp.alpha in failing:
+            raise replica.ConvergenceError("stalled")
+        return solve(inp, init=init)
+
+    monkeypatch.setattr(replica, "solve_saddle", stalls_at)
+    out_csv = tmp_path / "curve.csv"
+    assert main(THEORY_ARGV + ["--out", str(out_csv)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"meandim theory: {len(failing)} of 3 points did not converge\n"
+    if code == 1:  # no point converged: nothing printed, no file
+        assert captured.out == "" and not out_csv.exists()
+    else:
+        printed = captured.out.splitlines()
+        assert [line[-1] for line in printed[1:]] == ["1", "1", "0"]
+        assert read_lines(out_csv) == printed
 
 
 def test_cli_theory_rejects_bad_grid(capsys):

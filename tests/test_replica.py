@@ -7,7 +7,8 @@ spectral_ols below is the independent eigenvalue-trace route to (q_d, Q_d)
 for the ridge student, from a sampled feature spectrum or from the
 Marchenko-Pastur law, which isolates the secondary mean-dimension peak at
 N = D. _damped_saddle is the plain fixed-0.5 damped iteration that
-solve_saddle's Anderson mixing must agree with.
+solve_saddle's Anderson mixing must agree with, and _mse_quadrature is the
+z0-grid route that the closed-form square-loss energetic term must match.
 """
 
 import contextlib
@@ -17,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
-from scipy.special import expit
+from scipy.special import expit, ndtr
 
 from meandim import replica
 from meandim.replica import (
@@ -28,13 +29,14 @@ from meandim.replica import (
     ReplicaInput,
     _DEFAULT_INIT,
     _FIELDS,
+    _energetic,
     _proposal,
+    _test_loss,
     _z0_rule,
     ce_inner_max,
     curve_lines,
     free_energy,
     generalization_error,
-    mse_inner_max,
     observables,
     solve_saddle,
     sweep_curve,
@@ -167,7 +169,50 @@ def test_mse_ridgeless_sweep_converges(proposals):
 
 
 # ---------------------------------------------------------------------------
-# inner single-sample maximizers
+# inner single-sample maximizers, and the square-loss quadrature oracle
+
+
+def mse_inner_max(h0: np.ndarray, dQ: float):
+    """argmax_z1 and max of -z1^2/2 - (1-h0-sqrt(dQ) z1)^2/2, closed form."""
+    z1 = np.sqrt(dQ) * (1.0 - h0) / (1.0 + dQ)
+    value = -0.5 * (1.0 - h0) ** 2 / (1.0 + dQ)
+    return z1, value
+
+
+def _mse_quadrature(M, Q_d, dQ, delta):
+    """_energetic's five outputs and _test_loss for mse, on the z0 grid."""
+    z0, wts = _z0_rule()
+    s_sq = Q_d - M * M + delta
+    s = np.sqrt(s_sq)
+    Hfac = ndtr(M * z0 / s)
+    pdf = np.exp(-(M * z0 / s) ** 2 / 2.0) / np.sqrt(2.0 * np.pi)
+    h0 = np.sqrt(Q_d) * z0
+    z1, E = mse_inner_max(h0, dQ)
+    # 1 - x* = z1 / sqrt(dQ) = dE/dh0 at the inner max; 1 - (h0 + sqrt(dQ) z1)
+    # would cancel to nothing at large dQ
+    residual = z1 / np.sqrt(dQ)
+    dE_dQd = residual * z0 / (2.0 * np.sqrt(Q_d))
+    dH_dQd = -pdf * M * z0 / (2.0 * s_sq * s)
+    dH_dM = pdf * z0 * (Q_d + delta) / (s_sq * s)
+    return (2.0 * wts @ (Hfac * E),
+            2.0 * wts @ (Hfac * dE_dQd + dH_dQd * E),
+            2.0 * wts @ (dH_dM * E),
+            2.0 * wts @ (Hfac * z1**2 / (2.0 * dQ)),
+            2.0 * wts @ (Hfac * 0.5 * residual**2),
+            2.0 * wts @ (0.5 * (1.0 - h0) ** 2 * Hfac))
+
+
+def test_mse_closed_form_matches_quadrature():
+    rng = np.random.default_rng(16)
+    for i in range(200):
+        Q_d = 10.0 ** rng.uniform(-2, 2)
+        delta = 0.0 if i % 2 else 10.0 ** rng.uniform(-3, 1)
+        M = rng.uniform(-0.9, 0.9) * np.sqrt(Q_d + delta)  # M^2 < Q_d + delta
+        dQ = 10.0 ** rng.uniform(-3, 10)
+        got = _energetic("mse", M, Q_d, dQ, delta) + (_test_loss("mse", M, Q_d, delta),)
+        want = _mse_quadrature(M, Q_d, dQ, delta)
+        for name, g, w in zip(("value", "g_Q", "g_M", "g_dQ", "train", "test"), got, want):
+            assert abs(g - w) <= 1e-12 * abs(w), (name, M, Q_d, dQ, delta, g, w)
 
 
 def test_mse_inner_matches_scalar_minimizer():
@@ -245,7 +290,7 @@ def test_input_validation():
         ReplicaInput(alpha=1.0, lam=0.1, loss="mse", kappas=KAPPAS,
                      alpha_t=1.0, delta=-1.0)
     for alpha, alpha_t in ((1.0, 0.0), (1.0, np.inf), (1.0, -1.0), (1.0, np.nan),
-                           (0.0, 1.0), (-2.0, 1.0)):
+                           (0.0, 1.0), (-2.0, 1.0), (1.0, np.nextafter(1e100, np.inf))):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # checked before any division
             with pytest.raises(ValueError, match="positive and finite"):
@@ -254,6 +299,15 @@ def test_input_validation():
     linear = compute_kappas(Activation.linear())
     with pytest.raises(ValueError, match="k_star_sq"):
         ReplicaInput(alpha=1.0, lam=0.1, loss="mse", kappas=linear, alpha_t=1.0)
+
+
+def test_largest_alpha_t_converges_without_overflow():
+    # the bound of ReplicaInput: at alpha_t = 1e100 the proposal's alpha_t^3
+    # product stays finite on both sides of the interpolation peak
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = sweep_curve(KAPPAS, "mse", 1e-4, 1e100, [0.5, 1.0, 2.0])
+    assert all(r.converged for r in rows)
 
 
 def test_interpolation_warning_at_zero_lambda():
