@@ -21,16 +21,20 @@ malformed config, a config value out of its range or a sweep list that is
 not strictly increasing (checked before any experiment cell runs), sampler
 bounds that are not finite with --lo < --hi, a --data cell that is not a
 finite number, or a theory value (--alpha-t, --lambda, --delta, --grid)
-that is not finite and in range. The layer type that owns a value checks
-it; the commands only map flags. A config that parses but whose experiment
-cell fails (say, lam = 0 past the interpolation threshold, or a learning
-rate that diverges) exits 1 with one `meandim run: experiment cell
+that is not finite and in range; a theory config is also checked as the
+replica input at both ends of its grid. The layer type that owns a value
+checks it; the commands only map flags. A config that parses but whose
+experiment cell fails (say, lam = 0 past the interpolation threshold, or a
+learning rate that diverges) exits 1 with one `meandim run: experiment cell
 <coordinate>, rep=<r> failed: <cause>` line on stderr and writes no file.
 When k of the n points of a theory curve do not converge, `meandim
 theory` prints one `meandim theory: k of n points did not converge` line
 on stderr; the curve, with those points as NaN rows, still goes to stdout
 and --out unless no point converged, in which case it exits 1 with
-nothing on stdout and writes no file.
+nothing on stdout and writes no file. `meandim run` puts the same count in
+the summary of a theory kind, and a curve with no converged point exits 1
+with one `meandim run: theory lam=<lam>: n of n points did not converge`
+line and writes no file.
 """
 
 import argparse

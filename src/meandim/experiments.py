@@ -37,7 +37,7 @@ import numpy as np
 from .estimator import (InputSampler, estimate_md, estimate_md_binary_fast,
                         influence_heatmap, profile_csv_lines)
 from .heatmap_svg import svg_lines
-from .replica import curve_lines, log_grid, sweep_curve
+from .replica import ReplicaInput, curve_lines, log_grid, sweep_curve
 from .rfm import Activation, analytic_bmd, compute_kappas, random_rfm, score_fn
 from .textio import csv_lines, read_text, write_text
 from .trainer import (TeacherTask, TrainConfig, adversarial_init_protocol,
@@ -49,8 +49,6 @@ __all__ = [
     "EXPERIMENT_KINDS",
     "CellError",
     "ExperimentConfig",
-    "SweepResult",
-    "PeakReport",
     "parse_experiment_config",
     "load_experiment_config",
     "run_experiment",
@@ -376,12 +374,23 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
 
 
 def _validate_params(kind: str, params: dict) -> None:
-    if "grid_points" in params:
+    if "grid_points" in params:  # a theory kind
         try:
-            log_grid(params["grid_min"], params["grid_max"], params["grid_points"])
+            grid = log_grid(params["grid_min"], params["grid_max"], params["grid_points"])
         except ValueError as exc:
             raise ValueError("config fields 'grid_min', 'grid_max', 'grid_points': "
                              f"{exc}") from None
+        # the replica input at both ends of the grid, as sweep_curve builds it
+        kappas = compute_kappas(Activation.from_tag(params["activation"]))
+        for lam in params.get("lams") or (params["lam"],):
+            for inv_alpha in grid[[0, -1]]:
+                try:
+                    ReplicaInput(alpha=1.0 / float(inv_alpha), lam=lam, loss=params["loss"],
+                                 kappas=kappas, alpha_t=params["alpha_t"],
+                                 delta=params["delta"])
+                except ValueError as exc:
+                    raise ValueError("config fields 'activation', 'alpha_t', 'grid_min', "
+                                     f"'grid_max': {exc}") from None
     if kind == "double-descent-mlp" and params["n_classes"] > 2 and params["loss"] != "ce":
         raise ValueError("config field 'loss': n_classes > 2 trains with cross-entropy, "
                          "so the loss must be ce")
@@ -404,75 +413,36 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# sweep results, CSV emission, peak summaries
+# metric blocks, CSV emission, peak summaries
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Raw per-cell metric values over a one-dimensional sweep.
-
-    values[name] has shape (n_coords, reps); the CSV and the summary work
-    with means, and std columns appear only when reps > 1.
-    """
-
-    coordinate: str
-    coords: tuple
-    values: dict
-    reps: int
-
-    def __post_init__(self):
-        for name, block in self.values.items():
-            if block.shape != (len(self.coords), self.reps):
-                raise ValueError(f"metric {name!r} has shape {block.shape}, "
-                                 f"expected {(len(self.coords), self.reps)}")
-
-    def mean(self, name: str) -> np.ndarray:
-        # like nanmean over reps, but all-NaN rows give NaN without warning
-        block = self.values[name]
-        counts = np.sum(~np.isnan(block), axis=1)
-        totals = np.nansum(block, axis=1)
-        return np.where(counts > 0, totals / np.maximum(counts, 1), np.nan)
-
-    def std(self, name: str):
-        if self.reps == 1:
-            return None
-        block = self.values[name]
-        counts = np.sum(~np.isnan(block), axis=1)
-        centered = block - self.mean(name)[:, None]
-        ss = np.nansum(centered ** 2, axis=1)
-        return np.where(counts > 1, np.sqrt(ss / np.maximum(counts - 1, 1)), np.nan)
+def _mean(block: np.ndarray) -> np.ndarray:
+    """Row means of a (coords, reps) block, like nanmean over reps, but an
+    all-NaN row gives NaN without warning."""
+    counts = np.sum(~np.isnan(block), axis=1)
+    totals = np.nansum(block, axis=1)
+    return np.where(counts > 0, totals / np.maximum(counts, 1), np.nan)
 
 
-def _sweep_lines(result: SweepResult) -> list:
-    """The sweep CSV: the coordinate, then each metric's mean (and std)."""
-    header, columns = [result.coordinate], [result.coords]
-    for name in result.values:
+def _std(block: np.ndarray) -> np.ndarray:
+    """Row sample std of a (coords, reps) block over its non-NaN values."""
+    counts = np.sum(~np.isnan(block), axis=1)
+    centered = block - _mean(block)[:, None]
+    ss = np.nansum(centered ** 2, axis=1)
+    return np.where(counts > 1, np.sqrt(ss / np.maximum(counts - 1, 1)), np.nan)
+
+
+def _sweep_lines(coordinate: str, coords, blocks: dict) -> list:
+    """The sweep CSV: the coordinate, then each metric's mean, and its std
+    when the block holds more than one repetition."""
+    header, columns = [coordinate], [coords]
+    for name, block in blocks.items():
         header.append(f"{name}_mean")
-        columns.append(result.mean(name))
-        if result.reps > 1:
+        columns.append(_mean(block))
+        if block.shape[1] > 1:
             header.append(f"{name}_std")
-            columns.append(result.std(name))
+            columns.append(_std(block))
     return csv_lines(header, zip(*columns))
-
-
-@dataclass(frozen=True)
-class PeakReport:
-    coordinate: str
-    argmax: dict
-    interior: dict
-    distance_steps: int | None
-    correlations: dict
-
-    def lines(self) -> list:
-        out = []
-        for name, coord in self.argmax.items():
-            note = "interior peak" if self.interior[name] else "boundary, no interior peak"
-            out.append(f"argmax {name}: {self.coordinate} = {coord} ({note})")
-        if self.distance_steps is not None:
-            out.append(f"test_err/bmd peak distance: {self.distance_steps} grid steps")
-        for (a, b), r in self.correlations.items():
-            out.append(f"corr({a}, {b}) = {r:.4f}")
-        return out
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -499,43 +469,37 @@ def _spearman(a: np.ndarray, b: np.ndarray) -> float:
     return _pearson(_average_ranks(a), _average_ranks(b))
 
 
-def summarize_peaks(result: SweepResult, pairs=None) -> PeakReport:
-    """Locate grid argmaxes of the mean curves and correlate metric pairs.
+def summarize_peaks(coordinate: str, coords, curves: dict, pairs=None) -> list:
+    """Summary lines: the grid argmax of each curve {metric: mean curve},
+    the test_err/bmd peak distance and the correlation of metric pairs.
 
     Peaks are reported on the discrete grid only (no interpolation); a
     metric whose maximum sits on the grid boundary is flagged as having no
     interior peak. Requires at least 5 grid points.
     """
-    if len(result.coords) < 5:
+    if len(coords) < 5:
         raise ValueError("peak summary needs at least 5 grid points")
-    names = list(result.values)
-    argmax, interior = {}, {}
-    for name in names:
-        curve = result.mean(name)
+    names = list(curves)
+    lines, peaks = [], {}
+    for name, curve in curves.items():
         if np.all(np.isnan(curve)):
             raise ValueError(f"metric {name!r} is all-NaN")
-        idx = int(np.nanargmax(curve))
-        argmax[name] = result.coords[idx]
-        interior[name] = 0 < idx < len(result.coords) - 1
-    distance = None
-    if "test_err" in argmax and "bmd" in argmax:
-        i = result.coords.index(argmax["test_err"])
-        j = result.coords.index(argmax["bmd"])
-        distance = abs(i - j)
+        idx = peaks[name] = int(np.nanargmax(curve))
+        note = "interior peak" if 0 < idx < len(coords) - 1 else "boundary, no interior peak"
+        lines.append(f"argmax {name}: {coordinate} = {coords[idx]} ({note})")
+    if "test_err" in peaks and "bmd" in peaks:
+        lines.append(f"test_err/bmd peak distance: "
+                     f"{abs(peaks['test_err'] - peaks['bmd'])} grid steps")
     if pairs is None:
         pairs = (("test_err", "bmd"),) if "test_err" in names and "bmd" in names else ()
-    correlations = {}
     for a, b in pairs:
         if a not in names or b not in names:
             raise ValueError(f"correlation pair ({a}, {b}) not in sweep metrics {names}")
-        xa, xb = result.mean(a), result.mean(b)
-        keep = np.isfinite(xa) & np.isfinite(xb)
+        keep = np.isfinite(curves[a]) & np.isfinite(curves[b])
         if keep.sum() < 3:
             raise ValueError(f"correlation pair ({a}, {b}) has fewer than 3 finite points")
-        correlations[(a, b)] = _pearson(xa[keep], xb[keep])
-    return PeakReport(coordinate=result.coordinate, argmax=argmax,
-                      interior=interior, distance_steps=distance,
-                      correlations=correlations)
+        lines.append(f"corr({a}, {b}) = {_pearson(curves[a][keep], curves[b][keep]):.4f}")
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +548,9 @@ def _blas_threads(jobs: int):
 
 
 def _run_cells(cell_fn, coords, metric_names, reps: int, jobs: int,
-               coordinate: str) -> SweepResult:
-    """Run cell_fn(i_coord, rep) over the grid x repetition lattice.
+               coordinate: str) -> dict:
+    """Run cell_fn(i_coord, rep) over the grid x repetition lattice and
+    return {metric: (len(coords), reps) block}.
 
     Cells execute in a thread pool; assembly is keyed by (i, rep) so the
     result does not depend on completion order. Exceptions are re-raised
@@ -616,8 +581,7 @@ def _run_cells(cell_fn, coords, metric_names, reps: int, jobs: int,
     for (i, rep), out in zip(lattice, outs):
         for name in metric_names:
             blocks[name][i, rep] = out[name]
-    return SweepResult(coordinate=coordinate, coords=tuple(coords),
-                       values=blocks, reps=reps)
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -724,18 +688,20 @@ def _mlp_cell(p, width, seed, multiclass, pretrain=None, flips=False):
 
 
 def _sweep(cfg: ExperimentConfig, cell, coords, metrics=_ERR_BMD, coordinate="width"):
-    """Run cell(i, rep) over coords x reps; return the CSV lines and the result."""
-    result = _run_cells(cell, coords, metrics, cfg.reps, cfg.jobs, coordinate)
-    return _sweep_lines(result), result
+    """Run cell(i, rep) over coords x reps; return the CSV lines and the
+    mean curves {metric: curve}."""
+    blocks = _run_cells(cell, coords, metrics, cfg.reps, cfg.jobs, coordinate)
+    return (_sweep_lines(coordinate, coords, blocks),
+            {name: _mean(block) for name, block in blocks.items()})
 
 
-def _peak_lines(result: SweepResult, pairs=None) -> list:
-    """The peak report's summary lines once the grid has 5 points."""
-    return summarize_peaks(result, pairs).lines() if len(result.coords) >= 5 else []
+def _peak_lines(coordinate, coords, curves, pairs=None) -> list:
+    """The peak summary lines once the grid has 5 points."""
+    return summarize_peaks(coordinate, coords, curves, pairs) if len(coords) >= 5 else []
 
 
-def _argmax(result: SweepResult, name: str):
-    return result.coords[int(np.nanargmax(result.mean(name)))]
+def _argmax(coords, curve):
+    return coords[int(np.nanargmax(curve))]
 
 
 # ---------------------------------------------------------------------------
@@ -752,8 +718,8 @@ def _run_rfm_sweep(cfg: ExperimentConfig) -> tuple:
     def cell(i, rep):
         return _rfm_cell(p, act, kappas, cfg.seed + rep, "analytic", **{axis: coords[i]})
 
-    lines, result = _sweep(cfg, cell, coords, coordinate=axis)
-    return {f"{cfg.kind}.csv": lines}, _peak_lines(result)
+    lines, curves = _sweep(cfg, cell, coords, coordinate=axis)
+    return {f"{cfg.kind}.csv": lines}, _peak_lines(axis, coords, curves)
 
 
 def _run_mlp_sweep(cfg: ExperimentConfig) -> tuple:
@@ -766,35 +732,35 @@ def _run_mlp_sweep(cfg: ExperimentConfig) -> tuple:
         return _mlp_cell(p, p["widths"][i], cfg.seed + rep, multiclass, flips=robust)
 
     metrics = _ERR_BMD + (("flip_count",) if robust else ())
-    lines, result = _sweep(cfg, cell, p["widths"], metrics)
+    lines, curves = _sweep(cfg, cell, p["widths"], metrics)
     return ({f"{cfg.kind}.csv": lines},
-            _peak_lines(result, (("bmd", "flip_count"),) if robust else None))
+            _peak_lines("width", p["widths"], curves,
+                        (("bmd", "flip_count"),) if robust else None))
 
 
-def _theory_sweep(p, kappas, lam) -> list:
+def _theory_sweep(p, kappas, lam) -> tuple:
     """The replica curve's rows at ridge strength lam on the config's log
-    grid of 1/alpha."""
+    grid of 1/alpha, and a "k of n points did not converge" line when
+    k > 0 did not; a CellError when none did."""
     grid = log_grid(p["grid_min"], p["grid_max"], p["grid_points"])
-    return sweep_curve(kappas, p["loss"], lam, p["alpha_t"], grid, delta=p["delta"])
-
-
-def _curve_sweep_result(rows) -> SweepResult:
-    # eps_g plays the test_err role so the generic peak summary applies
-    values = {
-        "test_err": np.array([[r.eps_g] for r in rows]),
-        "bmd": np.array([[r.bmd] for r in rows]),
-    }
-    return SweepResult(coordinate="inv_alpha",
-                       coords=tuple(float(r.inv_alpha) for r in rows),
-                       values=values, reps=1)
+    rows = sweep_curve(kappas, p["loss"], lam, p["alpha_t"], grid, delta=p["delta"])
+    failed = sum(not r.converged for r in rows)
+    note = f"{failed} of {len(rows)} points did not converge"
+    if failed == len(rows):
+        raise CellError(f"theory lam={lam:g}: {note}")
+    return rows, [note] if failed else []
 
 
 def _run_theory_curve(cfg: ExperimentConfig) -> tuple:
     p = cfg.params
     _, kappas = _kappas(p)
-    rows = _theory_sweep(p, kappas, p["lam"])
+    rows, failed = _theory_sweep(p, kappas, p["lam"])
+    # eps_g plays the test_err role so the generic peak summary applies
+    curves = {"test_err": np.array([r.eps_g for r in rows]),
+              "bmd": np.array([r.bmd for r in rows])}
+    peaks = _peak_lines("inv_alpha", [r.inv_alpha for r in rows], curves)
     return {"theory-curve.csv": curve_lines(rows)}, (
-        _peak_lines(_curve_sweep_result(rows)) + ["test_err here is the replica eps_g"])
+        peaks + ["test_err here is the replica eps_g"] + failed)
 
 
 def _run_regularization_sweep(cfg: ExperimentConfig) -> tuple:
@@ -803,12 +769,13 @@ def _run_regularization_sweep(cfg: ExperimentConfig) -> tuple:
     files = {}
     peak_lines = []
     for lam in p["lams"]:
-        rows = _theory_sweep(p, kappas, lam)
+        rows, failed = _theory_sweep(p, kappas, lam)
         files[f"theory_lam_{_lam_tag(lam)}.csv"] = curve_lines(rows)
         bmds = np.array([r.bmd for r in rows])
         peak_lines.append(
             f"theory lam={lam:g}: peak bmd = {float(np.nanmax(bmds))!r} "
             f"at inv_alpha = {rows[int(np.nanargmax(bmds))].inv_alpha!r}")
+        peak_lines += [f"theory lam={lam:g}: {line}" for line in failed]
     if p["empirical"]:
         widths = p["widths"]
         for lam in p["lams"]:
@@ -817,11 +784,10 @@ def _run_regularization_sweep(cfg: ExperimentConfig) -> tuple:
                 return _rfm_cell(p, act, kappas, cfg.seed + rep, "analytic",
                                  width=widths[i], lam=_lam, delta=0.0)
 
-            files[f"empirical_lam_{_lam_tag(lam)}.csv"], result = _sweep(cfg, cell, widths)
+            files[f"empirical_lam_{_lam_tag(lam)}.csv"], curves = _sweep(cfg, cell, widths)
             peak_lines.append(
-                f"empirical lam={lam:g}: peak bmd = "
-                f"{float(np.nanmax(result.mean('bmd')))!r} "
-                f"at width = {_argmax(result, 'bmd')}")
+                f"empirical lam={lam:g}: peak bmd = {float(np.nanmax(curves['bmd']))!r} "
+                f"at width = {_argmax(widths, curves['bmd'])}")
     return files, peak_lines
 
 
@@ -836,11 +802,11 @@ def _run_adversarial_init(cfg: ExperimentConfig) -> tuple:
         return _mlp_cell(p, p["width"], cfg.seed + rep, multiclass=True,
                          pretrain=grid[i])
 
-    lines, result = _sweep(cfg, cell, grid, coordinate="pretrain_epochs")
+    lines, curves = _sweep(cfg, cell, grid, coordinate="pretrain_epochs")
     pre = np.asarray(grid, dtype=float)
     extra = []
     for name in ("bmd", "test_err"):
-        rho = _spearman(pre, result.mean(name))  # NaN on a flat curve
+        rho = _spearman(pre, curves[name])  # NaN on a flat curve
         extra.append(f"spearman(pretrain_epochs, {name}) = {rho:.4f}")
     return {f"{cfg.kind}.csv": lines}, extra
 
@@ -890,8 +856,8 @@ def _run_distribution_comparison(cfg: ExperimentConfig) -> tuple:
                          width=widths[i], input_kind="binary", delta=0.0)
 
     names = tuple(f"md_{law}" for law in _SAMPLERS)
-    lines, result = _sweep(cfg, cell, widths, ("test_err",) + names)
-    summary = [f"argmax {name}: width = {_argmax(result, name)}" for name in names]
+    lines, curves = _sweep(cfg, cell, widths, ("test_err",) + names)
+    summary = [f"argmax {name}: width = {_argmax(widths, curves[name])}" for name in names]
     return {f"{cfg.kind}.csv": lines}, summary
 
 
@@ -907,9 +873,9 @@ def _run_normalization_comparison(cfg: ExperimentConfig) -> tuple:
                              width=widths[i], input_kind="gaussian", delta=0.0)
 
         name = f"range_{_range_tag((lo, hi))}.csv"
-        files[name], result = _sweep(cfg, cell, widths, ("test_err", "bmd"))
+        files[name], curves = _sweep(cfg, cell, widths, ("test_err", "bmd"))
         extra.append(f"range [{lo:g}, {hi:g}]: argmax bmd at width = "
-                     f"{_argmax(result, 'bmd')}")
+                     f"{_argmax(widths, curves['bmd'])}")
     return files, extra
 
 

@@ -304,10 +304,12 @@ _DEFAULT_INIT = OrderParams(q_d=0.5, delta_q=1.0, delta_q_hat=0.5, delta_Q_hat=1
 
 
 def _admissible(x: np.ndarray, inp: ReplicaInput) -> bool:
-    """Whether an extrapolated point lies where _proposal is defined."""
-    if not np.all(np.isfinite(x)):
+    """Whether a candidate or a proposal lies where _proposal is defined.
+    On Python floats: it runs on every pass, at a third of numpy's cost."""
+    values = x.tolist()
+    if not all(map(math.isfinite, values)):
         return False
-    p = OrderParams(*x)
+    p = OrderParams(*values)
     M, Q_d, dQ = p.overlaps(inp.kappas)
     return min(p.q_d, p.p_d, p.delta_q, dQ, Q_d - M * M + inp.delta) > 0.0
 
@@ -329,10 +331,13 @@ def solve_saddle(inp: ReplicaInput, init: OrderParams | None = None,
     the iterates and of their residuals and gamma the least-squares solution
     of dF gamma = f, the candidate is the damped step p + f/2 minus
     (dX + dF/2) gamma. The damped step is taken instead, and the history
-    cleared, when the candidate is not finite or leaves the domain (q_d,
-    p_d, delta_q, dQ and Q_d - M^2 + delta positive), or when its proposal
-    is not finite. When a candidate's residual is more than twice the one
-    before, the history restarts from the iterate it was extrapolated from.
+    cleared, when the candidate or its proposal is not finite or leaves the
+    domain (q_d, p_d, delta_q, dQ and Q_d - M^2 + delta positive); a
+    proposal outside the domain from any other iterate raises
+    ConvergenceError. Between two points of the domain the damped step
+    stays in it: the first four bounds are linear and Q_d - M^2 + delta is
+    concave. When a candidate's residual is more than twice the one before,
+    the history restarts from the iterate it was extrapolated from.
     """
     if inp.lam == 0.0 and abs(1.0 / inp.alpha - 1.0) < 0.05:
         warnings.warn("lam = 0 at the interpolation point N = P: "
@@ -343,13 +348,13 @@ def solve_saddle(inp: ReplicaInput, init: OrderParams | None = None,
     resid = np.inf
     for _ in range(max_iter):
         prop = _proposal(OrderParams(*p), inp).as_array()
-        f = prop - p
-        norm = float(np.max(np.abs(f) / np.maximum(1.0, np.abs(p))))
-        if not np.isfinite(norm):
+        if not _admissible(prop, inp):
             if damped is None:
-                raise ConvergenceError(f"iteration produced non-finite parameters at {inp}")
+                raise ConvergenceError(f"iteration left the domain at {inp}")
             p, damped, xs, fs = damped, None, [], []
             continue
+        f = prop - p
+        norm = float(np.max(np.abs(f) / np.maximum(1.0, np.abs(p))))
         if norm < tol:
             return OrderParams(*prop)
         if damped is not None and norm > 2.0 * resid:

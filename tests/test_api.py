@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_experiments import TINY
+from tiny_configs import TINY
 
 from meandim.trainer import (Dataset, TrainConfig, init_mlp, predict_labels,
                              robustness_flip_count, train_gd)

@@ -9,21 +9,20 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from tiny_configs import TINY
 
 from meandim import replica
 from meandim.cli import build_parser, main
 from meandim.experiments import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
-    PeakReport,
-    SweepResult,
     parse_experiment_config,
     load_experiment_config,
     run_experiment,
     summarize_peaks,
 )
-from meandim.experiments import (_minmax_dataset, _pearson, _run_cells, _spearman,
-                                 _sweep_lines)
+from meandim.experiments import (_mean, _minmax_dataset, _pearson, _run_cells, _spearman,
+                                 _std, _sweep_lines)
 from meandim.heatmap_svg import CELL_PX, svg_lines
 from meandim.replica import CURVE_HEADER
 from meandim.rfm import Activation, load_rfm, random_rfm, save_rfm
@@ -172,43 +171,34 @@ def test_kinds_and_schemas_agree():
 
 
 # ---------------------------------------------------------------------------
-# sweep results and peak summaries
+# metric blocks and peak summaries
 
 
-def make_sweep(values, coords=None, reps=None):
-    first = next(iter(values.values()))
-    arr = {k: np.asarray(v, dtype=float) for k, v in values.items()}
-    n, r = np.asarray(first).shape
-    return SweepResult(coordinate="width",
-                       coords=tuple(coords or range(n)),
-                       values=arr, reps=reps or r)
+def blocks_of(values):
+    return {k: np.asarray(v, dtype=float) for k, v in values.items()}
 
 
-def test_sweep_result_validates_shape():
-    with pytest.raises(ValueError, match="shape"):
-        SweepResult(coordinate="width", coords=(1, 2), reps=2,
-                    values={"bmd": np.zeros((2, 3))})
-
-
-def test_sweep_result_mean_and_std():
-    res = make_sweep({"bmd": [[1.0, 3.0], [2.0, np.nan]]})
-    assert res.mean("bmd") == pytest.approx([2.0, 2.0])
-    np.testing.assert_allclose(res.std("bmd")[0], np.std([1.0, 3.0], ddof=1))
-    single = make_sweep({"bmd": [[1.0], [2.0]]})
-    assert single.std("bmd") is None
+def test_mean_and_std_skip_nan():
+    block = np.array([[1.0, 3.0], [2.0, np.nan], [np.nan, np.nan]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, std = _mean(block), _std(block)
+    np.testing.assert_array_equal(mean, [2.0, 2.0, np.nan])
+    assert std[0] == pytest.approx(np.std([1.0, 3.0], ddof=1))
+    assert np.isnan(std[1]) and np.isnan(std[2])  # fewer than two values
 
 
 def test_sweep_lines_columns():
-    res = make_sweep({"test_err": [[0.5, 0.3], [0.2, 0.4]],
-                      "bmd": [[1.0, 1.2], [1.1, 1.3]]}, coords=(8, 16))
-    lines = _sweep_lines(res)
+    blocks = blocks_of({"test_err": [[0.5, 0.3], [0.2, 0.4]],
+                        "bmd": [[1.0, 1.2], [1.1, 1.3]]})
+    lines = _sweep_lines("width", (8, 16), blocks)
     assert lines[0] == "width,test_err_mean,test_err_std,bmd_mean,bmd_std"
     cells = lines[1].split(",")
     assert int(cells[0]) == 8
     assert float(cells[1]) == pytest.approx(0.4)
-    # reps == 1 drops the std columns
-    single = make_sweep({"bmd": [[1.0], [2.0]]}, coords=(8, 16))
-    assert _sweep_lines(single)[0] == "width,bmd_mean"
+    # one repetition drops the std columns
+    single = blocks_of({"bmd": [[1.0], [2.0]]})
+    assert _sweep_lines("width", (8, 16), single) == ["width,bmd_mean", "8,1.0", "16,2.0"]
 
 
 def test_minmax_dataset_maps_columns_onto_range():
@@ -224,52 +214,46 @@ def test_minmax_dataset_constant_column_maps_to_midpoint():
 
 
 def test_summarize_peaks_needs_enough_points():
-    res = make_sweep({"bmd": [[1.0], [2.0]]})
     with pytest.raises(ValueError, match="at least 5"):
-        summarize_peaks(res)
+        summarize_peaks("width", (0, 1), {"bmd": np.array([1.0, 2.0])})
 
 
 def test_summarize_peaks_rejects_all_nan():
-    res = make_sweep({"bmd": [[np.nan]] * 5})
     with pytest.raises(ValueError, match="all-NaN"):
-        summarize_peaks(res)
+        summarize_peaks("width", tuple(range(5)), {"bmd": np.full(5, np.nan)})
 
 
 def test_summarize_peaks_locations_and_distance():
-    res = make_sweep({
-        "test_err": [[0.1], [0.2], [0.9], [0.2], [0.1]],
-        "bmd": [[1.0], [1.1], [1.9], [1.2], [1.0]],
-    }, coords=(4, 8, 16, 32, 64))
-    report = summarize_peaks(res)
-    assert report.argmax["test_err"] == 16 and report.argmax["bmd"] == 16
-    assert report.interior["bmd"] is True
-    assert report.distance_steps == 0
-    assert report.correlations[("test_err", "bmd")] == pytest.approx(1.0, abs=1e-2)
-    text = "\n".join(report.lines())
-    assert "interior peak" in text and "0 grid steps" in text
+    lines = summarize_peaks("width", (4, 8, 16, 32, 64), {
+        "test_err": np.array([0.1, 0.2, 0.9, 0.2, 0.1]),
+        "bmd": np.array([1.0, 1.1, 1.9, 1.2, 1.0]),
+    })
+    assert lines[:3] == ["argmax test_err: width = 16 (interior peak)",
+                         "argmax bmd: width = 16 (interior peak)",
+                         "test_err/bmd peak distance: 0 grid steps"]
+    assert len(lines) == 4 and lines[3].startswith("corr(test_err, bmd) = ")
+    assert float(lines[3].split(" = ")[1]) == pytest.approx(1.0, abs=1e-2)
 
 
 def test_summarize_peaks_flags_boundary():
-    res = make_sweep({"bmd": [[5.0], [4.0], [3.0], [2.0], [1.0]]})
-    report = summarize_peaks(res)
-    assert report.interior["bmd"] is False
-    assert report.distance_steps is None  # no test_err metric
-    assert "boundary, no interior peak" in report.lines()[0]
+    lines = summarize_peaks("width", tuple(range(5)),
+                            {"bmd": np.array([5.0, 4.0, 3.0, 2.0, 1.0])})
+    # no test_err metric: no peak distance and no default correlation
+    assert lines == ["argmax bmd: width = 0 (boundary, no interior peak)"]
 
 
 def test_summarize_peaks_correlation_pairs():
-    res = make_sweep({
-        "bmd": [[1.0], [2.0], [3.0], [2.5], [2.0]],
-        "flip_count": [[9.0], [8.0], [7.0], [7.5], [8.0]],
-    })
-    report = summarize_peaks(res, pairs=(("bmd", "flip_count"),))
-    assert report.correlations[("bmd", "flip_count")] < -0.9
+    curves = {"bmd": np.array([1.0, 2.0, 3.0, 2.5, 2.0]),
+              "flip_count": np.array([9.0, 8.0, 7.0, 7.5, 8.0])}
+    lines = summarize_peaks("width", tuple(range(5)), curves,
+                            pairs=(("bmd", "flip_count"),))
+    assert lines[-1].startswith("corr(bmd, flip_count) = ")
+    assert float(lines[-1].split(" = ")[1]) < -0.9
     with pytest.raises(ValueError, match="not in sweep metrics"):
-        summarize_peaks(res, pairs=(("bmd", "nope"),))
-    sparse = make_sweep({"a": [[np.nan]] * 4 + [[1.0]],
-                         "b": [[1.0]] * 5})
+        summarize_peaks("width", tuple(range(5)), curves, pairs=(("bmd", "nope"),))
+    sparse = {"a": np.array([np.nan] * 4 + [1.0]), "b": np.ones(5)}
     with pytest.raises(ValueError, match="fewer than 3 finite"):
-        summarize_peaks(sparse, pairs=(("a", "b"),))
+        summarize_peaks("width", tuple(range(5)), sparse, pairs=(("a", "b"),))
 
 
 def test_run_cells_wraps_failures():
@@ -303,7 +287,8 @@ def test_run_cells_jobs_do_not_change_values():
 
     a = _run_cells(cell, (1, 2, 3), ("m",), reps=2, jobs=1, coordinate="w")
     b = _run_cells(cell, (1, 2, 3), ("m",), reps=2, jobs=4, coordinate="w")
-    np.testing.assert_array_equal(a.values["m"], b.values["m"])
+    np.testing.assert_array_equal(a["m"], [[0.0, 1.0], [100.0, 101.0], [200.0, 201.0]])
+    np.testing.assert_array_equal(a["m"], b["m"])
 
 
 # ---------------------------------------------------------------------------
@@ -380,35 +365,6 @@ def read_lines(path):
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
-
-
-# one tiny config per kind; the per-kind tests below and the rerun test use them
-TINY = {
-    "double-descent-rfm": "kind = double-descent-rfm\nseed = 3\nreps = 2\ndim = 8\n"
-                          "n_train = 24\nn_test = 60\nwidths = 4 8 16 24 32",
-    "double-descent-mlp": "kind = double-descent-mlp\ndim = 6\nn_train = 24\nn_test = 30\n"
-                          "widths = 4 8\nepochs = 3\nmd_samples = 200\nloss = mse\n"
-                          "n_classes = 2",
-    "theory-curve": "kind = theory-curve\ngrid_min = 0.5\ngrid_max = 2.0\ngrid_points = 5",
-    "regularization-sweep": "kind = regularization-sweep\nlams = 1e-4 1\ngrid_min = 0.5\n"
-                            "grid_max = 2.0\ngrid_points = 4\nempirical = true\nreps = 2\n"
-                            "dim = 6\nn_train = 20\nn_test = 40\nwidths = 4 8",
-    "trainset-size-sweep": "kind = trainset-size-sweep\ndim = 6\nwidth = 8\n"
-                           "n_trains = 10 20 40\nn_test = 40",
-    "adversarial-init": "kind = adversarial-init\ndim = 6\nn_train = 40\nn_test = 40\n"
-                        "width = 8\nn_classes = 3\npretrain_grid = 0 2\nepochs = 2\n"
-                        "md_samples = 150",
-    "robustness-sweep": "kind = robustness-sweep\ndim = 6\nn_train = 40\nn_test = 40\n"
-                        "widths = 4 8\nn_classes = 3\nepochs = 2\nmd_samples = 150\n"
-                        "flip_points = 20",
-    "heatmap": "kind = heatmap\ngrid_height = 4\ngrid_width = 4\nn_feat = 16\n"
-               "n_train = 80\nsamples = 500",
-    "distribution-comparison": "kind = distribution-comparison\ndim = 6\nn_train = 20\n"
-                               "n_test = 40\nwidths = 4 8\nsamples = 300",
-    "normalization-comparison": "kind = normalization-comparison\ndim = 6\nn_train = 20\n"
-                                "n_test = 40\nwidths = 4 8\nsamples = 300\n"
-                                "ranges = -1:1 -3:3",
-}
 
 
 def run_tiny(kind, tmp_path):
@@ -632,6 +588,13 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
          "support_fraction = -1\n", "'support_fraction': expected a finite value in (0, 1]"),
         ("kind = theory-curve\nalpha_t = 0\n", "'alpha_t': expected a finite value > 0"),
         ("kind = theory-curve\ndelta = nan\n", "'delta': expected a finite value >= 0"),
+        # the replica input at the grid's ends checks the theory values together
+        ("kind = theory-curve\nalpha_t = 1e150\n",
+         "config fields 'activation', 'alpha_t', 'grid_min', 'grid_max': alpha ratios "
+         "must be positive and finite, and alpha_t at most 1e+100"),
+        ("kind = theory-curve\nalpha_t = 1e-320\n", "'grid_max': alpha ratios must be"),
+        ("kind = regularization-sweep\nlams = 1\nactivation = linear\n",
+         "'grid_max': replica equations need k_star_sq > 0"),
         ("kind = regularization-sweep\nlams = 1 -1\n", "'lams': expected a finite value >= 0"),
         (rfm + "seed = -1\n", "'seed': expected a finite value >= 0"),
         ("kind = normalization-comparison\ndim = 4\nn_train = 8\nwidths = 4\n"
@@ -898,6 +861,47 @@ def test_cli_theory_reports_points_that_did_not_converge(failing, code, monkeypa
         printed = captured.out.splitlines()
         assert [line[-1] for line in printed[1:]] == ["1", "1", "0"]
         assert read_lines(out_csv) == printed
+
+
+def _last_point(inp):
+    return 1.0 / inp.alpha > 1.5  # the grid's last point, 1/alpha = 2
+
+
+@pytest.mark.parametrize("kind,stalls,code,report", [
+    ("theory-curve", _last_point, 0, ["1 of 5 points did not converge"]),
+    ("regularization-sweep", _last_point, 0,
+     ["theory lam=0.0001: 1 of 4 points did not converge",
+      "theory lam=1: 1 of 4 points did not converge"]),
+    ("theory-curve", lambda inp: True, 1, ["theory lam=0.0001: 5 of 5 points did not converge"]),
+    ("regularization-sweep", lambda inp: inp.lam == 1.0, 1,
+     ["theory lam=1: 4 of 4 points did not converge"]),
+], ids=["theory-curve-one", "regularization-sweep-one", "theory-curve-all",
+        "regularization-sweep-all-at-one-lam"])
+def test_cli_run_reports_theory_points_that_did_not_converge(kind, stalls, code, report,
+                                                             monkeypatch, tmp_path, capsys):
+    """A theory curve with failed points adds one summary line per curve;
+    one that has no converged point fails the run like a failed cell."""
+    solve = replica.solve_saddle
+
+    def stalls_at(inp, init=None):
+        if stalls(inp):
+            raise replica.ConvergenceError("stalled")
+        return solve(inp, init=init)
+
+    monkeypatch.setattr(replica, "solve_saddle", stalls_at)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY[kind], encoding="ascii")
+    assert main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == code
+    captured = capsys.readouterr()
+    if code == 1:  # one stderr line, no output directory
+        assert captured.out == "" and captured.err == f"meandim run: {report[0]}\n"
+        assert not (tmp_path / "o").exists()
+        return
+    assert captured.err == ""
+    summary = read_lines(tmp_path / "o" / "summary.txt")
+    assert [line for line in summary if "did not converge" in line] == report
+    curve = "theory-curve.csv" if kind == "theory-curve" else "theory_lam_1.csv"
+    assert [line[-1] for line in read_lines(tmp_path / "o" / curve)[1:]][-2:] == ["1", "0"]
 
 
 def test_cli_theory_rejects_bad_grid(capsys):

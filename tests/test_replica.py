@@ -310,6 +310,46 @@ def test_largest_alpha_t_converges_without_overflow():
     assert all(r.converged for r in rows)
 
 
+def test_proposal_outside_the_domain_raises_without_warning():
+    # ce at alpha_t = 1e10: a finite proposal reaches delta_p < 0, so dQ < 0;
+    # evaluating it would take sqrt(dQ) inside the next proposal
+    inp = ReplicaInput(alpha=1.0, lam=1e-4, loss="ce", kappas=KAPPAS, alpha_t=1e10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="left the domain"):
+            solve_saddle(inp)
+
+
+def _leaves_domain_at(calls, monkeypatch):
+    """Make the proposals of the given (1-based) passes finite but with
+    delta_p = -1, outside the domain; returns the pass counter."""
+    count = [0]
+
+    def proposal(p, inp):
+        count[0] += 1
+        prop = _proposal(p, inp)
+        return dataclasses.replace(prop, delta_p=-1.0) if count[0] in calls else prop
+
+    monkeypatch.setattr(replica, "_proposal", proposal)
+    return count
+
+
+def test_out_of_domain_proposal_falls_back_to_the_damped_step(monkeypatch):
+    inp = ReplicaInput(alpha=2.0, lam=1e-3, loss="mse", kappas=KAPPAS, alpha_t=3.0)
+    want = solve_saddle(inp, tol=1e-12)
+    # the third pass evaluates the first Anderson candidate: the solver goes
+    # back to the damped step it replaced and converges to the same saddle
+    count = _leaves_domain_at({3}, monkeypatch)
+    got = solve_saddle(inp, tol=1e-12)
+    assert count[0] > 3
+    np.testing.assert_allclose(got.as_array(), want.as_array(), rtol=1e-9)
+    # from the damped iterate itself there is no step to go back to
+    count = _leaves_domain_at({1}, monkeypatch)
+    with pytest.raises(ConvergenceError, match="left the domain"):
+        solve_saddle(inp)
+    assert count[0] == 1
+
+
 def test_interpolation_warning_at_zero_lambda():
     inp = ReplicaInput(alpha=1.0, lam=0.0, loss="mse", kappas=KAPPAS, alpha_t=3.0)
     with pytest.warns(RuntimeWarning, match="interpolation"):
