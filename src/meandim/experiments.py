@@ -43,7 +43,7 @@ from .textio import csv_lines, read_text, write_text
 from .trainer import (TeacherTask, TrainConfig, adversarial_init_protocol,
                       flip_labels, gen_multiclass_task, gen_teacher_student,
                       init_mlp, mlp_score_fn, multiclass_bmd, predict_labels,
-                      robustness_flip_count, train_gd, train_rfm_ridge)
+                      robustness_flip_count, train_rfm_ridge)
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -475,10 +475,11 @@ def summarize_peaks(coordinate: str, coords, curves: dict, pairs=None) -> list:
 
     Peaks are reported on the discrete grid only (no interpolation); a
     metric whose maximum sits on the grid boundary is flagged as having no
-    interior peak. Requires at least 5 grid points.
+    interior peak. A grid of fewer than 5 points gives no lines, and a pair
+    with fewer than 3 points finite in both curves has no correlation.
     """
     if len(coords) < 5:
-        raise ValueError("peak summary needs at least 5 grid points")
+        return []
     names = list(curves)
     lines, peaks = [], {}
     for name, curve in curves.items():
@@ -497,8 +498,9 @@ def summarize_peaks(coordinate: str, coords, curves: dict, pairs=None) -> list:
             raise ValueError(f"correlation pair ({a}, {b}) not in sweep metrics {names}")
         keep = np.isfinite(curves[a]) & np.isfinite(curves[b])
         if keep.sum() < 3:
-            raise ValueError(f"correlation pair ({a}, {b}) has fewer than 3 finite points")
-        lines.append(f"corr({a}, {b}) = {_pearson(curves[a][keep], curves[b][keep]):.4f}")
+            lines.append(f"corr({a}, {b}) undefined: fewer than 3 finite points")
+        else:
+            lines.append(f"corr({a}, {b}) = {_pearson(curves[a][keep], curves[b][keep]):.4f}")
     return lines
 
 
@@ -554,8 +556,8 @@ def _run_cells(cell_fn, coords, metric_names, reps: int, jobs: int,
 
     Cells execute in a thread pool; assembly is keyed by (i, rep) so the
     result does not depend on completion order. Exceptions are re-raised
-    with the failing coordinates attached; the first one cancels the cells
-    still queued.
+    with the failing coordinates attached; the first one, or a
+    KeyboardInterrupt while the pool runs, cancels the cells still queued.
     """
     blocks = {name: np.full((len(coords), reps), np.nan) for name in metric_names}
 
@@ -572,9 +574,11 @@ def _run_cells(cell_fn, coords, metric_names, reps: int, jobs: int,
         outs = [wrapped(i, rep) for i, rep in lattice]
     else:
         with _blas_threads(jobs), ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(wrapped, i, rep) for i, rep in lattice]
-            wait(futures, return_when=FIRST_EXCEPTION)
-            pool.shutdown(cancel_futures=True)
+            try:
+                futures = [pool.submit(wrapped, i, rep) for i, rep in lattice]
+                wait(futures, return_when=FIRST_EXCEPTION)
+            finally:
+                pool.shutdown(cancel_futures=True)
         # a cancelled cell was queued behind the failed one, so its lattice
         # position comes later and the failure is raised first
         outs = [fut.result() for fut in futures]
@@ -646,14 +650,14 @@ def _rfm_cell(p, act, kappas, seed, md, rescale=None, **fields):
     return out
 
 
-def _mlp_cell(p, width, seed, multiclass, pretrain=None, flips=False):
+def _mlp_cell(p, width, seed, multiclass, pretrain=0, flips=False):
     """One (coordinate, rep) cell of a two-layer tanh network sweep.
 
     A multiclass task trains n_classes logits; otherwise a scalar margin
     head learns a sign teacher. The training labels get the config's label
-    noise. With pretrain set, the adversarial protocol first trains that
-    many epochs on fully corrupted labels. flips adds the mean flip count on
-    the test set.
+    noise. The adversarial protocol first trains pretrain epochs on fully
+    corrupted labels; at 0 it is plain training. flips adds the mean flip
+    count on the test set.
     """
     dim = p["dim"]
     if multiclass:
@@ -669,12 +673,8 @@ def _mlp_cell(p, width, seed, multiclass, pretrain=None, flips=False):
     config = TrainConfig(loss=loss, optimizer=p.get("optimizer", "minibatch-gd"),
                          batch_size=p["batch_size"], lr=p["lr"], epochs=p["epochs"],
                          seed=seed)
-    skeleton = init_mlp(dim, width, n_out, seed=seed)
-    if pretrain is None:
-        fit = train_gd(skeleton, train, config, test_ds=test)
-    else:
-        fit = adversarial_init_protocol(skeleton, train, pretrain, p["epochs"],
-                                        config, test_ds=test)
+    fit = adversarial_init_protocol(init_mlp(dim, width, n_out, seed=seed), train,
+                                    pretrain, config, test_ds=test)
     net = fit.model
     if multiclass:
         bmd = multiclass_bmd(net, InputSampler.binary(dim), p["md_samples"], seed)
@@ -693,11 +693,6 @@ def _sweep(cfg: ExperimentConfig, cell, coords, metrics=_ERR_BMD, coordinate="wi
     blocks = _run_cells(cell, coords, metrics, cfg.reps, cfg.jobs, coordinate)
     return (_sweep_lines(coordinate, coords, blocks),
             {name: _mean(block) for name, block in blocks.items()})
-
-
-def _peak_lines(coordinate, coords, curves, pairs=None) -> list:
-    """The peak summary lines once the grid has 5 points."""
-    return summarize_peaks(coordinate, coords, curves, pairs) if len(coords) >= 5 else []
 
 
 def _argmax(coords, curve):
@@ -719,7 +714,7 @@ def _run_rfm_sweep(cfg: ExperimentConfig) -> tuple:
         return _rfm_cell(p, act, kappas, cfg.seed + rep, "analytic", **{axis: coords[i]})
 
     lines, curves = _sweep(cfg, cell, coords, coordinate=axis)
-    return {f"{cfg.kind}.csv": lines}, _peak_lines(axis, coords, curves)
+    return {f"{cfg.kind}.csv": lines}, summarize_peaks(axis, coords, curves)
 
 
 def _run_mlp_sweep(cfg: ExperimentConfig) -> tuple:
@@ -734,8 +729,8 @@ def _run_mlp_sweep(cfg: ExperimentConfig) -> tuple:
     metrics = _ERR_BMD + (("flip_count",) if robust else ())
     lines, curves = _sweep(cfg, cell, p["widths"], metrics)
     return ({f"{cfg.kind}.csv": lines},
-            _peak_lines("width", p["widths"], curves,
-                        (("bmd", "flip_count"),) if robust else None))
+            summarize_peaks("width", p["widths"], curves,
+                            (("bmd", "flip_count"),) if robust else None))
 
 
 def _theory_sweep(p, kappas, lam) -> tuple:
@@ -758,7 +753,7 @@ def _run_theory_curve(cfg: ExperimentConfig) -> tuple:
     # eps_g plays the test_err role so the generic peak summary applies
     curves = {"test_err": np.array([r.eps_g for r in rows]),
               "bmd": np.array([r.bmd for r in rows])}
-    peaks = _peak_lines("inv_alpha", [r.inv_alpha for r in rows], curves)
+    peaks = summarize_peaks("inv_alpha", [r.inv_alpha for r in rows], curves)
     return {"theory-curve.csv": curve_lines(rows)}, (
         peaks + ["test_err here is the replica eps_g"] + failed)
 
@@ -894,15 +889,12 @@ _RUNNERS = {
 }
 
 
-def run_experiment(config, out_dir=None, jobs=None) -> list:
+def run_experiment(config: ExperimentConfig, out_dir=None, jobs=None) -> list:
     """Run one experiment end to end; returns the list of written paths.
 
-    config may be an ExperimentConfig or a path to a config file. out_dir
-    and jobs override the config values (the CLI flags map here). The
-    directory is made and written only once every cell has succeeded.
+    out_dir and jobs override the config values (the CLI flags map here).
+    The directory is made and written only once every cell has succeeded.
     """
-    if not isinstance(config, ExperimentConfig):
-        config = load_experiment_config(config)
     overrides = {"out_dir": out_dir, "jobs": jobs}
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     files, body = _RUNNERS[config.kind](config)

@@ -272,20 +272,16 @@ def train_rfm_ridge(model: RfmModel, ds: Dataset, lam: float,
                 "add ridge regularization")
     factor = cho_factor(A)
     x = cho_solve(factor, b)
-    for _ in range(4):  # refinement: drive the stationarity residual down
+    for step in range(5):  # up to 4 refinement steps drive the residual down
         residual = b - A @ x
         # the objective's gradient is -residual (primal) or -Xp^T residual (dual)
-        if np.linalg.norm(Xp.T @ residual if dual else residual) < 1e-8:
+        grad_norm = float(np.linalg.norm(Xp.T @ residual if dual else residual))
+        if grad_norm < 1e-8 or step == 4:
             break
         x = x + cho_solve(factor, residual)
-    if dual:
-        w = Xp.T @ x
-        grad_norm = float(np.linalg.norm(Xp.T @ (Xp @ w / N - b) + lam * w))
-    else:
-        w = x
-        grad_norm = float(np.linalg.norm(A @ w - b))
     if grad_norm >= 1e-8:
         raise RuntimeError(f"ridge stationarity check failed: |grad| = {grad_norm:.3e}")
+    w = Xp.T @ x if dual else x
     fitted = with_weights(model, w)
     yhat = Xp @ w / np.sqrt(N)
     test_error = np.nan
@@ -491,9 +487,10 @@ def train_gd(skeleton: Mlp, ds: Dataset, config: TrainConfig,
 
 
 def adversarial_init_protocol(skeleton: Mlp, ds: Dataset, pretrain_epochs: int,
-                              main_epochs: int, config: TrainConfig,
+                              config: TrainConfig,
                               test_ds: Dataset | None = None) -> TrainedModel:
-    """Memorize fully corrupted labels first, then train on the clean ones.
+    """Memorize fully corrupted labels for pretrain_epochs, then train on
+    the clean ones for config.epochs.
 
     With pretrain_epochs = 0 this reproduces plain train_gd bit for bit:
     the corrupt phase draws from its own substream, so skipping it leaves
@@ -504,7 +501,7 @@ def adversarial_init_protocol(skeleton: Mlp, ds: Dataset, pretrain_epochs: int,
         corrupted = flip_labels(ds, 1.0, seed=config.seed + 1000)
         start, _ = _descend(start, corrupted,
                             replace(config, epochs=pretrain_epochs, seed=config.seed + 1000))
-    return train_gd(start, ds, replace(config, epochs=main_epochs), test_ds)
+    return train_gd(start, ds, config, test_ds)
 
 
 @dataclass(frozen=True)

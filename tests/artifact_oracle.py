@@ -19,7 +19,8 @@ directory named by relative paths so that no output holds a path:
 - the benchmark's double-descent-rfm (--jobs 2), adversarial-init and
   robustness-sweep configs at seed 0;
 - `meandim md` stdout and --profile-out for each sampler, on a
-  ridge-trained D = 12 checkpoint (itself hashed) and a fixed data file;
+  ridge-trained D = 12 and D = 1 checkpoint (each itself hashed) and a
+  fixed data file of matching width;
 - `meandim theory` stdout and --out for mse and ce at lambda = 1e-4 and
   mse at lambda = 0.
 
@@ -104,21 +105,24 @@ def _md(hashes):
     from meandim.rfm import Activation, random_rfm, save_rfm
     from meandim.trainer import TeacherTask, gen_teacher_student, train_rfm_ridge
 
-    task = TeacherTask.random(12, seed=0)
-    train, _ = gen_teacher_student(12, 40, 10, task, seed=0)
-    fit = train_rfm_ridge(random_rfm(12, 30, Activation.tanh(), seed=0), train, 1e-2)
-    save_rfm("d12.rfm", fit.model)
-    hashes["md/d12.rfm"] = _file_sha("d12.rfm")
-    rows = np.random.default_rng(0).uniform(-1.0, 1.0, size=(50, 12))
-    with open("rows.csv", "w", encoding="ascii") as fh:
-        fh.writelines(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
-    for sampler in SAMPLER_KINDS:
-        argv = ["md", "d12.rfm", "--sampler", sampler, "--samples", "2000", "--seed", "0",
-                "--profile-out", f"md-{sampler}.csv"]
-        if sampler == "empirical":
-            argv += ["--data", "rows.csv"]
-        hashes[f"md/{sampler}/stdout"] = _sha(_cli(argv).encode())
-        hashes[f"md/{sampler}/profile.csv"] = _file_sha(f"md-{sampler}.csv")
+    for dim in (12, 1):
+        task = TeacherTask.random(dim, seed=0)
+        train, _ = gen_teacher_student(dim, 40, 10, task, seed=0)
+        fit = train_rfm_ridge(random_rfm(dim, 30, Activation.tanh(), seed=0), train, 1e-2)
+        name = f"md/d{dim}"
+        save_rfm(f"d{dim}.rfm", fit.model)
+        hashes[f"{name}.rfm"] = _file_sha(f"d{dim}.rfm")
+        rows = np.random.default_rng(0).uniform(-1.0, 1.0, size=(50, dim))
+        with open(f"rows{dim}.csv", "w", encoding="ascii") as fh:
+            fh.writelines(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+        for sampler in SAMPLER_KINDS:
+            out = f"md-d{dim}-{sampler}.csv"
+            argv = ["md", f"d{dim}.rfm", "--sampler", sampler, "--samples", "2000",
+                    "--seed", "0", "--profile-out", out]
+            if sampler == "empirical":
+                argv += ["--data", f"rows{dim}.csv"]
+            hashes[f"{name}/{sampler}/stdout"] = _sha(_cli(argv).encode())
+            hashes[f"{name}/{sampler}/profile.csv"] = _file_sha(out)
 
 
 def _theory(hashes):

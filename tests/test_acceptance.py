@@ -44,6 +44,15 @@ def trained_rfm(D, N, P, lam, seed, noise=0.0):
     return train_rfm_ridge(model, train, lam, test_ds=test)
 
 
+def summary_value(path, key):
+    """The number after `key = ` on the line of summary.txt that starts so."""
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith(key + " = "):
+                return float(line[len(key) + 3:].split()[0])
+    raise AssertionError(f"{key!r} not found in {path}")
+
+
 def test_c01_mc_matches_exact_fourier_md():
     t0 = time.monotonic()
     rng = np.random.default_rng(2024)
@@ -111,22 +120,19 @@ def test_c05_error_and_bmd_peaks_coincide():
           time.monotonic() - t0, 600)
 
 
-def test_c06_regularization_damps_bmd_peak():
+def test_c06_regularization_damps_bmd_peak(tmp_path):
     t0 = time.monotonic()
     lams = (1e-4, 1e-2, 1.0)
-    grid = np.logspace(-1, 1, 21)
-    theory = [max(r.bmd for r in sweep_curve(KAPPAS, "mse", lam, 4.0, grid))
-              for lam in lams]
-    widths = (50, 100, 150, 200, 260, 340, 450, 600)
-    empirical = []
-    for lam in lams:
-        curves = np.zeros((len(widths), 10))
-        for rep in range(10):
-            for i, w in enumerate(widths):
-                fit = trained_rfm(D=50, N=w, P=200, lam=lam, seed=rep,
-                                  noise=0.1)
-                curves[i, rep] = analytic_bmd(fit.model)
-        empirical.append(float(curves.mean(axis=1).max()))
+    cfg = parse_experiment_config(
+        "kind = regularization-sweep\nseed = 0\nreps = 10\njobs = 2\n"
+        "lams = 1e-4 1e-2 1\nloss = mse\nalpha_t = 4\n"
+        "grid_min = 0.1\ngrid_max = 10\ngrid_points = 21\nempirical = true\n"
+        "dim = 50\nn_train = 200\nlabel_noise_fraction = 0.1\n"
+        "widths = 50 100 150 200 260 340 450 600")
+    summary = run_experiment(cfg, out_dir=str(tmp_path / "c06"))[-1]
+    theory = [summary_value(summary, f"theory lam={lam:g}: peak bmd") for lam in lams]
+    empirical = [summary_value(summary, f"empirical lam={lam:g}: peak bmd")
+                 for lam in lams]
     ok = (theory[0] > theory[1] > theory[2]
           and empirical[0] > empirical[1] > empirical[2])
     check(6, ok,
@@ -196,31 +202,20 @@ def test_c08_sampler_universality():
           time.monotonic() - t0, 900)
 
 
-def test_c09_empirical_double_descent_peak():
+def test_c09_empirical_double_descent_peak(tmp_path):
     t0 = time.monotonic()
-    widths = (30, 60, 100, 150, 200, 250, 300, 350, 420, 600, 900, 1200)
-    te = np.zeros((len(widths), 10))
-    bm = np.zeros_like(te)
-    for rep in range(10):
-        for i, w in enumerate(widths):
-            fit = trained_rfm(D=100, N=w, P=300, lam=1e-4, seed=rep, noise=0.1)
-            te[i, rep] = fit.test_error
-            bm[i, rep] = analytic_bmd(fit.model)
-    w_te = widths[int(np.argmax(te.mean(axis=1)))]
-    w_bm = widths[int(np.argmax(bm.mean(axis=1)))]
+    cfg = parse_experiment_config(
+        "kind = double-descent-rfm\nseed = 0\nreps = 10\njobs = 2\n"
+        "dim = 100\nn_train = 300\nlam = 1e-4\nlabel_noise_fraction = 0.1\n"
+        "widths = 30 60 100 150 200 250 300 350 420 600 900 1200")
+    summary = run_experiment(cfg, out_dir=str(tmp_path / "c09"))[-1]
+    w_te = summary_value(summary, "argmax test_err: width")
+    w_bm = summary_value(summary, "argmax bmd: width")
     ok = 240 <= w_te <= 360 and 240 <= w_bm <= 360
     check(9, ok,
-          f"D=100 P=300 10% noise x10 reps: test-error peak at width {w_te}, "
-          f"bmd peak at {w_bm} (need both within 20% of N=P=300)",
+          f"D=100 P=300 10% noise x10 reps: test-error peak at width {w_te:g}, "
+          f"bmd peak at {w_bm:g} (need both within 20% of N=P=300)",
           time.monotonic() - t0, 1800)
-
-
-def summary_value(path, key):
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            if line.startswith(key):
-                return float(line.split("=")[1])
-    raise AssertionError(f"{key!r} not found in {path}")
 
 
 def test_c10_bmd_anticorrelates_with_flip_robustness(tmp_path):

@@ -2,6 +2,8 @@
 
 import os
 import re
+import signal
+import threading
 import time
 import warnings
 
@@ -21,8 +23,8 @@ from meandim.experiments import (
     run_experiment,
     summarize_peaks,
 )
-from meandim.experiments import (_mean, _minmax_dataset, _pearson, _run_cells, _spearman,
-                                 _std, _sweep_lines)
+from meandim.experiments import (_mean, _minmax_dataset, _openblas_thread_controls, _pearson,
+                                 _run_cells, _spearman, _std, _sweep_lines)
 from meandim.heatmap_svg import CELL_PX, svg_lines
 from meandim.replica import CURVE_HEADER
 from meandim.rfm import Activation, load_rfm, random_rfm, save_rfm
@@ -214,8 +216,8 @@ def test_minmax_dataset_constant_column_maps_to_midpoint():
 
 
 def test_summarize_peaks_needs_enough_points():
-    with pytest.raises(ValueError, match="at least 5"):
-        summarize_peaks("width", (0, 1), {"bmd": np.array([1.0, 2.0])})
+    # below 5 grid points there is no peak summary at all
+    assert summarize_peaks("width", (0, 1, 2, 3), {"bmd": np.array([1.0, 2.0, 1.0, 0.0])}) == []
 
 
 def test_summarize_peaks_rejects_all_nan():
@@ -251,9 +253,12 @@ def test_summarize_peaks_correlation_pairs():
     assert float(lines[-1].split(" = ")[1]) < -0.9
     with pytest.raises(ValueError, match="not in sweep metrics"):
         summarize_peaks("width", tuple(range(5)), curves, pairs=(("bmd", "nope"),))
-    sparse = {"a": np.array([np.nan] * 4 + [1.0]), "b": np.ones(5)}
-    with pytest.raises(ValueError, match="fewer than 3 finite"):
-        summarize_peaks("width", tuple(range(5)), sparse, pairs=(("a", "b"),))
+    # two points finite in both curves: the peaks stand, the correlation is undefined
+    sparse = {"a": np.array([np.nan] * 3 + [1.0, 2.0]), "b": np.array([1.0, 2.0, 3.0, 2.0, 1.0])}
+    assert summarize_peaks("width", tuple(range(5)), sparse, pairs=(("a", "b"),)) == [
+        "argmax a: width = 4 (boundary, no interior peak)",
+        "argmax b: width = 2 (interior peak)",
+        "corr(a, b) undefined: fewer than 3 finite points"]
 
 
 def test_run_cells_wraps_failures():
@@ -279,6 +284,28 @@ def test_run_cells_wraps_failures():
     with pytest.raises(RuntimeError, match=r"width=0, rep=0 failed: boom"):
         _run_cells(slow_cell, tuple(range(20)), ("m",), reps=1, jobs=2, coordinate="width")
     assert len(calls) < 20
+
+
+def test_run_cells_interrupt_cancels_queued_cells():
+    """Ctrl-C while a pool runs: the queued cells never start, the
+    KeyboardInterrupt reaches the caller and the BLAS caps are undone."""
+    calls = []
+
+    def slow_cell(i, rep):
+        calls.append(i)
+        time.sleep(0.2)
+        return {"m": 0.0}
+
+    before = [get() for get, _ in _openblas_thread_controls()]
+    timer = threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGINT))
+    timer.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            _run_cells(slow_cell, tuple(range(20)), ("m",), reps=1, jobs=2, coordinate="width")
+    finally:
+        timer.cancel()
+    assert len(calls) < 20  # the 20 cells take 2 s on two threads
+    assert [get() for get, _ in _openblas_thread_controls()] == before
 
 
 def test_run_cells_jobs_do_not_change_values():
@@ -393,18 +420,6 @@ def test_rerun_is_byte_identical_and_jobs_free(kind, tmp_path):
         data.decode("ascii")
         assert b"\r" not in data, name
         assert data.endswith(b"\n") and not data.endswith(b"\n\n"), name
-
-
-def test_run_experiment_accepts_config_path(tmp_path):
-    cfg_file = tmp_path / "exp.cfg"
-    cfg_file.write_text(TINY["theory-curve"] + f"\nout = {tmp_path / 'th'}\n",
-                        encoding="ascii")
-    paths = run_experiment(str(cfg_file))
-    lines = read_lines(paths[0])
-    assert lines[0] == CURVE_HEADER
-    assert len(lines) == 6
-    text = "\n".join(read_lines(paths[1]))
-    assert "replica eps_g" in text
 
 
 def test_run_regularization_sweep_theory_and_empirical(tmp_path):
@@ -863,6 +878,22 @@ def test_cli_theory_reports_points_that_did_not_converge(failing, code, monkeypa
         assert read_lines(out_csv) == printed
 
 
+def _run_stalling(kind, stalls, monkeypatch, tmp_path) -> int:
+    """`meandim run` of the tiny config of a theory kind into tmp_path/o,
+    with solve_saddle stalling wherever stalls(inp) holds; the exit code."""
+    solve = replica.solve_saddle
+
+    def stalls_at(inp, init=None):
+        if stalls(inp):
+            raise replica.ConvergenceError("stalled")
+        return solve(inp, init=init)
+
+    monkeypatch.setattr(replica, "solve_saddle", stalls_at)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(TINY[kind], encoding="ascii")
+    return main(["run", str(cfg_file), "--out", str(tmp_path / "o")])
+
+
 def _last_point(inp):
     return 1.0 / inp.alpha > 1.5  # the grid's last point, 1/alpha = 2
 
@@ -881,17 +912,7 @@ def test_cli_run_reports_theory_points_that_did_not_converge(kind, stalls, code,
                                                              monkeypatch, tmp_path, capsys):
     """A theory curve with failed points adds one summary line per curve;
     one that has no converged point fails the run like a failed cell."""
-    solve = replica.solve_saddle
-
-    def stalls_at(inp, init=None):
-        if stalls(inp):
-            raise replica.ConvergenceError("stalled")
-        return solve(inp, init=init)
-
-    monkeypatch.setattr(replica, "solve_saddle", stalls_at)
-    cfg_file = tmp_path / "exp.cfg"
-    cfg_file.write_text(TINY[kind], encoding="ascii")
-    assert main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == code
+    assert _run_stalling(kind, stalls, monkeypatch, tmp_path) == code
     captured = capsys.readouterr()
     if code == 1:  # one stderr line, no output directory
         assert captured.out == "" and captured.err == f"meandim run: {report[0]}\n"
@@ -902,6 +923,23 @@ def test_cli_run_reports_theory_points_that_did_not_converge(kind, stalls, code,
     assert [line for line in summary if "did not converge" in line] == report
     curve = "theory-curve.csv" if kind == "theory-curve" else "theory_lam_1.csv"
     assert [line[-1] for line in read_lines(tmp_path / "o" / curve)[1:]][-2:] == ["1", "0"]
+
+
+def test_cli_run_theory_curve_with_two_converged_points(monkeypatch, tmp_path, capsys):
+    """Two converged points of five give peaks but no correlation; the run
+    still succeeds and counts the failed points."""
+    assert _run_stalling("theory-curve", lambda inp: 1.0 / inp.alpha > 0.9,
+                         monkeypatch, tmp_path) == 0
+    assert capsys.readouterr().err == ""
+    summary = read_lines(tmp_path / "o" / "summary.txt")
+    assert summary[4:] == [
+        "argmax test_err: inv_alpha = 0.7071067811865476 (interior peak)",
+        "argmax bmd: inv_alpha = 0.7071067811865476 (interior peak)",
+        "test_err/bmd peak distance: 0 grid steps",
+        "corr(test_err, bmd) undefined: fewer than 3 finite points",
+        "test_err here is the replica eps_g",
+        "3 of 5 points did not converge",
+    ]
 
 
 def test_cli_theory_rejects_bad_grid(capsys):

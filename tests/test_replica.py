@@ -320,34 +320,42 @@ def test_proposal_outside_the_domain_raises_without_warning():
             solve_saddle(inp)
 
 
-def _leaves_domain_at(calls, monkeypatch):
-    """Make the proposals of the given (1-based) passes finite but with
-    delta_p = -1, outside the domain; returns the pass counter."""
+def _bad_proposal_at(calls, delta_p, monkeypatch):
+    """Make the proposals of the given (1-based) passes carry this delta_p,
+    outside the domain or not finite; returns the pass counter."""
     count = [0]
 
     def proposal(p, inp):
         count[0] += 1
         prop = _proposal(p, inp)
-        return dataclasses.replace(prop, delta_p=-1.0) if count[0] in calls else prop
+        return dataclasses.replace(prop, delta_p=delta_p) if count[0] in calls else prop
 
     monkeypatch.setattr(replica, "_proposal", proposal)
     return count
 
 
-def test_out_of_domain_proposal_falls_back_to_the_damped_step(monkeypatch):
+def _check_fallback_to_the_damped_step(delta_p, monkeypatch):
     inp = ReplicaInput(alpha=2.0, lam=1e-3, loss="mse", kappas=KAPPAS, alpha_t=3.0)
     want = solve_saddle(inp, tol=1e-12)
     # the third pass evaluates the first Anderson candidate: the solver goes
     # back to the damped step it replaced and converges to the same saddle
-    count = _leaves_domain_at({3}, monkeypatch)
+    count = _bad_proposal_at({3}, delta_p, monkeypatch)
     got = solve_saddle(inp, tol=1e-12)
     assert count[0] > 3
     np.testing.assert_allclose(got.as_array(), want.as_array(), rtol=1e-9)
     # from the damped iterate itself there is no step to go back to
-    count = _leaves_domain_at({1}, monkeypatch)
+    count = _bad_proposal_at({1}, delta_p, monkeypatch)
     with pytest.raises(ConvergenceError, match="left the domain"):
         solve_saddle(inp)
     assert count[0] == 1
+
+
+def test_out_of_domain_proposal_falls_back_to_the_damped_step(monkeypatch):
+    _check_fallback_to_the_damped_step(-1.0, monkeypatch)
+
+
+def test_non_finite_proposal_falls_back_to_the_damped_step(monkeypatch):
+    _check_fallback_to_the_damped_step(np.nan, monkeypatch)
 
 
 def test_interpolation_warning_at_zero_lambda():

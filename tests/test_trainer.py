@@ -197,6 +197,41 @@ class TestRidge:
         mask = noisy.y != noisy.clean_labels
         assert wrong[mask].mean() > wrong[~mask].mean()
 
+    @pytest.mark.parametrize("N", [4, 12], ids=["primal", "dual"])
+    def test_refinement_repairs_a_perturbed_solve(self, N, monkeypatch):
+        import scipy.linalg
+
+        model = make_model(6, N, seed=0)
+        ds, _ = gen_teacher_student(6, 8, 10, TeacherTask.random(6, seed=1), seed=2)
+        want = train_rfm_ridge(model, ds, 1e-3).model.w
+        solve, calls = scipy.linalg.cho_solve, []
+
+        def first_solve_off(factor, b):
+            calls.append(b)
+            return solve(factor, b) + (1e-3 if len(calls) == 1 else 0.0)
+
+        monkeypatch.setattr(scipy.linalg, "cho_solve", first_solve_off)
+        got = train_rfm_ridge(model, ds, 1e-3).model.w
+        assert len(calls) > 1  # at least one refinement step ran
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("N", [4, 12], ids=["primal", "dual"])
+    def test_solve_that_stays_wrong_fails_the_stationarity_check(self, N, monkeypatch):
+        import scipy.linalg
+
+        model = make_model(6, N, seed=0)
+        ds, _ = gen_teacher_student(6, 8, 10, TeacherTask.random(6, seed=1), seed=2)
+        solve, calls = scipy.linalg.cho_solve, []
+
+        def every_solve_off(factor, b):
+            calls.append(b)
+            return solve(factor, b) + 1e-3
+
+        monkeypatch.setattr(scipy.linalg, "cho_solve", every_solve_off)
+        with pytest.raises(RuntimeError, match="stationarity check failed"):
+            train_rfm_ridge(model, ds, 1e-3)
+        assert len(calls) == 5  # the solve and four refinement steps
+
     def test_underparameterized_linear_error_monotone_in_samples(self):
         ks = compute_kappas(Activation.linear())
         model = random_rfm(30, 20, Activation.linear(), seed=16, kappas=ks)
@@ -323,7 +358,7 @@ class TestAdversarialInit:
         ds, net = self.setup_problem()
         cfg = TrainConfig(loss="mse", optimizer="minibatch-gd", batch_size=16,
                           lr=1e-3, epochs=30, seed=11)
-        adv = adversarial_init_protocol(net, ds, 0, 30, cfg)
+        adv = adversarial_init_protocol(net, ds, 0, cfg)
         plain = train_gd(net, ds, cfg)
         assert np.array_equal(adv.model.W1, plain.model.W1)
         assert np.array_equal(adv.model.W2, plain.model.W2)
@@ -338,7 +373,7 @@ class TestAdversarialInit:
         phase1 = train_gd(net, corrupted, replace(cfg, epochs=150, seed=cfg.seed + 1000))
         assert phase1.history.shape == (150,)
         assert phase1.history[-1] < phase1.history[0]  # corrupted-label loss decreases
-        adv = adversarial_init_protocol(net, ds, 150, 5, cfg)
+        adv = adversarial_init_protocol(net, ds, 150, replace(cfg, epochs=5))
         main = train_gd(phase1.model, ds, replace(cfg, epochs=5))
         assert np.array_equal(adv.model.W1, main.model.W1)
         assert np.array_equal(adv.history, main.history)
@@ -347,7 +382,7 @@ class TestAdversarialInit:
         ds, _ = self.setup_problem()
         model = make_model(5, 8, seed=13)
         with pytest.raises(ValueError, match="MLP"):
-            adversarial_init_protocol(model, ds, 10, 10, TrainConfig())
+            adversarial_init_protocol(model, ds, 10, TrainConfig())
 
 
 class TestRobustness:
