@@ -3,8 +3,10 @@
 
 run_experiment drives every protocol in this package from a small
 key = value config. Outputs are deterministic for a fixed seed (rerunning
-a config reproduces every file byte for byte, regardless of the worker
-count), which makes sweeps diffable.
+a config at the same worker count reproduces every file byte for byte),
+which makes sweeps diffable. Across worker counts the files are equal byte
+for byte when OpenBLAS runs one thread (OPENBLAS_NUM_THREADS=1); with more,
+the last digits of a large sweep can differ.
 """
 
 import os

@@ -118,22 +118,22 @@ class InputSampler:
         data = np.asarray(data, dtype=float)
         return cls("empirical", data.shape[-1] if data.ndim else 0, lo, hi, data)
 
-    def sample_background(self, rng: np.random.Generator, m: int) -> np.ndarray:
+    def _draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        """i.i.d. coordinates of the given shape; empirical draws uniform ones."""
         if self.kind == "binary":
-            return rng.integers(0, 2, size=(m, self.dim)).astype(float) * 2.0 - 1.0
+            return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
         if self.kind == "gaussian":
-            return rng.standard_normal((m, self.dim))
-        if self.kind == "uniform":
-            return rng.uniform(self.lo, self.hi, size=(m, self.dim))
-        rows = rng.integers(0, self.data.shape[0], size=m)  # empirical
-        return self.data[rows].copy()
+            return rng.standard_normal(size)
+        return rng.uniform(self.lo, self.hi, size=size)  # uniform and empirical
+
+    def sample_background(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        if self.kind == "empirical":
+            rows = rng.integers(0, self.data.shape[0], size=m)
+            return self.data[rows].copy()
+        return self._draw(rng, (m, self.dim))
 
     def resample_coordinate(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        if self.kind == "binary":
-            return rng.integers(0, 2, size=m).astype(float) * 2.0 - 1.0
-        if self.kind == "gaussian":
-            return rng.standard_normal(m)
-        return rng.uniform(self.lo, self.hi, size=m)  # uniform and empirical
+        return self._draw(rng, m)
 
 
 class LinearFirstLayer:

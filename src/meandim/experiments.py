@@ -5,7 +5,10 @@ desk scale: a sweep over a single coordinate (width, sample count, ridge
 strength, pretraining length, ...) with repeated cells, emitting one CSV
 per curve, one SVG per heatmap, and a text summary with peak locations
 and correlations. Outputs are deterministic for a fixed config: rerunning
-a config produces byte-identical files.
+a config at the same jobs produces byte-identical files. Across jobs they
+are byte-identical when OpenBLAS runs one thread (OPENBLAS_NUM_THREADS=1);
+otherwise jobs > 1 changes the OpenBLAS thread count (below), whose sums
+run in another order, and the last digits of a large sweep can differ.
 
 The sweep kinds are presets of one engine. A cell trains and measures one
 model at one grid point and repetition: `_rfm_cell` fits a random feature
@@ -54,20 +57,6 @@ __all__ = [
     "run_experiment",
     "summarize_peaks",
 ]
-
-_TITLES = {
-    "double-descent-rfm": "random feature model: error and BMD across width",
-    "double-descent-mlp": "two-layer MLP: error and BMD across width",
-    "theory-curve": "replica theory curve along 1/alpha",
-    "regularization-sweep": "ridge strength and the BMD peak",
-    "trainset-size-sweep": "training set size sweep at fixed width",
-    "adversarial-init": "corrupted-label pretraining and final complexity",
-    "robustness-sweep": "BMD versus flip robustness across width",
-    "heatmap": "per-coordinate influence heatmap",
-    "distribution-comparison": "MD under different resampling distributions",
-    "normalization-comparison": "input normalization ranges and the BMD pattern",
-}
-EXPERIMENT_KINDS = tuple(_TITLES)
 
 
 class CellError(RuntimeError):
@@ -164,153 +153,54 @@ def _parse_lo_hi(tok: str) -> tuple:
 _REQUIRED = object()
 _FINITE = _parse_range(float)
 
-_INPUT_KIND = _parse_choice("binary", "gaussian")
-_LOSS = _parse_choice("mse", "ce")
-_MLP_OPTIMIZER = _parse_choice("full-batch-gd", "minibatch-gd")
 _COUNT = _parse_range(int, 1)
 _COUNTS = _parse_list(_COUNT, increasing=True)  # a sweep grid of counts
 _SAMPLES = _parse_range(int, 100)
-_CLASSES = _parse_range(int, 2)
 _NONNEG = _parse_range(float, 0)
-_FRACTION = _parse_range(float, 0, 1)
 _POSITIVE = _parse_range(float, 0, open_lo=True)
 
-_COMMON_SCHEMA = {
+# field -> (parser, default); a kind's row in _KINDS names its fields and
+# the defaults that differ from these
+_FIELDS = {
     "seed": (_parse_range(int, 0), 0),
     "reps": (int, 1),
     "out": (str, "out"),
     "jobs": (int, 1),
-}
-
-_GRID_SCHEMA = {
+    "dim": (_COUNT, _REQUIRED),
+    "n_train": (_COUNT, _REQUIRED),
+    "n_test": (_COUNT, 2000),
+    "width": (_COUNT, _REQUIRED),
+    "widths": (_COUNTS, _REQUIRED),
+    "n_trains": (_COUNTS, _REQUIRED),
+    "lam": (_NONNEG, 1e-4),
+    "lams": (_parse_list(_NONNEG, tag=_lam_tag), _REQUIRED),
+    "label_noise_fraction": (_parse_range(float, 0, 1), 0.0),
+    "delta": (_NONNEG, 0.0),
+    "input_kind": (_parse_choice("binary", "gaussian"), "binary"),
+    "activation": (_parse_activation, "tanh"),
+    "loss": (_parse_choice("mse", "ce"), "mse"),
+    "alpha_t": (_POSITIVE, 3.0),
     "grid_min": (float, 0.1),
     "grid_max": (float, 10.0),
     "grid_points": (int, 21),  # log_grid checks the three grid fields
+    "empirical": (_parse_bool, False),
+    "n_classes": (_parse_range(int, 2), 10),
+    "epochs": (_COUNT, 100),
+    "lr": (_POSITIVE, 3e-3),
+    "batch_size": (_COUNT, 64),
+    "optimizer": (_parse_choice("full-batch-gd", "minibatch-gd"), "minibatch-gd"),
+    "md_samples": (_SAMPLES, 2000),
+    "samples": (_SAMPLES, 10000),
+    "pretrain_grid": (_parse_list(_parse_range(int, 0), increasing=True), (0, 5, 20, 50)),
+    "flip_points": (_COUNT, 200),
+    "grid_height": (_COUNT, _REQUIRED),
+    "grid_width": (_COUNT, _REQUIRED),
+    "n_feat": (_COUNT, _REQUIRED),
+    "support_fraction": (_parse_range(float, 0, 1, open_lo=True), 0.25),
+    "ranges": (_parse_list(_parse_lo_hi, tag=_range_tag),
+               ((-1.0, 1.0), (-3.0, 3.0), (-5.0, 5.0))),
 }
-
-_SCHEMAS = {
-    "double-descent-rfm": {
-        "dim": (_COUNT, _REQUIRED),
-        "n_train": (_COUNT, _REQUIRED),
-        "n_test": (_COUNT, 2000),
-        "widths": (_COUNTS, _REQUIRED),
-        "lam": (_NONNEG, 1e-4),
-        "label_noise_fraction": (_FRACTION, 0.0),
-        "delta": (_NONNEG, 0.0),
-        "input_kind": (_INPUT_KIND, "binary"),
-        "activation": (_parse_activation, "tanh"),
-    },
-    "double-descent-mlp": {
-        "dim": (_COUNT, _REQUIRED),
-        "n_train": (_COUNT, _REQUIRED),
-        "n_test": (_COUNT, 1000),
-        "widths": (_COUNTS, _REQUIRED),
-        "n_classes": (_CLASSES, 2),
-        "epochs": (_COUNT, 200),
-        "lr": (_POSITIVE, 1e-3),
-        "batch_size": (_COUNT, 64),
-        "loss": (_LOSS, "ce"),
-        "optimizer": (_MLP_OPTIMIZER, "minibatch-gd"),
-        "label_noise_fraction": (_FRACTION, 0.0),
-        "md_samples": (_SAMPLES, 4000),
-        "input_kind": (_INPUT_KIND, "gaussian"),
-    },
-    "theory-curve": {
-        "loss": (_LOSS, "mse"),
-        "lam": (_NONNEG, 1e-4),
-        "alpha_t": (_POSITIVE, 3.0),
-        "delta": (_NONNEG, 0.0),
-        "activation": (_parse_activation, "tanh"),
-        **_GRID_SCHEMA,
-    },
-    "regularization-sweep": {
-        "lams": (_parse_list(_NONNEG, tag=_lam_tag), _REQUIRED),
-        "loss": (_LOSS, "mse"),
-        "alpha_t": (_POSITIVE, 3.0),
-        "delta": (_NONNEG, 0.0),
-        "activation": (_parse_activation, "tanh"),
-        **_GRID_SCHEMA,
-        "empirical": (_parse_bool, False),
-        "dim": (_COUNT, 50),
-        "n_train": (_COUNT, 200),
-        "n_test": (_COUNT, 2000),
-        "widths": (_COUNTS, ()),
-        "label_noise_fraction": (_FRACTION, 0.1),
-        "input_kind": (_INPUT_KIND, "binary"),
-    },
-    "trainset-size-sweep": {
-        "dim": (_COUNT, _REQUIRED),
-        "width": (_COUNT, _REQUIRED),
-        "n_trains": (_COUNTS, _REQUIRED),
-        "n_test": (_COUNT, 2000),
-        "lam": (_NONNEG, 1e-4),
-        "label_noise_fraction": (_FRACTION, 0.0),
-        "delta": (_NONNEG, 0.0),
-        "input_kind": (_INPUT_KIND, "binary"),
-        "activation": (_parse_activation, "tanh"),
-    },
-    "adversarial-init": {
-        "dim": (_COUNT, _REQUIRED),
-        "n_train": (_COUNT, _REQUIRED),
-        "n_test": (_COUNT, 800),
-        "width": (_COUNT, _REQUIRED),
-        "n_classes": (_CLASSES, 10),
-        "pretrain_grid": (_parse_list(_parse_range(int, 0), increasing=True),
-                          (0, 5, 20, 50)),
-        "epochs": (_COUNT, 60),
-        "lr": (_POSITIVE, 3e-3),
-        "batch_size": (_COUNT, 64),
-        "md_samples": (_SAMPLES, 2000),
-        "input_kind": (_INPUT_KIND, "gaussian"),
-    },
-    "robustness-sweep": {
-        "dim": (_COUNT, _REQUIRED),
-        "n_train": (_COUNT, _REQUIRED),
-        "n_test": (_COUNT, 500),
-        "widths": (_COUNTS, _REQUIRED),
-        "n_classes": (_CLASSES, 10),
-        "epochs": (_COUNT, 100),
-        "lr": (_POSITIVE, 3e-3),
-        "batch_size": (_COUNT, 32),
-        "md_samples": (_SAMPLES, 2000),
-        "flip_points": (_COUNT, 200),
-        "label_noise_fraction": (_FRACTION, 0.0),
-        "input_kind": (_INPUT_KIND, "gaussian"),
-    },
-    "heatmap": {
-        "grid_height": (_COUNT, _REQUIRED),
-        "grid_width": (_COUNT, _REQUIRED),
-        "n_feat": (_COUNT, _REQUIRED),
-        "n_train": (_COUNT, _REQUIRED),
-        "lam": (_NONNEG, 1e-4),
-        "samples": (_SAMPLES, 20000),
-        "support_fraction": (_parse_range(float, 0, 1, open_lo=True), 0.25),
-        "label_noise_fraction": (_FRACTION, 0.0),
-        "activation": (_parse_activation, "tanh"),
-    },
-    "distribution-comparison": {
-        "dim": (_COUNT, _REQUIRED),
-        "n_train": (_COUNT, _REQUIRED),
-        "n_test": (_COUNT, 1000),
-        "widths": (_COUNTS, _REQUIRED),
-        "lam": (_NONNEG, 1e-4),
-        "samples": (_SAMPLES, 10000),
-        "label_noise_fraction": (_FRACTION, 0.0),
-        "activation": (_parse_activation, "tanh"),
-    },
-    "normalization-comparison": {
-        "dim": (_COUNT, _REQUIRED),
-        "n_train": (_COUNT, _REQUIRED),
-        "n_test": (_COUNT, 1000),
-        "widths": (_COUNTS, _REQUIRED),
-        "lam": (_NONNEG, 1e-4),
-        "samples": (_SAMPLES, 10000),
-        "ranges": (_parse_list(_parse_lo_hi, tag=_range_tag),
-                   ((-1.0, 1.0), (-3.0, 3.0), (-5.0, 5.0))),
-        "label_noise_fraction": (_FRACTION, 0.0),
-        "activation": (_parse_activation, "tanh"),
-    },
-}
+_COMMON_FIELDS = ("seed", "reps", "out", "jobs")
 
 
 @dataclass(frozen=True)
@@ -348,22 +238,23 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     if "kind" not in raw:
         raise ValueError("config field 'kind' is required")
     kind = raw.pop("kind")
-    if kind not in _SCHEMAS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown experiment kind {kind!r} "
                          f"(expected one of {', '.join(EXPERIMENT_KINDS)})")
-    schema = {**_COMMON_SCHEMA, **_SCHEMAS[kind]}
+    fields, defaults = _KINDS[kind][2:]
+    names = _COMMON_FIELDS + tuple(fields.split())
     params = {}
     for key, value in raw.items():
-        if key not in schema:
+        if key not in names:
             raise ValueError(f"unknown config field {key!r} for kind {kind!r}")
-        parser, _default = schema[key]
         try:
-            params[key] = parser(value)
+            params[key] = _FIELDS[key][0](value)
         except ValueError as exc:
             raise ValueError(f"config field {key!r}: {exc}") from exc
-    for key, (parser, default) in schema.items():
+    for key in names:
         if key in params:
             continue
+        default = defaults.get(key, _FIELDS[key][1])
         if default is _REQUIRED:
             raise ValueError(f"config field {key!r} is required for kind {kind!r}")
         params[key] = default
@@ -474,7 +365,8 @@ def summarize_peaks(coordinate: str, coords, curves: dict, pairs=None) -> list:
     the test_err/bmd peak distance and the correlation of metric pairs.
 
     Peaks are reported on the discrete grid only (no interpolation); a
-    metric whose maximum sits on the grid boundary is flagged as having no
+    metric whose maximum has no finite point on one side of it (it sits on
+    the grid boundary, or only NaNs lie past it) is flagged as having no
     interior peak. A grid of fewer than 5 points gives no lines, and a pair
     with fewer than 3 points finite in both curves has no correlation.
     """
@@ -486,7 +378,9 @@ def summarize_peaks(coordinate: str, coords, curves: dict, pairs=None) -> list:
         if np.all(np.isnan(curve)):
             raise ValueError(f"metric {name!r} is all-NaN")
         idx = peaks[name] = int(np.nanargmax(curve))
-        note = "interior peak" if 0 < idx < len(coords) - 1 else "boundary, no interior peak"
+        finite = np.flatnonzero(np.isfinite(curve))
+        interior = finite[0] < idx < finite[-1]
+        note = "interior peak" if interior else "boundary, no interior peak"
         lines.append(f"argmax {name}: {coordinate} = {coords[idx]} ({note})")
     if "test_err" in peaks and "bmd" in peaks:
         lines.append(f"test_err/bmd peak distance: "
@@ -669,8 +563,10 @@ def _mlp_cell(p, width, seed, multiclass, pretrain=0, flips=False):
         train, test = gen_teacher_student(dim, p["n_train"], p["n_test"], task,
                                           seed=seed)
         n_out, loss = 1, p["loss"]
-    train = flip_labels(train, p.get("label_noise_fraction", 0.0), seed=seed)
-    config = TrainConfig(loss=loss, optimizer=p.get("optimizer", "minibatch-gd"),
+    # adversarial-init has neither field and robustness-sweep no optimizer
+    noise = p.get("label_noise_fraction", _FIELDS["label_noise_fraction"][1])
+    train = flip_labels(train, noise, seed=seed)
+    config = TrainConfig(loss=loss, optimizer=p.get("optimizer", _FIELDS["optimizer"][1]),
                          batch_size=p["batch_size"], lr=p["lr"], epochs=p["epochs"],
                          seed=seed)
     fit = adversarial_init_protocol(init_mlp(dim, width, n_out, seed=seed), train,
@@ -874,19 +770,53 @@ def _run_normalization_comparison(cfg: ExperimentConfig) -> tuple:
     return files, extra
 
 
-# each runner returns ({file name: lines}, summary lines) and writes nothing
-_RUNNERS = {
-    "double-descent-rfm": _run_rfm_sweep,
-    "double-descent-mlp": _run_mlp_sweep,
-    "theory-curve": _run_theory_curve,
-    "regularization-sweep": _run_regularization_sweep,
-    "trainset-size-sweep": _run_rfm_sweep,
-    "adversarial-init": _run_adversarial_init,
-    "robustness-sweep": _run_mlp_sweep,
-    "heatmap": _run_heatmap,
-    "distribution-comparison": _run_distribution_comparison,
-    "normalization-comparison": _run_normalization_comparison,
+# kind -> (title, runner, its fields after _COMMON_FIELDS in config order,
+# the defaults that differ from _FIELDS); a runner returns
+# ({file name: lines}, summary lines) and writes nothing
+_KINDS = {
+    "double-descent-rfm": (
+        "random feature model: error and BMD across width", _run_rfm_sweep,
+        "dim n_train n_test widths lam label_noise_fraction delta input_kind activation", {}),
+    "double-descent-mlp": (
+        "two-layer MLP: error and BMD across width", _run_mlp_sweep,
+        "dim n_train n_test widths n_classes epochs lr batch_size loss optimizer "
+        "label_noise_fraction md_samples input_kind",
+        {"n_test": 1000, "n_classes": 2, "epochs": 200, "lr": 1e-3, "loss": "ce",
+         "md_samples": 4000, "input_kind": "gaussian"}),
+    "theory-curve": (
+        "replica theory curve along 1/alpha", _run_theory_curve,
+        "loss lam alpha_t delta activation grid_min grid_max grid_points", {}),
+    "regularization-sweep": (
+        "ridge strength and the BMD peak", _run_regularization_sweep,
+        "lams loss alpha_t delta activation grid_min grid_max grid_points empirical "
+        "dim n_train n_test widths label_noise_fraction input_kind",
+        {"dim": 50, "n_train": 200, "widths": (), "label_noise_fraction": 0.1}),
+    "trainset-size-sweep": (
+        "training set size sweep at fixed width", _run_rfm_sweep,
+        "dim width n_trains n_test lam label_noise_fraction delta input_kind activation", {}),
+    "adversarial-init": (
+        "corrupted-label pretraining and final complexity", _run_adversarial_init,
+        "dim n_train n_test width n_classes pretrain_grid epochs lr batch_size md_samples "
+        "input_kind", {"n_test": 800, "epochs": 60, "input_kind": "gaussian"}),
+    "robustness-sweep": (
+        "BMD versus flip robustness across width", _run_mlp_sweep,
+        "dim n_train n_test widths n_classes epochs lr batch_size md_samples flip_points "
+        "label_noise_fraction input_kind",
+        {"n_test": 500, "batch_size": 32, "input_kind": "gaussian"}),
+    "heatmap": (
+        "per-coordinate influence heatmap", _run_heatmap,
+        "grid_height grid_width n_feat n_train lam samples support_fraction "
+        "label_noise_fraction activation", {"samples": 20000}),
+    "distribution-comparison": (
+        "MD under different resampling distributions", _run_distribution_comparison,
+        "dim n_train n_test widths lam samples label_noise_fraction activation",
+        {"n_test": 1000}),
+    "normalization-comparison": (
+        "input normalization ranges and the BMD pattern", _run_normalization_comparison,
+        "dim n_train n_test widths lam samples ranges label_noise_fraction activation",
+        {"n_test": 1000}),
 }
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None, jobs=None) -> list:
@@ -897,8 +827,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None, jobs=None) -> list:
     """
     overrides = {"out_dir": out_dir, "jobs": jobs}
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    files, body = _RUNNERS[config.kind](config)
-    files["summary.txt"] = [f"experiment: {config.kind}", f"title: {_TITLES[config.kind]}",
+    title, runner = _KINDS[config.kind][:2]
+    files, body = runner(config)
+    files["summary.txt"] = [f"experiment: {config.kind}", f"title: {title}",
                             f"seed: {config.seed}", f"repetitions: {config.reps}"] + body
     os.makedirs(config.out_dir, exist_ok=True)
     paths = [os.path.join(config.out_dir, name) for name in files]

@@ -185,7 +185,7 @@ def ce_inner_max(h0: np.ndarray, dQ: float):
         if np.max(np.abs(last)) < 1e-13:
             break
     z1 = (x - h0) / np.sqrt(dQ)
-    value = -0.5 * z1**2 - np.logaddexp(0.0, -x)
+    value = -0.5 * z1**2 - _margin_loss("ce", x)
     return z1, value
 
 

@@ -185,20 +185,19 @@ def _kappas_at(activation: Activation, n_nodes: int) -> KappaSet:
                     kb0, kb1, kb2, residual(kb2, kb1, kb0))
 
 
-def compute_kappas(activation: Activation, n_nodes: int = DEFAULT_NODES) -> KappaSet:
-    """All eight Gaussian moments with a node-doubling convergence check.
+def compute_kappas(activation: Activation) -> KappaSet:
+    """All eight Gaussian moments at DEFAULT_NODES quadrature nodes, with a
+    node-doubling convergence check.
 
     Raises QuadratureError if any coefficient moves by more than 1e-8 when
     the node count doubles (infinite coefficients compare equal to
     themselves and are exempt).
     """
-    if n_nodes < 100:
-        raise ValueError("need at least 100 quadrature nodes")
     if activation.kind == "linear":
         # standard normal moments, exact; keeps the identity map at BMD 1
         return KappaSet(0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0)
-    coarse = _kappas_at(activation, n_nodes)
-    fine = _kappas_at(activation, 2 * n_nodes)
+    coarse = _kappas_at(activation, DEFAULT_NODES)
+    fine = _kappas_at(activation, 2 * DEFAULT_NODES)
     for name in ("k0", "k1", "k2", "k_star_sq", "kbar0", "kbar1", "kbar2", "kbar_star_sq"):
         a, b = getattr(coarse, name), getattr(fine, name)
         if np.isinf(a) and np.isinf(b):

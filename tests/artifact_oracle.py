@@ -14,6 +14,10 @@ prints instead each name whose hash differs from FILE's, or that only one
 side has, and exits 1 when there is any. The runs, all in a temporary
 directory named by relative paths so that no output holds a path:
 
+- each config of tests/tiny_configs.py parsed: its seed, reps, out_dir,
+  jobs and params items in order; and the parse of a config that holds
+  only its `kind` line (an error line, or the parsed fields for a kind
+  with no required field);
 - each config of tests/tiny_configs.py at --jobs 1 and 2: every file, and
   the file names in the order run_experiment returns them;
 - the benchmark's double-descent-rfm (--jobs 2), adversarial-init and
@@ -83,6 +87,22 @@ def _cli(argv) -> str:
     return buf.getvalue()
 
 
+def _configs(hashes):
+    from meandim.experiments import parse_experiment_config
+    from tiny_configs import TINY
+
+    def parsed(text):
+        try:
+            cfg = parse_experiment_config(text)
+        except ValueError as exc:
+            return str(exc)
+        return repr((cfg.seed, cfg.reps, cfg.out_dir, cfg.jobs, tuple(cfg.params.items())))
+
+    for kind, text in TINY.items():
+        hashes[f"config/{kind}"] = _sha(parsed(text).encode())
+        hashes[f"config/{kind}/kind-only"] = _sha(parsed(f"kind = {kind}").encode())
+
+
 def _experiments(hashes):
     from meandim.experiments import parse_experiment_config, run_experiment
     from tiny_configs import TINY
@@ -143,7 +163,7 @@ def artifact_hashes(src) -> dict:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for runs in (_experiments, _md, _theory):
+            for runs in (_configs, _experiments, _md, _theory):
                 runs(hashes)
         finally:
             os.chdir(cwd)

@@ -61,10 +61,11 @@ def test_bound_result_fields():
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_fresh(script: str, tmp_path, **inputs) -> None:
+def run_fresh(script: str, tmp_path, env=None, **inputs) -> None:
     """Run script in a new interpreter on the package in src/, with the
-    keyword inputs bound as globals; fail with its stderr if it fails."""
-    env = dict(os.environ, PYTHONPATH=SRC)
+    variables of env added to its environment and the keyword inputs bound
+    as globals; fail with its stderr if it fails."""
+    env = dict(os.environ, **(env or {}), PYTHONPATH=SRC)
     code = "".join(f"{k} = {json.dumps(v)}\n" for k, v in inputs.items())
     proc = subprocess.run([sys.executable, "-c", code + textwrap.dedent(script)],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
@@ -127,20 +128,32 @@ def test_pool_caps_blas_threads_and_restores_them(tmp_path):
     """, tmp_path)
 
 
-def test_first_scipy_import_from_two_pool_threads(tmp_path):
-    """In a fresh interpreter the first ridge fits, and with them the first
-    import of scipy.linalg, run in two pool threads at once; the CSV must
-    be the bytes of a one-thread run."""
-    run_fresh("""
-        import sys
-        from meandim import experiments
+# a config run at --jobs 2 and then 1 in a fresh interpreter, whose first
+# ridge fits, and with them the first import of scipy.linalg, run in two
+# pool threads at once; the two CSVs must hold the same bytes
+JOBS_FREE = """
+    import sys
+    from meandim import experiments
 
-        assert not any(k == "scipy" or k.startswith("scipy.") for k in sys.modules)
-        csvs = []
-        for jobs in (2, 1):
-            cfg = experiments.parse_experiment_config(config)
-            paths = experiments.run_experiment(cfg, out_dir=f"jobs{jobs}", jobs=jobs)
-            with open(paths[0], "rb") as fh:
-                csvs.append(fh.read())
-        assert csvs[0] == csvs[1]
-    """, tmp_path, config=TINY["double-descent-rfm"])
+    assert not any(k == "scipy" or k.startswith("scipy.") for k in sys.modules)
+    csvs = []
+    for jobs in (2, 1):
+        cfg = experiments.parse_experiment_config(config)
+        paths = experiments.run_experiment(cfg, out_dir=f"jobs{jobs}", jobs=jobs)
+        with open(paths[0], "rb") as fh:
+            csvs.append(fh.read())
+    assert csvs[0] == csvs[1]
+"""
+
+
+def test_first_scipy_import_from_two_pool_threads(tmp_path):
+    run_fresh(JOBS_FREE, tmp_path, config=TINY["double-descent-rfm"])
+
+
+def test_jobs_free_at_one_blas_thread(tmp_path):
+    """With OpenBLAS at one thread, a double-descent-rfm sweep large enough
+    for multithreaded BLAS to sum in another order writes the same CSV
+    bytes at --jobs 1 and 2."""
+    run_fresh(JOBS_FREE, tmp_path, env={"OPENBLAS_NUM_THREADS": "1"},
+              config="kind = double-descent-rfm\ndim = 100\nn_train = 300\n"
+                     "widths = 30 100 300 600 1200\nreps = 2\nlabel_noise_fraction = 0.1")

@@ -23,8 +23,8 @@ from meandim.experiments import (
     run_experiment,
     summarize_peaks,
 )
-from meandim.experiments import (_mean, _minmax_dataset, _openblas_thread_controls, _pearson,
-                                 _run_cells, _spearman, _std, _sweep_lines)
+from meandim.experiments import (_KINDS, _mean, _minmax_dataset, _openblas_thread_controls,
+                                 _pearson, _run_cells, _spearman, _std, _sweep_lines)
 from meandim.heatmap_svg import CELL_PX, svg_lines
 from meandim.replica import CURVE_HEADER
 from meandim.rfm import Activation, load_rfm, random_rfm, save_rfm
@@ -170,6 +170,9 @@ def test_kinds_and_schemas_agree():
                    "normalization-comparison": "dim = 4\nn_train = 8\nwidths = 4"}
         cfg = parse_experiment_config(f"kind = {kind}\n" + minimal[kind])
         assert cfg.kind == kind
+        # a kind overrides only the defaults of fields it has
+        fields, defaults = _KINDS[kind][2:]
+        assert set(defaults) <= set(fields.split()), kind
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +245,16 @@ def test_summarize_peaks_flags_boundary():
                             {"bmd": np.array([5.0, 4.0, 3.0, 2.0, 1.0])})
     # no test_err metric: no peak distance and no default correlation
     assert lines == ["argmax bmd: width = 0 (boundary, no interior peak)"]
+
+
+def test_summarize_peaks_nan_tail_is_no_interior_peak():
+    # the argmax is the last finite point: nothing past it shows a descent
+    lines = summarize_peaks("inv_alpha", tuple(range(5)), {
+        "test_err": np.array([0.1, 0.2, 0.3, np.nan, np.nan]),
+        "bmd": np.array([np.nan, 2.0, 3.0, 1.0, np.nan]),
+    })
+    assert lines[:2] == ["argmax test_err: inv_alpha = 2 (boundary, no interior peak)",
+                         "argmax bmd: inv_alpha = 2 (interior peak)"]
 
 
 def test_summarize_peaks_correlation_pairs():
@@ -927,14 +940,15 @@ def test_cli_run_reports_theory_points_that_did_not_converge(kind, stalls, code,
 
 def test_cli_run_theory_curve_with_two_converged_points(monkeypatch, tmp_path, capsys):
     """Two converged points of five give peaks but no correlation; the run
-    still succeeds and counts the failed points."""
+    still succeeds and counts the failed points. Past the peak only NaNs
+    lie, so it is no interior peak."""
     assert _run_stalling("theory-curve", lambda inp: 1.0 / inp.alpha > 0.9,
                          monkeypatch, tmp_path) == 0
     assert capsys.readouterr().err == ""
     summary = read_lines(tmp_path / "o" / "summary.txt")
     assert summary[4:] == [
-        "argmax test_err: inv_alpha = 0.7071067811865476 (interior peak)",
-        "argmax bmd: inv_alpha = 0.7071067811865476 (interior peak)",
+        "argmax test_err: inv_alpha = 0.7071067811865476 (boundary, no interior peak)",
+        "argmax bmd: inv_alpha = 0.7071067811865476 (boundary, no interior peak)",
         "test_err/bmd peak distance: 0 grid steps",
         "corr(test_err, bmd) undefined: fewer than 3 finite points",
         "test_err here is the replica eps_g",

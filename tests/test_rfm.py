@@ -24,6 +24,7 @@ from meandim.rfm import (
     score_fn,
     with_weights,
 )
+from meandim.rfm import DEFAULT_NODES, _kappas_at
 
 # oracle values from adaptive quadrature of the defining integrals,
 # independent of the Gauss-Hermite rule used by compute_kappas
@@ -76,18 +77,14 @@ class TestKappas:
     @pytest.mark.parametrize("act", [Activation.tanh(), Activation.leaky_relu(0.1),
                                      Activation.sign(), Activation.linear()])
     def test_quadruple_node_reference(self, act):
-        base = compute_kappas(act, n_nodes=201)
-        ref = compute_kappas(act, n_nodes=804)
+        base = compute_kappas(act)
+        ref = _kappas_at(act, 4 * DEFAULT_NODES)
         for name in ("k0", "k1", "k2", "k_star_sq", "kbar0", "kbar1", "kbar2", "kbar_star_sq"):
             a, b = getattr(base, name), getattr(ref, name)
             if np.isinf(a):
                 assert np.isinf(b)
             else:
                 assert abs(a - b) < 1e-10
-
-    def test_node_floor(self):
-        with pytest.raises(ValueError, match="100"):
-            compute_kappas(Activation.tanh(), n_nodes=50)
 
     def test_residuals_nonnegative(self):
         for act in (Activation.tanh(), Activation.leaky_relu(0.2), Activation.linear()):
