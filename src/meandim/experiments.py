@@ -6,9 +6,10 @@ strength, pretraining length, ...) with repeated cells, emitting one CSV
 per curve, one SVG per heatmap, and a text summary with peak locations
 and correlations. Outputs are deterministic for a fixed config: rerunning
 a config at the same jobs produces byte-identical files. Across jobs they
-are byte-identical when OpenBLAS runs one thread (OPENBLAS_NUM_THREADS=1);
-otherwise jobs > 1 changes the OpenBLAS thread count (below), whose sums
-run in another order, and the last digits of a large sweep can differ.
+are byte-identical when OpenBLAS runs one thread (OPENBLAS_NUM_THREADS=1),
+as jobs > 1 never raises its thread count; otherwise jobs > 1 lowers the
+OpenBLAS thread count (below), whose sums run in another order, and the
+last digits of a large sweep can differ.
 
 The sweep kinds are presets of one engine. A cell trains and measures one
 model at one grid point and repetition: `_rfm_cell` fits a random feature
@@ -365,7 +366,7 @@ def summarize_peaks(coordinate: str, coords, curves: dict, pairs=None) -> list:
     the test_err/bmd peak distance and the correlation of metric pairs.
 
     Peaks are reported on the discrete grid only (no interpolation); a
-    metric whose maximum has no finite point on one side of it (it sits on
+    metric whose maximum has no non-NaN point on one side of it (it sits on
     the grid boundary, or only NaNs lie past it) is flagged as having no
     interior peak. A grid of fewer than 5 points gives no lines, and a pair
     with fewer than 3 points finite in both curves has no correlation.
@@ -378,8 +379,8 @@ def summarize_peaks(coordinate: str, coords, curves: dict, pairs=None) -> list:
         if np.all(np.isnan(curve)):
             raise ValueError(f"metric {name!r} is all-NaN")
         idx = peaks[name] = int(np.nanargmax(curve))
-        finite = np.flatnonzero(np.isfinite(curve))
-        interior = finite[0] < idx < finite[-1]
+        known = np.flatnonzero(~np.isnan(curve))
+        interior = known[0] < idx < known[-1]
         note = "interior peak" if interior else "boundary, no interior peak"
         lines.append(f"argmax {name}: {coordinate} = {coords[idx]} ({note})")
     if "test_err" in peaks and "bmd" in peaks:
@@ -430,12 +431,13 @@ def _openblas_thread_controls():
 def _blas_threads(jobs: int):
     """Run the body with each OpenBLAS capped at max(1, cores // jobs)
     threads when jobs > 1, so that jobs cells calling BLAS at once do not
-    oversubscribe the cores; the counts the getters read are restored
-    afterwards. A library or symbol that is missing is left alone."""
+    oversubscribe the cores; a library already set to fewer threads (say by
+    OPENBLAS_NUM_THREADS) keeps its count. The counts the getters read are
+    restored afterwards. A library or symbol that is missing is left alone."""
     controls = _openblas_thread_controls() if jobs > 1 else []
     saved = [get() for get, _ in controls]
-    for _, put in controls:
-        put(max(1, (os.cpu_count() or 1) // jobs))
+    for (_, put), count in zip(controls, saved):
+        put(min(count, max(1, (os.cpu_count() or 1) // jobs)))
     try:
         yield
     finally:

@@ -108,8 +108,8 @@ def test_mlp_path_never_imports_scipy(tmp_path):
 
 def test_pool_caps_blas_threads_and_restores_them(tmp_path):
     """Inside a pool of 4 cells each OpenBLAS runs max(1, cores // 4)
-    threads; the counts come back afterwards, and loading the libraries
-    imports no scipy module."""
+    threads, or fewer if it was set to fewer; the counts come back
+    afterwards, and loading the libraries imports no scipy module."""
     run_fresh("""
         import os, sys
         import numpy
@@ -122,9 +122,16 @@ def test_pool_caps_blas_threads_and_restores_them(tmp_path):
             assert [get() for get, _ in controls] == before
         with experiments._blas_threads(4):
             capped = [get() for get, _ in controls]
-        assert capped == [max(1, os.cpu_count() // 4)] * len(controls), capped
+        assert capped == [min(b, max(1, os.cpu_count() // 4)) for b in before], capped
         assert [get() for get, _ in controls] == before
         assert not any(k == "scipy" or k.startswith("scipy.") for k in sys.modules)
+
+        # where cores // jobs exceeds a count set lower, the count stays
+        os.cpu_count = lambda: 64
+        for _, put in controls:
+            put(1)
+        with experiments._blas_threads(2):
+            assert [get() for get, _ in controls] == [1] * len(controls)
     """, tmp_path)
 
 
@@ -151,9 +158,13 @@ def test_first_scipy_import_from_two_pool_threads(tmp_path):
 
 
 def test_jobs_free_at_one_blas_thread(tmp_path):
-    """With OpenBLAS at one thread, a double-descent-rfm sweep large enough
-    for multithreaded BLAS to sum in another order writes the same CSV
-    bytes at --jobs 1 and 2."""
-    run_fresh(JOBS_FREE, tmp_path, env={"OPENBLAS_NUM_THREADS": "1"},
+    """With OpenBLAS at one thread, which the pool keeps whatever the core
+    count, a double-descent-rfm sweep large enough for multithreaded BLAS to
+    sum in another order writes the same CSV bytes at --jobs 1 and 2."""
+    run_fresh(JOBS_FREE + """
+    controls = experiments._openblas_thread_controls()
+    with experiments._blas_threads(2):
+        assert [get() for get, _ in controls] == [1] * len(controls)
+""", tmp_path, env={"OPENBLAS_NUM_THREADS": "1"},
               config="kind = double-descent-rfm\ndim = 100\nn_train = 300\n"
                      "widths = 30 100 300 600 1200\nreps = 2\nlabel_noise_fraction = 0.1")

@@ -257,6 +257,18 @@ def test_summarize_peaks_nan_tail_is_no_interior_peak():
                          "argmax bmd: inv_alpha = 2 (interior peak)"]
 
 
+def test_summarize_peaks_infinite_curve_has_boundary_argmax():
+    # a curve that is +inf wherever it is known peaks at its first point
+    lines = summarize_peaks("inv_alpha", tuple(range(5)), {
+        "test_err": np.array([0.1, 0.3, 0.2, 0.1, 0.1]),
+        "bmd": np.array([np.inf, np.inf, np.inf, np.nan, np.inf]),
+    })
+    assert lines == ["argmax test_err: inv_alpha = 1 (interior peak)",
+                     "argmax bmd: inv_alpha = 0 (boundary, no interior peak)",
+                     "test_err/bmd peak distance: 1 grid steps",
+                     "corr(test_err, bmd) undefined: fewer than 3 finite points"]
+
+
 def test_summarize_peaks_correlation_pairs():
     curves = {"bmd": np.array([1.0, 2.0, 3.0, 2.5, 2.0]),
               "flip_count": np.array([9.0, 8.0, 7.0, 7.5, 8.0])}
@@ -636,6 +648,18 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
     # the replica curve is defined for sign: its BMD is simply infinite
     parse_experiment_config("kind = regularization-sweep\nlams = 1\nactivation = sign")
+
+
+def test_cli_run_theory_curve_for_sign(tmp_path, capsys):
+    """The sign replica curve has an infinite BMD at every point: the run
+    succeeds, and the BMD argmax is its first point, on the boundary."""
+    cfg_file = tmp_path / "sign.cfg"
+    cfg_file.write_text(TINY["theory-curve"] + "\nactivation = sign\n")
+    assert main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    summary = read_lines(tmp_path / "o" / "summary.txt")
+    assert "argmax bmd: inv_alpha = 0.5 (boundary, no interior peak)" in summary
+    assert "corr(test_err, bmd) undefined: fewer than 3 finite points" in summary
 
 
 def checkpoint(tmp_path, D=6, N=10):
