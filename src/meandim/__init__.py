@@ -2,8 +2,7 @@
 estimation, random feature models with closed-form interaction order, ridge
 and gradient training harnesses, and the matching high-dimensional theory.
 
-Only numpy loads with the package. The routines that need scipy import it
-on first use: closed-form ridge, the kappa quadrature of smooth
-activations, the replica solver and the binary ce loss of the MLP trainer."""
+Only numpy loads with the package. scipy is imported on first use by the
+closed-form ridge alone, for its Cholesky solve."""
 
 __version__ = "0.1.0"

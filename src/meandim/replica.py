@@ -26,6 +26,7 @@ per-sample train and test losses, and the mean dimension
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -34,7 +35,7 @@ import numpy as np
 
 from .rfm import KappaSet, bmd_from_overlaps
 from .textio import csv_lines
-from .trainer import _margin_loss
+from .trainer import _margin_loss, _sigmoid
 
 __all__ = [
     "ReplicaInput",
@@ -143,17 +144,23 @@ class Observables:
 # ---------------------------------------------------------------------------
 # quadrature and the inner maximization of the energetic term
 
-_Z0_RULE: tuple[np.ndarray, np.ndarray] | None = None
-
-
+@functools.cache
 def _z0_rule() -> tuple[np.ndarray, np.ndarray]:
-    global _Z0_RULE
-    if _Z0_RULE is None:
-        x, w = np.polynomial.legendre.leggauss(Z0_NODES)
-        z = x * Z0_CUTOFF
-        weight = w * Z0_CUTOFF * np.exp(-z * z / 2.0) / np.sqrt(2.0 * np.pi)
-        _Z0_RULE = (z, weight)
-    return _Z0_RULE
+    """Gauss-Legendre nodes on [-Z0_CUTOFF, Z0_CUTOFF] with the standard
+    normal density folded into the weights; cached and read-only."""
+    x, w = np.polynomial.legendre.leggauss(Z0_NODES)
+    z = x * Z0_CUTOFF
+    weight = w * Z0_CUTOFF * np.exp(-z * z / 2.0) / np.sqrt(2.0 * np.pi)
+    z.flags.writeable = weight.flags.writeable = False
+    return z, weight
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, 0.5 erfc(-x / sqrt(2)) elementwise."""
+    return 0.5 * _erfc(-x * math.sqrt(0.5)).astype(float)
 
 
 def ce_inner_max(h0: np.ndarray, dQ: float):
@@ -166,14 +173,12 @@ def ce_inner_max(h0: np.ndarray, dQ: float):
     bisection when it leaves the bracket or exceeds half the move before
     last (the rtsafe test, Numerical Recipes 9.4).
     """
-    from scipy.special import expit
-
     lo = np.asarray(h0, dtype=float).copy()
     hi = lo + dQ
-    x = lo + dQ * (1.0 - expit(lo))  # one fixed-point pass as the start
+    x = lo + dQ * (1.0 - _sigmoid(lo))  # one fixed-point pass as the start
     older = last = np.inf  # the moves of the two previous steps
     for _ in range(80):
-        sig = expit(x)
+        sig = _sigmoid(x)
         g = (x - h0) / dQ + sig - 1.0
         lo = np.where(g < 0, x, lo)
         hi = np.where(g > 0, x, hi)
@@ -223,13 +228,11 @@ def _energetic(loss: str, M: float, Q_d: float, dQ: float, delta: float):
         g_Q = (i1 - 0.5 * a) / (a * u) - M * a * j2_s3 / u
         g_M = 2.0 * (Q_d + delta) * a * j2_s3 / u
         return -A / u, g_Q, g_M, A / u**2, A / u**2
-    from scipy.special import ndtr
-
     z0, wts = _z0_rule()
     s_sq = max(Q_d - M * M + delta, 1e-300)
     s = np.sqrt(s_sq)
     arg = -M * z0 / s
-    Hfac = ndtr(-arg)  # H(x) = 1 - Phi(x) = Phi(-x)
+    Hfac = _ndtr(-arg)  # H(x) = 1 - Phi(x) = Phi(-x)
     pdf = np.exp(-arg * arg / 2.0) / np.sqrt(2.0 * np.pi)
     h0 = np.sqrt(Q_d) * z0
     z1, E = ce_inner_max(h0, dQ)
@@ -387,11 +390,9 @@ def _test_loss(loss: str, M: float, Q_d: float, delta: float) -> float:
     A of _mse_terms for the square loss."""
     if loss == "mse":
         return _mse_terms(M, Q_d, delta)[3]
-    from scipy.special import ndtr
-
     v, wts = _z0_rule()
     s = np.sqrt(max(Q_d - M * M + delta, 1e-300))
-    return float(2.0 * wts @ (_margin_loss(loss, np.sqrt(Q_d) * v) * ndtr(M * v / s)))
+    return float(2.0 * wts @ (_margin_loss(loss, np.sqrt(Q_d) * v) * _ndtr(M * v / s)))
 
 
 def observables(params: OrderParams, inp: ReplicaInput) -> Observables:

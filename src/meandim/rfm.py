@@ -14,13 +14,14 @@ model as a ratio of quadratic forms in w (``analytic_bmd``).
 
 Derivatives are weak derivatives: sign contributes a point mass 2*delta(0)
 whose square is not integrable, so its kb2 is +inf and its mean dimension
-diverges. Kinked activations are integrated by splitting the Gaussian
-integral at the kink so that no quadrature node ever lands on it.
+diverges. Every activation is integrated on Gauss-Legendre panels split at
+0, so that no quadrature node lands on the kink of sign or leaky-relu.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,10 +105,6 @@ class Activation:
         raise ValueError(f"unknown activation kind {self.kind!r}")
 
     @property
-    def kink(self) -> float | None:
-        return 0.0 if self.kind in ("sign", "leaky-relu") else None
-
-    @property
     def deriv_atoms(self) -> tuple[tuple[float, float], ...]:
         """(location, mass) of delta components of the weak derivative."""
         return ((0.0, 2.0),) if self.kind == "sign" else ()
@@ -142,29 +139,26 @@ class KappaSet:
     kbar_star_sq: float
 
 
-def _gaussian_rule(n_nodes: int, kink: float | None):
-    """Nodes and weights for integrals against the standard normal density.
-
-    Smooth integrands use Gauss-Hermite; a kink at 0 switches to
-    Gauss-Legendre panels on each half-line, whose open nodes never touch
-    the kink.
+@functools.cache
+def _gaussian_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights for integrals against the standard normal density:
+    n_nodes Gauss-Legendre nodes on each half-line panel [0, TAIL_CUTOFF],
+    2 n_nodes in all. The open nodes never touch 0, where sign and
+    leaky-relu have their kink. The arrays are cached per node count and
+    read-only.
     """
-    if kink is None:
-        from scipy.special import roots_hermite
-
-        x, w = roots_hermite(n_nodes)
-        return x * np.sqrt(2.0), w / np.sqrt(np.pi)
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     half = 0.5 * (x + 1.0) * TAIL_CUTOFF
     hw = 0.5 * w * TAIL_CUTOFF
     nodes = np.concatenate([-half[::-1], half])
     weights = np.concatenate([hw[::-1], hw])
     weights = weights * np.exp(-(nodes**2) / 2.0) / np.sqrt(2.0 * np.pi)
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
 def _kappas_at(activation: Activation, n_nodes: int) -> KappaSet:
-    z, p = _gaussian_rule(n_nodes, activation.kink)
+    z, p = _gaussian_rule(n_nodes)
     s = activation.value(z)
     d = activation.deriv(z)
     k0 = float(p @ s)

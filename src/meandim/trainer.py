@@ -189,14 +189,19 @@ def _margin_loss(kind: str, h: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown loss {kind!r}")
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x); below x = -709 e^-x overflows to inf, which gives the
+    right limit 0, so that overflow is not reported."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _margin_loss_grad(kind: str, y: np.ndarray, yhat: np.ndarray) -> np.ndarray:
     """d loss / d yhat for binary +-1 labels."""
     if kind == "mse":
         return yhat - y
     if kind == "ce":
-        from scipy.special import expit
-
-        return -y * expit(-y * yhat)
+        return -y * _sigmoid(-y * yhat)
     raise ValueError(f"unknown loss {kind!r}")
 
 

@@ -5,8 +5,8 @@ bench/tracer.py wraps every function listed in the ``__all__`` of the seven
 layers and reads a few result fields; bench/workload.py calls the entry
 points below by name. A stale ``__all__`` entry or a renamed field would
 break every traced run, so these checks are cheap and run with the suite.
-The last two tests run in fresh interpreters: importing the layers loads
-no scipy, and the routines that need it load it on first use.
+The last tests run in fresh interpreters: importing the layers loads no
+scipy, and only the closed-form ridge loads it, on first use.
 """
 
 import importlib
@@ -74,34 +74,44 @@ def run_fresh(script: str, tmp_path, env=None, **inputs) -> None:
 
 
 def test_mlp_path_never_imports_scipy(tmp_path):
-    """Importing the seven layers and running the multiclass and binary mse
-    MLP experiments loads no scipy; the routines that need it import it on
-    first use and still work."""
+    """Importing the seven layers, running the multiclass and binary mse MLP
+    experiments, the kappas of every activation, a ce saddle, `meandim
+    theory --loss ce` and `meandim md` on an RFM checkpoint load no scipy.
+    The closed-form ridge then loads scipy.linalg, and no scipy.special."""
     run_fresh("""
-        import sys
+        import contextlib, io, sys
         import numpy as np
         from meandim import boolfn, cli, estimator, experiments, replica, rfm, trainer
 
         def scipy_modules():
             return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
 
+        def meandim(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(list(argv)) == 0
+
         assert scipy_modules() == [], scipy_modules()
         for kind in configs:
             cfg = experiments.parse_experiment_config(configs[kind])
             experiments.run_experiment(cfg, out_dir=kind)
-        assert scipy_modules() == [], scipy_modules()
-
-        kappas = rfm.compute_kappas(rfm.Activation.tanh())
-        assert 0.0 < kappas.k_star_sq < kappas.k2
-        task = trainer.TeacherTask.random(6, seed=0)
-        train, _ = trainer.gen_teacher_student(6, 30, 10, task, seed=0)
-        model = rfm.random_rfm(6, 12, rfm.Activation.tanh(), seed=0)
-        fit = trainer.train_rfm_ridge(model, train, lam=1e-2)
-        assert np.all(np.isfinite(fit.model.w)) and 0.0 <= fit.train_error <= 1.0
+        for tag in ("sign", "leaky-relu:0.1", "linear", "tanh"):
+            kappas = rfm.compute_kappas(rfm.Activation.from_tag(tag))
+        assert 0.0 < kappas.k_star_sq < kappas.k2  # tanh's
         inp = replica.ReplicaInput(alpha=2.0, lam=1e-2, loss="ce", kappas=kappas, alpha_t=3.0)
         params = replica.solve_saddle(inp)
         assert 0.0 < replica.observables(params, inp).eps_g < 0.5
-        assert "scipy.linalg" in sys.modules and "scipy.special" in sys.modules
+        meandim("theory", "--loss", "ce", "--alpha-t", "3", "--lambda", "1e-2",
+                "--grid", "0.5", "2", "3")
+        model = rfm.random_rfm(6, 12, rfm.Activation.tanh(), seed=0)
+        rfm.save_rfm("model.rfm", model)
+        meandim("md", "model.rfm", "--sampler", "binary", "--samples", "200", "--seed", "0")
+        assert scipy_modules() == [], scipy_modules()
+
+        task = trainer.TeacherTask.random(6, seed=0)
+        train, _ = trainer.gen_teacher_student(6, 30, 10, task, seed=0)
+        fit = trainer.train_rfm_ridge(model, train, lam=1e-2)
+        assert np.all(np.isfinite(fit.model.w)) and 0.0 <= fit.train_error <= 1.0
+        assert "scipy.linalg" in sys.modules and "scipy.special" not in sys.modules
     """, tmp_path, configs={k: TINY[k] for k in ("adversarial-init", "robustness-sweep",
                                        "double-descent-mlp")})
 

@@ -30,6 +30,7 @@ from meandim.replica import (
     _DEFAULT_INIT,
     _FIELDS,
     _energetic,
+    _ndtr,
     _proposal,
     _test_loss,
     _z0_rule,
@@ -42,6 +43,7 @@ from meandim.replica import (
     sweep_curve,
 )
 from meandim.rfm import Activation, bmd_from_overlaps, compute_kappas
+from meandim.trainer import _sigmoid
 
 KAPPAS = compute_kappas(Activation.tanh())
 
@@ -255,6 +257,26 @@ def test_ce_inner_stationary_at_every_node():
             z1, _ = ce_inner_max(h0, dq)
             x = h0 + np.sqrt(dq) * z1
             assert np.max(np.abs((x - h0) / dq + expit(x) - 1.0)) < 1e-10
+
+
+def test_sigmoid_matches_expit_without_warnings():
+    x = np.linspace(-800.0, 800.0, 160_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid(x)
+    want = expit(x)
+    # three ulps: at x = -37.03 expit is itself two ulps off the exact value
+    assert np.all(np.abs(got - want) <= 3 * np.spacing(want))
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
+def test_ndtr_matches_scipy(scale):
+    # both take erfc at the same |x| / sqrt(2); scipy's erfc rounds z^2
+    # inside exp(-z^2), an error of about x^2 ulps that shows once x^2 > 1
+    x = _z0_rule()[0] * scale
+    got, want = _ndtr(x), ndtr(x)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, x * x) * want
+                  + np.finfo(float).tiny)
 
 
 def test_ce_inner_vectorized_matches_elementwise():

@@ -24,10 +24,11 @@ from meandim.rfm import (
     score_fn,
     with_weights,
 )
-from meandim.rfm import DEFAULT_NODES, _kappas_at
+from meandim import rfm
+from meandim.rfm import DEFAULT_NODES, QuadratureError, _kappas_at
 
 # oracle values from adaptive quadrature of the defining integrals,
-# independent of the Gauss-Hermite rule used by compute_kappas
+# independent of the Gauss-Legendre rule used by compute_kappas
 TANH_K1 = 0.605705509602159
 TANH_K2 = 0.39429449039784126
 TANH_KBAR2 = 0.4644029024482683
@@ -85,6 +86,28 @@ class TestKappas:
                 assert np.isinf(b)
             else:
                 assert abs(a - b) < 1e-10
+
+    def test_tanh_matches_gauss_hermite(self, monkeypatch):
+        from scipy.special import roots_hermite
+
+        def hermite_rule(n_nodes):
+            x, w = roots_hermite(n_nodes)
+            return x * np.sqrt(2.0), w / np.sqrt(np.pi)
+
+        base = compute_kappas(Activation.tanh())
+        monkeypatch.setattr(rfm, "_gaussian_rule", hermite_rule)
+        ref = _kappas_at(Activation.tanh(), DEFAULT_NODES)
+        for name in ("k0", "k1", "k2", "k_star_sq", "kbar0", "kbar1", "kbar2", "kbar_star_sq"):
+            assert abs(getattr(base, name) - getattr(ref, name)) < 1e-13, name
+
+    def test_too_few_nodes_fail_the_doubling_check(self, monkeypatch):
+        monkeypatch.setattr(rfm, "DEFAULT_NODES", 3)
+        rfm._gaussian_rule.cache_clear()
+        try:
+            with pytest.raises(QuadratureError, match="when doubling nodes for tanh"):
+                compute_kappas(Activation.tanh())
+        finally:
+            rfm._gaussian_rule.cache_clear()
 
     def test_residuals_nonnegative(self):
         for act in (Activation.tanh(), Activation.leaky_relu(0.2), Activation.linear()):
