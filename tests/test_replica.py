@@ -271,8 +271,8 @@ def test_sigmoid_matches_expit_without_warnings():
 
 @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
 def test_ndtr_matches_scipy(scale):
-    # both take erfc at the same |x| / sqrt(2); scipy's erfc rounds z^2
-    # inside exp(-z^2), an error of about x^2 ulps that shows once x^2 > 1
+    # both take erfc of the same rounded x / sqrt(2); in the left tail
+    # scipy's erfc rounds z^2 inside exp(-z^2), which costs about x^2 ulps
     x = _z0_rule()[0] * scale
     got, want = _ndtr(x), ndtr(x)
     assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, x * x) * want
