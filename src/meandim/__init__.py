@@ -2,7 +2,7 @@
 estimation, random feature models with closed-form interaction order, ridge
 and gradient training harnesses, and the matching high-dimensional theory.
 
-Only numpy loads with the package. scipy is imported on first use by the
-closed-form ridge alone, for its Cholesky solve."""
+numpy is the only runtime dependency; scipy serves the test suite alone,
+as an oracle."""
 
 __version__ = "0.1.0"

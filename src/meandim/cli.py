@@ -35,6 +35,8 @@ nothing on stdout and writes no file. `meandim run` puts the same count in
 the summary of a theory kind, and a curve with no converged point exits 1
 with one `meandim run: theory lam=<lam>: n of n points did not converge`
 line and writes no file.
+An --out or --profile-out path that cannot be written is bad input
+too: the command writes the file before anything goes to stdout.
 """
 
 import argparse
@@ -120,10 +122,11 @@ def _cmd_md(args) -> int:
     model = load_rfm(args.checkpoint)
     sampler = _make_sampler(args, model.D)
     profile = estimate_md_best(score_fn(model), sampler, args.samples, args.seed)
-    sys.stdout.write(profile_summary(profile))
+    summary = profile_summary(profile)
     if args.profile_out is not None:
         write_text(args.profile_out, profile_csv_lines(profile))
-        print(f"profile: {args.profile_out}")
+        summary += f"profile: {args.profile_out}\n"
+    sys.stdout.write(summary)
     return 0
 
 
@@ -139,9 +142,9 @@ def _cmd_theory(args) -> int:
         if failed == len(rows):
             return 1
     lines = curve_lines(rows)
-    sys.stdout.write(lines_text(lines))
     if args.out is not None:
         write_text(args.out, lines)
+    sys.stdout.write(lines_text(lines))
     return 0
 
 

@@ -30,7 +30,6 @@ single cell can be reproduced in isolation.
 import contextlib
 import ctypes
 import glob
-import importlib.util
 import math
 import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -404,35 +403,29 @@ def summarize_peaks(coordinate: str, coords, curves: dict, pairs=None) -> list:
 
 
 def _openblas_thread_controls():
-    """(get, set) of the thread count of the OpenBLAS that the numpy and the
-    scipy wheels ship in <package>.libs. Each is loaded by path, which
-    imports no scipy module and maps the copy that a later scipy import
-    uses."""
+    """(get, set) of the thread count of the OpenBLAS that the numpy wheel
+    ships in numpy.libs, loaded by path; the one BLAS that meandim calls."""
     controls = []
-    for package, suffix in (("numpy", "64_"), ("scipy", "")):
-        spec = importlib.util.find_spec(package)
-        if spec is None or not spec.submodule_search_locations:
+    libs = os.path.dirname(np.__file__) + ".libs"
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
             continue
-        libs = spec.submodule_search_locations[0] + ".libs"
-        for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-            try:
-                lib = ctypes.CDLL(path)
-                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
-                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
-            except (OSError, AttributeError):
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            controls.append((get, put))
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        controls.append((get, put))
     return controls
 
 
 @contextlib.contextmanager
 def _blas_threads(jobs: int):
-    """Run the body with each OpenBLAS capped at max(1, cores // jobs)
+    """Run the body with numpy's OpenBLAS capped at max(1, cores // jobs)
     threads when jobs > 1, so that jobs cells calling BLAS at once do not
     oversubscribe the cores; a library already set to fewer threads (say by
-    OPENBLAS_NUM_THREADS) keeps its count. The counts the getters read are
+    OPENBLAS_NUM_THREADS) keeps its count. The count the getter read is
     restored afterwards. A library or symbol that is missing is left alone."""
     controls = _openblas_thread_controls() if jobs > 1 else []
     saved = [get() for get, _ in controls]

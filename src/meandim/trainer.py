@@ -237,8 +237,8 @@ def train_rfm_ridge(model: RfmModel, ds: Dataset, lam: float,
     """Closed-form ridge fit of the second layer under MSE.
 
     Minimises the ridge objective 0.5 ||y - Xp w / sqrt(N)||^2 + lam ||w||^2 / 2
-    with Xp the (P, N) design matrix, by one of two Cholesky routes that
-    give the same minimiser:
+    with Xp the (P, N) design matrix, by one of two linear solves
+    (np.linalg.solve) that give the same minimiser:
 
     - primal, when N <= P or lam = 0: solve (Xp^T Xp / N + lam I) w =
       Xp^T y / sqrt(N), an N x N system;
@@ -246,18 +246,16 @@ def train_rfm_ridge(model: RfmModel, ds: Dataset, lam: float,
       y / sqrt(N), a P x P system, and set w = Xp^T a (the push-through
       identity).
 
-    The shape picks the route so that the smaller Gram is factored: past
+    The shape picks the route so that the smaller Gram is solved: past
     the interpolation threshold a fit costs O(N P^2 + P^3), linear in the
     width, instead of O(N^2 P + N^3). At lam = 0 past the threshold the
     minimiser is not unique, so lam = 0 always takes the primal route,
     which raises LinAlgError when its system is rank-deficient.
 
-    Iterative refinement on the factored system pushes the gradient of the
+    Iterative refinement on the same system pushes the gradient of the
     objective, Xp^T (Xp w / N - y / sqrt(N)) + lam w, below 1e-8 even near
     interpolation; a larger final gradient raises RuntimeError.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
     if lam < 0:
         raise ValueError("lam must be >= 0")
     Xp = design_matrix(model, ds.X)
@@ -275,15 +273,14 @@ def train_rfm_ridge(model: RfmModel, ds: Dataset, lam: float,
             raise np.linalg.LinAlgError(
                 f"rank-deficient system at lam=0 (condition number {cond:.2e}); "
                 "add ridge regularization")
-    factor = cho_factor(A)
-    x = cho_solve(factor, b)
+    x = np.linalg.solve(A, b)
     for step in range(5):  # up to 4 refinement steps drive the residual down
         residual = b - A @ x
         # the objective's gradient is -residual (primal) or -Xp^T residual (dual)
         grad_norm = float(np.linalg.norm(Xp.T @ residual if dual else residual))
         if grad_norm < 1e-8 or step == 4:
             break
-        x = x + cho_solve(factor, residual)
+        x = x + np.linalg.solve(A, residual)
     if grad_norm >= 1e-8:
         raise RuntimeError(f"ridge stationarity check failed: |grad| = {grad_norm:.3e}")
     w = Xp.T @ x if dual else x

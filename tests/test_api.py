@@ -5,8 +5,9 @@ bench/tracer.py wraps every function listed in the ``__all__`` of the seven
 layers and reads a few result fields; bench/workload.py calls the entry
 points below by name. A stale ``__all__`` entry or a renamed field would
 break every traced run, so these checks are cheap and run with the suite.
-The last tests run in fresh interpreters: importing the layers loads no
-scipy, and only the closed-form ridge loads it, on first use.
+The last tests run in fresh interpreters: no path of the package imports
+scipy, which the test suite alone needs, and the pool's BLAS thread cap
+keeps experiment outputs the same at any --jobs.
 """
 
 import importlib
@@ -73,53 +74,60 @@ def run_fresh(script: str, tmp_path, env=None, **inputs) -> None:
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-def test_mlp_path_never_imports_scipy(tmp_path):
-    """Importing the seven layers, running the multiclass and binary mse MLP
-    experiments, the kappas of every activation, a ce saddle, `meandim
-    theory --loss ce` and `meandim md` on an RFM checkpoint load no scipy.
-    The closed-form ridge then loads scipy.linalg, and no scipy.special."""
+def test_no_path_imports_scipy(tmp_path):
+    """With every scipy import made to fail, the seven layers import, every
+    tiny config runs, the kappas of every activation come out, `meandim md`
+    runs each sampler on a ridge-trained checkpoint and `meandim theory`
+    draws the mse and ce curves; no scipy import is even attempted."""
     run_fresh("""
-        import contextlib, io, sys
+        import contextlib, importlib.abc, io, sys
         import numpy as np
-        from meandim import boolfn, cli, estimator, experiments, replica, rfm, trainer
 
-        def scipy_modules():
-            return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+        attempts = []
+
+        class NoScipy(importlib.abc.MetaPathFinder):
+            def find_spec(self, name, path, target=None):
+                if name == "scipy" or name.startswith("scipy."):
+                    attempts.append(name)
+                    raise AssertionError(f"import of {name}")
+
+        sys.meta_path.insert(0, NoScipy())
+        from meandim import boolfn, cli, estimator, experiments, replica, rfm, trainer
 
         def meandim(*argv):
             with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(list(argv)) == 0
+                assert cli.main(list(argv)) == 0, argv
 
-        assert scipy_modules() == [], scipy_modules()
         for kind in configs:
             cfg = experiments.parse_experiment_config(configs[kind])
             experiments.run_experiment(cfg, out_dir=kind)
         for tag in ("sign", "leaky-relu:0.1", "linear", "tanh"):
-            kappas = rfm.compute_kappas(rfm.Activation.from_tag(tag))
-        assert 0.0 < kappas.k_star_sq < kappas.k2  # tanh's
-        inp = replica.ReplicaInput(alpha=2.0, lam=1e-2, loss="ce", kappas=kappas, alpha_t=3.0)
-        params = replica.solve_saddle(inp)
-        assert 0.0 < replica.observables(params, inp).eps_g < 0.5
-        meandim("theory", "--loss", "ce", "--alpha-t", "3", "--lambda", "1e-2",
-                "--grid", "0.5", "2", "3")
-        model = rfm.random_rfm(6, 12, rfm.Activation.tanh(), seed=0)
-        rfm.save_rfm("model.rfm", model)
-        meandim("md", "model.rfm", "--sampler", "binary", "--samples", "200", "--seed", "0")
-        assert scipy_modules() == [], scipy_modules()
+            rfm.compute_kappas(rfm.Activation.from_tag(tag))
 
         task = trainer.TeacherTask.random(6, seed=0)
         train, _ = trainer.gen_teacher_student(6, 30, 10, task, seed=0)
+        model = rfm.random_rfm(6, 12, rfm.Activation.tanh(), seed=0)
         fit = trainer.train_rfm_ridge(model, train, lam=1e-2)
         assert np.all(np.isfinite(fit.model.w)) and 0.0 <= fit.train_error <= 1.0
-        assert "scipy.linalg" in sys.modules and "scipy.special" not in sys.modules
-    """, tmp_path, configs={k: TINY[k] for k in ("adversarial-init", "robustness-sweep",
-                                       "double-descent-mlp")})
+        rfm.save_rfm("model.rfm", fit.model)
+        np.savetxt("rows.csv", np.random.default_rng(0).uniform(-1, 1, (30, 6)),
+                   delimiter=",")
+        for sampler in estimator.SAMPLER_KINDS:
+            data = ["--data", "rows.csv"] if sampler == "empirical" else []
+            meandim("md", "model.rfm", "--sampler", sampler, "--samples", "200",
+                    "--seed", "0", *data)
+        for loss in ("mse", "ce"):
+            meandim("theory", "--loss", loss, "--alpha-t", "3", "--lambda", "1e-2",
+                    "--grid", "0.5", "2", "3")
+        assert attempts == [], attempts
+        assert not any(k == "scipy" or k.startswith("scipy.") for k in sys.modules)
+    """, tmp_path, configs=TINY)
 
 
 def test_pool_caps_blas_threads_and_restores_them(tmp_path):
-    """Inside a pool of 4 cells each OpenBLAS runs max(1, cores // 4)
-    threads, or fewer if it was set to fewer; the counts come back
-    afterwards, and loading the libraries imports no scipy module."""
+    """Inside a pool of 4 cells numpy's OpenBLAS runs max(1, cores // 4)
+    threads, or fewer if it was set to fewer; the count comes back
+    afterwards, and loading the library imports no scipy module."""
     run_fresh("""
         import os, sys
         import numpy
@@ -145,9 +153,8 @@ def test_pool_caps_blas_threads_and_restores_them(tmp_path):
     """, tmp_path)
 
 
-# a config run at --jobs 2 and then 1 in a fresh interpreter, whose first
-# ridge fits, and with them the first import of scipy.linalg, run in two
-# pool threads at once; the two CSVs must hold the same bytes
+# a config run at --jobs 2 and then 1 in a fresh interpreter, whose ridge
+# fits run in two pool threads at once; the two CSVs must hold the same bytes
 JOBS_FREE = """
     import sys
     from meandim import experiments
@@ -163,7 +170,7 @@ JOBS_FREE = """
 """
 
 
-def test_first_scipy_import_from_two_pool_threads(tmp_path):
+def test_jobs_free_at_default_blas_threads(tmp_path):
     run_fresh(JOBS_FREE, tmp_path, config=TINY["double-descent-rfm"])
 
 

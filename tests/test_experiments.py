@@ -817,7 +817,26 @@ def test_cli_bad_values_exit_2_with_one_line(command, flags, cell, tmp_path, cap
     assert captured.err.startswith(f"meandim {command}: ") and "Traceback" not in captured.err
 
 
-_FUZZ = settings(max_examples=150, deadline=None,
+@pytest.mark.parametrize("command", ["md", "theory"])
+@pytest.mark.parametrize("bad", ["directory", "missing-parent"])
+def test_cli_unwritable_output_exits_2_with_nothing_on_stdout(command, bad, tmp_path,
+                                                             capsys):
+    """The output file is written before stdout, so a path that cannot be
+    written leaves stdout empty."""
+    path = tmp_path if bad == "directory" else tmp_path / "no-such-dir" / "out.csv"
+    if command == "theory":
+        argv = THEORY_ARGV + ["--out", str(path)]
+    else:
+        argv = ["md", checkpoint(tmp_path, D=6), "--sampler", "binary", "--samples", "200",
+                "--seed", "1", "--profile-out", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert captured.err.startswith(f"meandim {command}: ") and str(path) in captured.err
+
+
+_FUZZ =settings(max_examples=150, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 _BYTE = st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789.-+e=#:, \n"))
 

@@ -168,6 +168,35 @@ class TestRidge:
             gap = np.max(np.abs(fitted.model.w - w_hand))
             assert gap <= 1e-10 * np.max(np.abs(w_hand)), (D, N, P, lam, gap)
 
+    @pytest.mark.parametrize("N,lam", [(60, 1e-4), (300, 1e-4), (120, 1e-4), (60, 0.0)],
+                             ids=["primal", "dual", "N=P", "lam0-primal"])
+    def test_matches_scipy_cholesky_fit(self, N, lam):
+        """The numpy solve gives the fit of scipy's cho_factor/cho_solve
+        under the same refinement, at P = 120 on either side of N = P."""
+        from scipy.linalg import cho_factor, cho_solve
+
+        model = make_model(30, N, seed=0)
+        ds, _ = gen_teacher_student(30, 120, 10, TeacherTask.random(30, seed=1), seed=2)
+        Xp = design_matrix(model, ds.X)
+        dual = lam > 0 and N > ds.P
+        if dual:
+            A, b = Xp @ Xp.T / N + lam * np.eye(ds.P), ds.y / np.sqrt(N)
+        else:
+            A, b = Xp.T @ Xp / N + lam * np.eye(N), Xp.T @ ds.y / np.sqrt(N)
+        factor = cho_factor(A)
+        x = cho_solve(factor, b)
+        for _ in range(4):
+            residual = b - A @ x
+            if np.linalg.norm(Xp.T @ residual if dual else residual) < 1e-8:
+                break
+            x = x + cho_solve(factor, residual)
+        want = Xp.T @ x if dual else x
+
+        w = train_rfm_ridge(model, ds, lam).model.w
+        assert np.max(np.abs(w - want)) <= 1e-9 * np.max(np.abs(want))
+        grad = Xp.T @ (Xp @ w / N - ds.y / np.sqrt(N)) + lam * w
+        assert np.linalg.norm(grad) < 1e-8
+
     def test_shrinkage_monotone(self):
         model = make_model(10, 12, seed=3)
         ds, _ = gen_teacher_student(10, 30, 10, TeacherTask.random(10, seed=4), seed=5)
@@ -199,35 +228,31 @@ class TestRidge:
 
     @pytest.mark.parametrize("N", [4, 12], ids=["primal", "dual"])
     def test_refinement_repairs_a_perturbed_solve(self, N, monkeypatch):
-        import scipy.linalg
-
         model = make_model(6, N, seed=0)
         ds, _ = gen_teacher_student(6, 8, 10, TeacherTask.random(6, seed=1), seed=2)
         want = train_rfm_ridge(model, ds, 1e-3).model.w
-        solve, calls = scipy.linalg.cho_solve, []
+        solve, calls = np.linalg.solve, []
 
-        def first_solve_off(factor, b):
+        def first_solve_off(A, b):
             calls.append(b)
-            return solve(factor, b) + (1e-3 if len(calls) == 1 else 0.0)
+            return solve(A, b) + (1e-3 if len(calls) == 1 else 0.0)
 
-        monkeypatch.setattr(scipy.linalg, "cho_solve", first_solve_off)
+        monkeypatch.setattr(np.linalg, "solve", first_solve_off)
         got = train_rfm_ridge(model, ds, 1e-3).model.w
         assert len(calls) > 1  # at least one refinement step ran
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("N", [4, 12], ids=["primal", "dual"])
     def test_solve_that_stays_wrong_fails_the_stationarity_check(self, N, monkeypatch):
-        import scipy.linalg
-
         model = make_model(6, N, seed=0)
         ds, _ = gen_teacher_student(6, 8, 10, TeacherTask.random(6, seed=1), seed=2)
-        solve, calls = scipy.linalg.cho_solve, []
+        solve, calls = np.linalg.solve, []
 
-        def every_solve_off(factor, b):
+        def every_solve_off(A, b):
             calls.append(b)
-            return solve(factor, b) + 1e-3
+            return solve(A, b) + 1e-3
 
-        monkeypatch.setattr(scipy.linalg, "cho_solve", every_solve_off)
+        monkeypatch.setattr(np.linalg, "solve", every_solve_off)
         with pytest.raises(RuntimeError, match="stationarity check failed"):
             train_rfm_ridge(model, ds, 1e-3)
         assert len(calls) == 5  # the solve and four refinement steps
