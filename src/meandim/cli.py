@@ -36,7 +36,7 @@ the summary of a theory kind, and a curve with no converged point exits 1
 with one `meandim run: theory lam=<lam>: n of n points did not converge`
 line and writes no file.
 An --out or --profile-out path that cannot be written is bad input
-too: the command writes the file before anything goes to stdout.
+too: the command writes the file before it prints anything.
 """
 
 import argparse
@@ -136,14 +136,14 @@ def _cmd_theory(args) -> int:
     rows = sweep_curve(kappas, args.loss, args.lam, args.alpha_t, grid,
                        delta=args.delta)
     failed = sum(not row.converged for row in rows)
+    lines = curve_lines(rows)
+    if args.out is not None and failed < len(rows):
+        write_text(args.out, lines)
     if failed:
         print(f"meandim theory: {failed} of {len(rows)} points did not converge",
               file=sys.stderr)
         if failed == len(rows):
             return 1
-    lines = curve_lines(rows)
-    if args.out is not None:
-        write_text(args.out, lines)
     sys.stdout.write(lines_text(lines))
     return 0
 

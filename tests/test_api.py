@@ -76,9 +76,10 @@ def run_fresh(script: str, tmp_path, env=None, **inputs) -> None:
 
 def test_no_path_imports_scipy(tmp_path):
     """With every scipy import made to fail, the seven layers import, every
-    tiny config runs, the kappas of every activation come out, `meandim md`
-    runs each sampler on a ridge-trained checkpoint and `meandim theory`
-    draws the mse and ce curves; no scipy import is even attempted."""
+    tiny config runs, the kappas of every activation and a ce saddle come
+    out, `meandim md` runs each sampler on a ridge-trained checkpoint and
+    `meandim theory` draws the mse and ce curves; no scipy import is even
+    attempted."""
     run_fresh("""
         import contextlib, importlib.abc, io, sys
         import numpy as np
@@ -102,7 +103,10 @@ def test_no_path_imports_scipy(tmp_path):
             cfg = experiments.parse_experiment_config(configs[kind])
             experiments.run_experiment(cfg, out_dir=kind)
         for tag in ("sign", "leaky-relu:0.1", "linear", "tanh"):
-            rfm.compute_kappas(rfm.Activation.from_tag(tag))
+            kappas = rfm.compute_kappas(rfm.Activation.from_tag(tag))
+        assert 0.0 < kappas.k_star_sq < kappas.k2  # tanh's
+        inp = replica.ReplicaInput(alpha=2.0, lam=1e-2, loss="ce", kappas=kappas, alpha_t=3.0)
+        assert 0.0 < replica.observables(replica.solve_saddle(inp), inp).eps_g < 0.5
 
         task = trainer.TeacherTask.random(6, seed=0)
         train, _ = trainer.gen_teacher_student(6, 30, 10, task, seed=0)

@@ -836,7 +836,26 @@ def test_cli_unwritable_output_exits_2_with_nothing_on_stdout(command, bad, tmp_
     assert captured.err.startswith(f"meandim {command}: ") and str(path) in captured.err
 
 
-_FUZZ =settings(max_examples=150, deadline=None,
+def test_cli_theory_partial_curve_to_unwritable_path_exits_2_with_one_line(
+        monkeypatch, tmp_path, capsys):
+    """The --out file is written before the count of points that did not
+    converge is reported, so a bad path gives its error line alone."""
+    solve = replica.solve_saddle
+
+    def stalls_at_2(inp, init=None):
+        if 1.0 / inp.alpha == 2.0:
+            raise replica.ConvergenceError("stalled")
+        return solve(inp, init=init)
+
+    monkeypatch.setattr(replica, "solve_saddle", stalls_at_2)
+    code = main(THEORY_ARGV + ["--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert captured.err.startswith("meandim theory: ") and str(tmp_path) in captured.err
+
+
+_FUZZ = settings(max_examples=150, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 _BYTE = st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789.-+e=#:, \n"))
 
