@@ -29,9 +29,11 @@ single cell can be reproduced in isolation.
 
 import contextlib
 import ctypes
+import functools
 import glob
 import math
 import os
+import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
@@ -43,10 +45,10 @@ from .heatmap_svg import svg_lines
 from .replica import ReplicaInput, curve_lines, log_grid, sweep_curve
 from .rfm import Activation, analytic_bmd, compute_kappas, random_rfm, score_fn
 from .textio import csv_lines, read_text, write_text
-from .trainer import (TeacherTask, TrainConfig, adversarial_init_protocol,
-                      flip_labels, gen_multiclass_task, gen_teacher_student,
-                      init_mlp, mlp_score_fn, multiclass_bmd, predict_labels,
-                      robustness_flip_count, train_rfm_ridge)
+from .trainer import (TeacherTask, TrainConfig, _pretrain, flip_labels,
+                      gen_multiclass_task, gen_teacher_student, init_mlp,
+                      mlp_score_fn, multiclass_bmd, predict_labels,
+                      robustness_flip_count, train_gd, train_rfm_ridge)
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -539,14 +541,15 @@ def _rfm_cell(p, act, kappas, seed, md, rescale=None, **fields):
     return out
 
 
-def _mlp_cell(p, width, seed, multiclass, pretrain=0, flips=False):
+def _mlp_cell(p, width, seed, multiclass, start=None, flips=False):
     """One (coordinate, rep) cell of a two-layer tanh network sweep.
 
     A multiclass task trains n_classes logits; otherwise a scalar margin
     head learns a sign teacher. The training labels get the config's label
-    noise. The adversarial protocol first trains pretrain epochs on fully
-    corrupted labels; at 0 it is plain training. flips adds the mean flip
-    count on the test set.
+    noise. train_gd starts from the initial network, or from
+    start(network, train set, config) when given: the adversarial
+    protocol's pretrained network. flips adds the mean flip count on the
+    test set.
     """
     dim = p["dim"]
     if multiclass:
@@ -564,8 +567,10 @@ def _mlp_cell(p, width, seed, multiclass, pretrain=0, flips=False):
     config = TrainConfig(loss=loss, optimizer=p.get("optimizer", _FIELDS["optimizer"][1]),
                          batch_size=p["batch_size"], lr=p["lr"], epochs=p["epochs"],
                          seed=seed)
-    fit = adversarial_init_protocol(init_mlp(dim, width, n_out, seed=seed), train,
-                                    pretrain, config, test_ds=test)
+    net = init_mlp(dim, width, n_out, seed=seed)
+    if start is not None:
+        net = start(net, train, config)
+    fit = train_gd(net, train, config, test_ds=test)
     net = fit.model
     if multiclass:
         bmd = multiclass_bmd(net, InputSampler.binary(dim), p["md_samples"], seed)
@@ -677,16 +682,54 @@ def _run_regularization_sweep(cfg: ExperimentConfig) -> tuple:
     return files, peak_lines
 
 
+class _Pretraining:
+    """One repetition's corrupt-label pretraining, shared by its cells.
+
+    take(epochs, skeleton, train, config) returns the network after that
+    many pretraining epochs. The first cell past 0 epochs runs the
+    trajectory to the largest grid value (trainer._pretrain) under the
+    lock; a 0-epoch cell takes the initial network without waiting, and
+    each snapshot is dropped once taken. A cell past a divergence raises
+    the RuntimeError that a run of its own length raises.
+    """
+
+    def __init__(self, grid):
+        self._grid = grid
+        self._lock = threading.Lock()
+        self._snaps = None
+        self._diverged = None
+
+    def take(self, epochs, skeleton, train, config):
+        if epochs == 0:
+            return skeleton
+        with self._lock:
+            if self._snaps is None:
+                self._snaps, self._diverged = _pretrain(skeleton, train, self._grid, config)
+            snap = self._snaps.pop(epochs, None)
+        if snap is None:
+            raise RuntimeError(self._diverged)
+        return snap
+
+
 def _run_adversarial_init(cfg: ExperimentConfig) -> tuple:
+    """The adversarial protocol at each pretrain_epochs of the grid.
+
+    Cells of one repetition share the data, the initial network and so the
+    corrupt-label trajectory: it runs once per rep (_Pretraining), to the
+    largest grid value, and each cell trains its main phase through
+    train_gd from the snapshot at its own value. The outputs equal those of
+    separate adversarial_init_protocol runs bit for bit.
+    """
     p = cfg.params
     grid = p["pretrain_grid"]
+    pretraining = [_Pretraining(grid) for _ in range(cfg.reps)]
 
     def cell(i, rep):
         # a multiclass task is essential here: with binary labels a 100%
         # corrupted pretraining set is just the negated teacher, which is
         # perfectly structured and leaves no adversarial imprint
         return _mlp_cell(p, p["width"], cfg.seed + rep, multiclass=True,
-                         pretrain=grid[i])
+                         start=functools.partial(pretraining[rep].take, grid[i]))
 
     lines, curves = _sweep(cfg, cell, grid, coordinate="pretrain_epochs")
     pre = np.asarray(grid, dtype=float)

@@ -304,9 +304,16 @@ def train_rfm_ridge(model: RfmModel, ds: Dataset, lam: float,
 class TrainConfig:
     """Knobs for gradient training of a two-layer MLP.
 
-    optimizer "full-batch-gd" takes one plain gradient step per epoch;
-    "minibatch-gd" uses Adam updates (betas 0.9/0.999, epsilon 1e-8) on
-    shuffled batches. Defaults are batch 128 and lr 1e-4.
+    optimizer "full-batch-gd" takes one plain gradient step per epoch,
+    theta -= lr * grad; "minibatch-gd" takes one Adam step per shuffled
+    batch. Adam (Kingma & Ba, ICLR 2015) with betas 0.9/0.999 and epsilon
+    1e-8 keeps m = 0.9 m + 0.1 g and v = 0.999 v + 0.001 g^2, and at step t
+    moves theta by lr m_hat / (sqrt(v_hat) + eps), with m_hat = m / (1 -
+    0.9^t) and v_hat = v / (1 - 0.999^t); the bias corrections are folded
+    into the scalars lr sqrt(1 - 0.999^t) / (1 - 0.9^t) and eps sqrt(1 -
+    0.999^t), which is the same update up to rounding. Defaults are batch
+    128 and lr 1e-4. batch_size >= 1, epochs >= 0 and a finite lr > 0 are
+    required.
     """
 
     loss: str = "mse"
@@ -321,6 +328,12 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.optimizer not in ("full-batch-gd", "minibatch-gd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs!r}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
 
 
 @dataclass
@@ -348,20 +361,24 @@ def init_mlp(D: int, width: int, n_out: int, seed: int) -> Mlp:
     )
 
 
-def _logits(net: Mlp, h: np.ndarray) -> np.ndarray:
-    """Logits from the hidden preactivation h = X W1 + b1."""
-    out = np.tanh(h) @ net.W2 + net.b2
+def _logits(net: Mlp, hidden: np.ndarray) -> np.ndarray:
+    """Logits from the hidden activations tanh(X W1 + b1)."""
+    out = hidden @ net.W2 + net.b2
     return out[:, 0] if net.n_out == 1 else out
 
 
 def forward_mlp(net: Mlp, X: np.ndarray) -> np.ndarray:
     """Logits, shape (m, n_out); squeezed to (m,) when n_out = 1."""
-    return _logits(net, X @ net.W1 + net.b1)
+    # h is fresh, so the bias and tanh go in place: one m x width block is
+    # the peak memory of predict_labels on a large set
+    h = X @ net.W1
+    h += net.b1
+    return _logits(net, np.tanh(h, out=h))
 
 
 def mlp_score_fn(net: Mlp) -> LinearFirstLayer:
     """forward_mlp as a score for the MD estimator, with rank-1 coordinate probes."""
-    return LinearFirstLayer(net.W1, net.b1, lambda h: _logits(net, h))
+    return LinearFirstLayer(net.W1, net.b1, lambda h: _logits(net, np.tanh(h)))
 
 
 def predict_labels(net: Mlp, X: np.ndarray) -> np.ndarray:
@@ -385,83 +402,131 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
         return tmp - np.log(np.exp(tmp).sum(axis=1, keepdims=True))
 
 
-def _mlp_loss_and_grads(net: Mlp, X, y, loss: str):
-    hidden = np.tanh(X @ net.W1 + net.b1)
-    logits = hidden @ net.W2 + net.b2
-    P = X.shape[0]
-    if net.n_out == 1:
-        yhat = logits[:, 0]
-        value = _margin_loss(loss, y * yhat).mean()
-        d_logits = (_margin_loss_grad(loss, y, yhat) / P)[:, None]
-    else:
-        logp = _log_softmax(logits)
-        idx = y.astype(int)
-        value = -logp[np.arange(P), idx].mean()
-        d_logits = np.exp(logp)
-        d_logits[np.arange(P), idx] -= 1.0
-        d_logits /= P
-    gW2 = hidden.T @ d_logits
-    gb2 = d_logits.sum(axis=0)
-    d_hidden = (d_logits @ net.W2.T) * (1.0 - hidden**2)
-    gW1 = X.T @ d_hidden
-    gb1 = d_hidden.sum(axis=0)
-    return value, (gW1, gb1, gW2, gb2)
+def _copy_mlp(net: Mlp) -> Mlp:
+    return Mlp(net.W1.copy(), net.b1.copy(), net.W2.copy(), net.b2.copy())
+
+
+class _Backprop:
+    """Loss and gradient of a two-layer tanh network on batches of at most
+    `rows` rows, with no per-call array of batch x width or parameter size.
+
+    theta is a flat copy of the network's parameters and `net` views it;
+    each call writes the gradient into the flat `grad`, which `grads` views
+    in the same (W1, b1, W2, b2) layout. The hidden buffers are allocated
+    once and sliced for a short batch; tanh and 1 - tanh^2 overwrite them.
+    """
+
+    def __init__(self, net: Mlp, rows: int, loss: str):
+        arrays = (net.W1, net.b1, net.W2, net.b2)
+        self.theta = np.concatenate([a.ravel() for a in arrays])
+        self.grad = np.empty_like(self.theta)
+        ends = np.cumsum([a.size for a in arrays])[:-1]
+
+        def views(flat):
+            return [part.reshape(a.shape) for part, a in zip(np.split(flat, ends), arrays)]
+
+        self.net, self.grads = Mlp(*views(self.theta)), views(self.grad)
+        self.loss = loss
+        self._hidden = np.empty((rows, net.W1.shape[1]))
+        self._d_hidden = np.empty_like(self._hidden)
+
+    def __call__(self, x: np.ndarray, y: np.ndarray) -> float:
+        """The mean loss on the batch (x, y); grad receives its gradient."""
+        P = x.shape[0]
+        hidden, d_hidden = self._hidden[:P], self._d_hidden[:P]
+        net, (gW1, gb1, gW2, gb2) = self.net, self.grads
+        np.matmul(x, net.W1, out=hidden)
+        hidden += net.b1
+        np.tanh(hidden, out=hidden)
+        logits = hidden @ net.W2 + net.b2
+        if net.n_out == 1:
+            yhat = logits[:, 0]
+            value = _margin_loss(self.loss, y * yhat).mean()
+            d_logits = (_margin_loss_grad(self.loss, y, yhat) / P)[:, None]
+        else:
+            logp = _log_softmax(logits)
+            idx = y.astype(int)
+            value = -logp[np.arange(P), idx].mean()
+            d_logits = np.exp(logp)
+            d_logits[np.arange(P), idx] -= 1.0
+            d_logits /= P
+        np.matmul(hidden.T, d_logits, out=gW2)
+        np.sum(d_logits, axis=0, out=gb2)
+        np.matmul(d_logits, net.W2.T, out=d_hidden)
+        np.square(hidden, out=hidden)
+        np.subtract(1.0, hidden, out=hidden)
+        d_hidden *= hidden
+        np.matmul(x.T, d_hidden, out=gW1)
+        np.sum(d_hidden, axis=0, out=gb1)
+        return value
 
 
 class _Adam:
-    def __init__(self, shapes, lr):
+    """Adam over one flat parameter vector, both bias corrections folded
+    into the step and epsilon scalars (TrainConfig states the update)."""
+
+    def __init__(self, size: int, lr: float):
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
-        self.scratch = [(np.empty(s), np.empty(s)) for s in shapes]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._a = np.empty(size)
+        self._b = np.empty(size)
 
-    def step(self, params, grads):
-        """Update the moments and params in place, without temporaries."""
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """Update the moments and theta in place, without temporaries."""
         b1, b2, eps = 0.9, 0.999, 1e-8
         self.t += 1
-        for p, g, m, v, (mhat, vhat) in zip(params, grads, self.m, self.v, self.scratch):
-            m *= b1
-            m += np.multiply(1 - b1, g, out=mhat)
-            v *= b2
-            v += np.multiply(1 - b2, np.multiply(g, g, out=vhat), out=vhat)
-            np.divide(m, 1 - b1**self.t, out=mhat)
-            np.divide(v, 1 - b2**self.t, out=vhat)
-            mhat *= self.lr
-            np.sqrt(vhat, out=vhat)
-            vhat += eps
-            mhat /= vhat
-            p -= mhat
+        m, v, a, b = self.m, self.v, self._a, self._b
+        m *= b1
+        m += np.multiply(1 - b1, grad, out=a)
+        v *= b2
+        v += np.multiply(1 - b2, np.multiply(grad, grad, out=b), out=b)
+        root = np.sqrt(1 - b2**self.t)
+        np.sqrt(v, out=b)
+        b += eps * root
+        np.multiply(m, self.lr * root / (1 - b1**self.t), out=a)
+        a /= b
+        theta -= a
 
 
-def _descend(skeleton: Mlp, ds: Dataset, config: TrainConfig) -> tuple[Mlp, np.ndarray]:
-    """The trained network and the per-epoch loss history of train_gd."""
+def _descend(skeleton: Mlp, ds: Dataset, config: TrainConfig,
+             on_epoch=None) -> tuple[Mlp, np.ndarray]:
+    """The trained network and the per-epoch loss history of train_gd.
+
+    on_epoch(k, net), when given, sees the network after each epoch k =
+    1, 2, ... that passed the divergence check; net is a view of the live
+    parameters, which the next step overwrites.
+    """
     if not isinstance(skeleton, Mlp):
         raise ValueError("train_gd trains two-layer MLPs")
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-    params = [skeleton.W1.copy(), skeleton.b1.copy(), skeleton.W2.copy(), skeleton.b2.copy()]
-    adam = _Adam([p.shape for p in params], config.lr) if config.optimizer == "minibatch-gd" else None
     P = ds.P
-    step = P if adam is None else config.batch_size
+    minibatch = config.optimizer == "minibatch-gd"
+    step = min(config.batch_size, P) if minibatch else P
+    backprop = _Backprop(skeleton, step, config.loss)
+    theta, grad = backprop.theta, backprop.grad
+    adam = _Adam(theta.size, config.lr) if minibatch else None
     history = np.zeros(config.epochs)
     initial_loss = None
     for epoch in range(config.epochs):
-        order = np.arange(P) if adam is None else rng.permutation(P)
+        order = rng.permutation(P) if minibatch else np.arange(P)
         for start in range(0, P, step):
             rows = order[start:start + step]
-            value, grads = _mlp_loss_and_grads(Mlp(*params), ds.X[rows], ds.y[rows],
-                                               config.loss)
+            value = backprop(ds.X[rows], ds.y[rows])
             if adam is None:
-                params[:] = [p - config.lr * g for p, g in zip(params, grads)]
+                theta -= config.lr * grad
             else:
-                adam.step(params, grads)
+                adam.step(theta, grad)
             history[epoch] += value * rows.size / P
         if initial_loss is None:
             initial_loss = abs(value) + 1e-12
         if not np.isfinite(value) or abs(value) > 1e3 * initial_loss:
             raise RuntimeError(
                 f"training diverged at epoch {epoch} (loss {float(value)!r}); lower the learning rate")
-    return Mlp(*params), history
+        if on_epoch is not None:
+            on_epoch(epoch + 1, backprop.net)
+    return _copy_mlp(backprop.net), history
 
 
 def train_gd(skeleton: Mlp, ds: Dataset, config: TrainConfig,
@@ -472,6 +537,11 @@ def train_gd(skeleton: Mlp, ds: Dataset, config: TrainConfig,
     mean loss of epoch k's steps, each step weighted by its rows and taken
     before its update; the converged flag records whether the last epoch's
     loss sits within 1e-6 of its minimum over the last 10% of epochs.
+    Training runs on a flat copy of the skeleton's parameters with
+    gradient and batch buffers allocated once, so an Adam step allocates
+    no array of batch x width or parameter size; the returned network
+    owns its arrays. A loss that is not finite, or above 1e3 times the
+    first epoch's, raises RuntimeError naming the epoch.
     """
     model, history = _descend(skeleton, ds, config)
     train_err = float(np.mean(predict_labels(model, ds.X) != ds.y))
@@ -488,21 +558,52 @@ def train_gd(skeleton: Mlp, ds: Dataset, config: TrainConfig,
     )
 
 
+def _pretrain(skeleton: Mlp, ds: Dataset, grid, config: TrainConfig) -> tuple[dict, str | None]:
+    """The corrupt-label pretraining trajectory of the adversarial protocol.
+
+    Trains on fully corrupted labels (flip_labels at seed config.seed +
+    1000, which also draws the batches) for max(grid) epochs and returns
+    ({k: the network after k epochs} for each k > 0 in grid, None). Training
+    is deterministic and its divergence check anchored at epoch 0, so the
+    network after k epochs equals that of a k-epoch run bit for bit. When
+    the trajectory diverges at epoch e the dict holds only the k <= e, and
+    the second item is the message that a run of any longer k raises.
+    """
+    snaps = {}
+
+    def keep(epochs, net):
+        if epochs in grid:
+            snaps[epochs] = _copy_mlp(net)
+
+    corrupted = flip_labels(ds, 1.0, seed=config.seed + 1000)
+    try:
+        _descend(skeleton, corrupted,
+                 replace(config, epochs=max(grid), seed=config.seed + 1000), keep)
+    except RuntimeError as exc:
+        return snaps, str(exc)
+    return snaps, None
+
+
 def adversarial_init_protocol(skeleton: Mlp, ds: Dataset, pretrain_epochs: int,
                               config: TrainConfig,
                               test_ds: Dataset | None = None) -> TrainedModel:
     """Memorize fully corrupted labels for pretrain_epochs, then train on
-    the clean ones for config.epochs.
+    the clean ones for config.epochs through train_gd.
 
     With pretrain_epochs = 0 this reproduces plain train_gd bit for bit:
     the corrupt phase draws from its own substream, so skipping it leaves
-    the main phase's randomness untouched.
+    the main phase's randomness untouched. The corrupt phase is the
+    trajectory that the adversarial-init experiment shares between the
+    grid points of one repetition. pretrain_epochs must be >= 0.
     """
+    if pretrain_epochs < 0:
+        raise ValueError(f"pretrain_epochs must be >= 0, got {pretrain_epochs!r}")
     start = skeleton
     if pretrain_epochs > 0:
-        corrupted = flip_labels(ds, 1.0, seed=config.seed + 1000)
-        start, _ = _descend(start, corrupted,
-                            replace(config, epochs=pretrain_epochs, seed=config.seed + 1000))
+        snaps, diverged = _pretrain(skeleton, ds, (pretrain_epochs,), config)
+        if diverged is not None:
+            raise RuntimeError(diverged)
+        start = snaps[pretrain_epochs]
     return train_gd(start, ds, config, test_ds)
 
 
@@ -531,12 +632,13 @@ def robustness_flip_count(predict, ds: Dataset, seed: int,
     if max_points is not None and correct.size > max_points:
         correct = rng.choice(correct, size=max_points, replace=False)
     D = ds.D
+    steps = np.arange(D)
+    rank = np.empty(D, dtype=int)
     counts = np.empty(correct.size, dtype=int)
     for out_idx, row in enumerate(correct):
-        order = rng.permutation(D)
-        x = np.tile(ds.X[row], (D, 1))
-        for k, coord in enumerate(order):  # cumulative flips along the walk
-            x[k:, coord] = -x[k:, coord]
+        rank[rng.permutation(D)] = steps  # each coordinate's position in the walk
+        # row k of the walk has the first k + 1 coordinates of the order negated
+        x = np.where(steps[:, None] >= rank, -ds.X[row], ds.X[row])
         flipped_labels = predict(x)
         moved = np.flatnonzero(flipped_labels != labels[row])
         counts[out_idx] = moved[0] + 1 if moved.size else D
@@ -544,9 +646,14 @@ def robustness_flip_count(predict, ds: Dataset, seed: int,
 
 
 def multiclass_bmd(net: Mlp, sampler: InputSampler, n_samples: int, seed: int) -> float:
-    """Mean of the per-class mean dimensions of the log-softmax outputs."""
+    """Mean of the per-class mean dimensions of the log-softmax outputs.
+
+    NaN when any class's mean dimension is undefined (its output does not
+    vary, say a network with constant outputs), as a scalar head's
+    undefined md reads NaN in a sweep.
+    """
     score = LinearFirstLayer(net.W1, net.b1,
-                             lambda h: _log_softmax(_logits(net, h)))
-    profiles = estimate_md_multioutput(score, net.n_out, sampler, n_samples, seed)
-    return float(np.mean([p.md for p in profiles]))
+                             lambda h: _log_softmax(_logits(net, np.tanh(h))))
+    mds = [p.md for p in estimate_md_multioutput(score, net.n_out, sampler, n_samples, seed)]
+    return np.nan if None in mds else float(np.mean(mds))
 

@@ -189,3 +189,22 @@ def test_jobs_free_at_one_blas_thread(tmp_path):
 """, tmp_path, env={"OPENBLAS_NUM_THREADS": "1"},
               config="kind = double-descent-rfm\ndim = 100\nn_train = 300\n"
                      "widths = 30 100 300 600 1200\nreps = 2\nlabel_noise_fraction = 0.1")
+
+
+def test_adversarial_init_jobs_free_at_one_blas_thread(tmp_path):
+    """The cells of one repetition share its pretraining trajectory, which
+    whichever of them comes first runs; at one OpenBLAS thread every file
+    holds the same bytes at --jobs 1 and 2."""
+    run_fresh("""
+        from meandim import experiments
+
+        outs = []
+        for jobs in (2, 1):
+            cfg = experiments.parse_experiment_config(config)
+            paths = experiments.run_experiment(cfg, out_dir=f"jobs{jobs}", jobs=jobs)
+            outs.append([open(path, "rb").read() for path in paths])
+        assert outs[0] == outs[1]
+    """, tmp_path, env={"OPENBLAS_NUM_THREADS": "1"},
+              config="kind = adversarial-init\ndim = 6\nn_train = 40\nn_test = 40\n"
+                     "width = 8\nn_classes = 3\npretrain_grid = 0 2 3 5\nepochs = 2\n"
+                     "md_samples = 150\nreps = 3")

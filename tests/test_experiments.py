@@ -3,9 +3,11 @@
 import os
 import re
 import signal
+import sys
 import threading
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,13 +25,16 @@ from meandim.experiments import (
     run_experiment,
     summarize_peaks,
 )
+from meandim import experiments
 from meandim.experiments import (_KINDS, _mean, _minmax_dataset, _openblas_thread_controls,
-                                 _pearson, _run_cells, _spearman, _std, _sweep_lines)
+                                 _pearson, _Pretraining, _run_cells, _spearman, _std,
+                                 _sweep_lines)
 from meandim.heatmap_svg import CELL_PX, svg_lines
 from meandim.replica import CURVE_HEADER
 from meandim.rfm import Activation, load_rfm, random_rfm, save_rfm
 from meandim.textio import write_text
-from meandim.trainer import Dataset
+from meandim.trainer import (Dataset, TeacherTask, TrainConfig, adversarial_init_protocol,
+                             gen_multiclass_task, gen_teacher_student, init_mlp)
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -470,6 +475,69 @@ def test_run_double_descent_mlp_binary(tmp_path):
     assert len(lines) == 3
     vals = [float(v) for v in lines[1].split(",")[1:]]
     assert all(np.isfinite(vals))
+
+
+def test_pretraining_cells_past_a_divergence_fail_as_their_own_runs():
+    """A trajectory that diverges at epoch 6 still serves the cells at 3
+    and 6 epochs; the cells at 7 and 10 raise the error of their own runs."""
+    net = init_mlp(6, 5, 1, seed=17)
+    ds, _ = gen_teacher_student(6, 30, 10, TeacherTask.random(6, seed=18), seed=19)
+    cfg = TrainConfig(lr=2.0, epochs=1)
+    shared = _Pretraining((0, 3, 6, 7, 10))
+    assert shared.take(0, net, ds, cfg) is net
+    for k in (10, 3, 7, 6):  # the first cell to arrive runs past the divergence
+        if k <= 6:
+            start = shared.take(k, net, ds, cfg)
+            alone = adversarial_init_protocol(net, ds, k, replace(cfg, epochs=0))
+            assert np.array_equal(start.W1, alone.model.W1)
+            assert np.array_equal(start.b2, alone.model.b2)
+            continue
+        with pytest.raises(RuntimeError) as shared_exc:
+            shared.take(k, net, ds, cfg)
+        with pytest.raises(RuntimeError) as alone_exc:
+            adversarial_init_protocol(net, ds, k, cfg)
+        assert str(shared_exc.value) == str(alone_exc.value)
+        assert str(alone_exc.value).startswith("training diverged at epoch 6 ")
+
+
+def test_pretraining_runs_once_under_contending_threads(monkeypatch):
+    """Eight threads, more than the cores, take the grid points of one rep
+    at once under a short switch interval: the trajectory runs once and
+    each thread gets its own epoch's network."""
+    calls = []
+    real = experiments._pretrain
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "_pretrain", counted)
+    ds, _ = gen_multiclass_task(4, 20, 5, 3, seed=1)
+    net = init_mlp(4, 6, 3, seed=2)
+    cfg = TrainConfig(loss="ce", optimizer="minibatch-gd", batch_size=8, lr=1e-2,
+                      epochs=1, seed=3)
+    grid = tuple(range(8))
+    shared = _Pretraining(grid)
+    got = {}
+
+    def take(k):
+        got[k] = shared.take(k, net, ds, cfg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=take, args=(k,)) for k in grid]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1 and sorted(got) == list(grid)
+    for k in grid:
+        alone = adversarial_init_protocol(net, ds, k, replace(cfg, epochs=0))
+        assert np.array_equal(got[k].W1, alone.model.W1)
 
 
 def test_run_adversarial_init_tiny(tmp_path):

@@ -25,6 +25,7 @@ from meandim.trainer import (
     train_gd,
     train_rfm_ridge,
 )
+from meandim.trainer import _Adam, _Backprop, _descend, _pretrain
 
 TANH = Activation.tanh()
 TANH_KAPPAS = compute_kappas(TANH)
@@ -32,6 +33,12 @@ TANH_KAPPAS = compute_kappas(TANH)
 
 def make_model(D, N, seed):
     return random_rfm(D, N, TANH, seed, kappas=TANH_KAPPAS)
+
+
+def loss_and_grads(net, X, y, loss):
+    """The training step's loss and (gW1, gb1, gW2, gb2) on all of (X, y)."""
+    step = _Backprop(net, X.shape[0], loss)
+    return step(X, y), step.grads
 
 
 class TestTeacher:
@@ -300,13 +307,12 @@ class TestGradientDescent:
         assert np.array_equal(a.history, b.history)
 
     def test_history_has_one_entry_per_epoch(self):
-        from meandim.trainer import _mlp_loss_and_grads
         net = init_mlp(D=6, width=5, n_out=1, seed=13)
         ds, _ = gen_teacher_student(6, 30, 10, TeacherTask.random(6, seed=14), seed=15)
         full = train_gd(net, ds, TrainConfig(lr=0.05, epochs=40))
         assert full.history.shape == (40,)
         # a full-batch epoch is one step, so its entry is the loss before it
-        start, _ = _mlp_loss_and_grads(net, ds.X, ds.y, "mse")
+        start, _ = loss_and_grads(net, ds.X, ds.y, "mse")
         assert full.history[0] == pytest.approx(start, rel=1e-12)
         assert full.history[-1] < full.history[0]
         mini = train_gd(net, ds, TrainConfig(optimizer="minibatch-gd", batch_size=7,
@@ -325,6 +331,70 @@ class TestGradientDescent:
         with pytest.raises(ValueError, match="loss"):
             TrainConfig(loss="hinge")
 
+    def test_batch_size_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+            TrainConfig(optimizer="minibatch-gd", batch_size=0)
+
+    def test_negative_epochs_are_refused(self):
+        with pytest.raises(ValueError, match="epochs must be >= 0, got -1"):
+            TrainConfig(epochs=-1)
+
+    @pytest.mark.parametrize("lr", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_lr_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="lr must be finite and > 0"):
+            TrainConfig(lr=lr)
+
+    def test_training_leaves_the_skeleton_alone_and_returns_owned_arrays(self):
+        net = init_mlp(D=6, width=5, n_out=3, seed=20)
+        before = [a.copy() for a in (net.W1, net.b1, net.W2, net.b2)]
+        ds, _ = gen_multiclass_task(6, 30, 10, 3, seed=21)
+        out = train_gd(net, ds, TrainConfig(loss="ce", optimizer="minibatch-gd",
+                                            batch_size=7, lr=1e-2, epochs=3, seed=22))
+        after = (net.W1, net.b1, net.W2, net.b2)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        trained = (out.model.W1, out.model.b1, out.model.W2, out.model.b2)
+        assert all(a.base is None for a in trained)
+
+
+class TestAdam:
+    def test_folded_update_matches_the_textbook_formula(self):
+        """Kingma & Ba's Algorithm 1, written out, over 200 steps."""
+        rng = np.random.default_rng(30)
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        size = 500
+        theta = rng.standard_normal(size)
+        ref = theta.copy()
+        m, v = np.zeros(size), np.zeros(size)
+        adam = _Adam(size, lr)
+        for t in range(1, 201):
+            # gradients spanning many scales, some near epsilon
+            g = rng.standard_normal(size) * 10.0 ** rng.uniform(-9, 2, size)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g**2
+            m_hat = m / (1 - b1**t)
+            v_hat = v / (1 - b2**t)
+            ref = ref - lr * m_hat / (np.sqrt(v_hat) + eps)
+            adam.step(theta, g)
+            assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)
+        assert np.max(np.abs(theta - ref) / np.abs(ref)) < 1e-12
+
+
+class TestBackprop:
+    def test_short_batch_reuses_the_buffers(self):
+        """A batch shorter than the buffers gives the gradient of its own rows."""
+        rng = np.random.default_rng(31)
+        X = rng.standard_normal((20, 4))
+        y = rng.integers(0, 3, 20).astype(float)
+        net = init_mlp(D=4, width=6, n_out=3, seed=32)
+        step = _Backprop(net, 8, "ce")
+        rows = np.array([3, 17, 5])
+        other = rng.permutation(20)[:8]
+        step(X[other], y[other])  # fill the buffers with another batch
+        value = step(X[rows], y[rows])
+        alone, grads = loss_and_grads(net, X[rows], y[rows], "ce")
+        assert value == alone
+        assert all(np.array_equal(a, b) for a, b in zip(step.grads, grads))
+
 
 class TestMlp:
     def test_init_shapes_and_zero_biases(self):
@@ -337,23 +407,22 @@ class TestMlp:
         assert forward_mlp(net, np.ones((5, 4))).shape == (5,)
 
     def test_gradients_match_finite_differences(self):
-        from meandim.trainer import _mlp_loss_and_grads
         rng = np.random.default_rng(2)
         X = rng.standard_normal((6, 3))
         spins = np.where(rng.standard_normal(6) > 0, 1.0, -1.0)
         classes = rng.integers(0, 3, 6).astype(float)
         for n_out, loss, y in ((3, "ce", classes), (1, "ce", spins), (1, "mse", spins)):
             net = init_mlp(D=3, width=4, n_out=n_out, seed=3)
-            value, grads = _mlp_loss_and_grads(net, X, y, loss)
+            value, grads = loss_and_grads(net, X, y, loss)
             eps = 1e-6
             for name, grad in zip(("W1", "b1", "W2", "b2"), grads):
                 arr = getattr(net, name)
                 idx = tuple(0 for _ in arr.shape)
                 bumped = arr.copy()
                 bumped[idx] += eps
-                plus, _ = _mlp_loss_and_grads(Mlp(**{**net.__dict__, name: bumped}), X, y, loss)
+                plus, _ = loss_and_grads(Mlp(**{**net.__dict__, name: bumped}), X, y, loss)
                 bumped[idx] -= 2 * eps
-                minus, _ = _mlp_loss_and_grads(Mlp(**{**net.__dict__, name: bumped}), X, y, loss)
+                minus, _ = loss_and_grads(Mlp(**{**net.__dict__, name: bumped}), X, y, loss)
                 assert abs((plus - minus) / (2 * eps) - grad[idx]) < 1e-6, (n_out, loss, name)
 
     def test_multiclass_training_learns(self):
@@ -370,6 +439,11 @@ class TestMlp:
         net = init_mlp(D=8, width=10, n_out=3, seed=7)
         md = multiclass_bmd(net, InputSampler.binary(8), n_samples=500, seed=8)
         assert md > 0
+
+    def test_multiclass_bmd_of_constant_outputs_is_nan(self):
+        net = init_mlp(6, 5, 3, seed=0)
+        net.W2[:] = 0
+        assert np.isnan(multiclass_bmd(net, InputSampler.binary(6), n_samples=200, seed=1))
 
 
 class TestAdversarialInit:
@@ -409,6 +483,43 @@ class TestAdversarialInit:
         with pytest.raises(ValueError, match="MLP"):
             adversarial_init_protocol(model, ds, 10, TrainConfig())
 
+    def test_negative_pretrain_epochs_are_refused(self):
+        ds, net = self.setup_problem()
+        with pytest.raises(ValueError, match="pretrain_epochs must be >= 0, got -3"):
+            adversarial_init_protocol(net, ds, -3, TrainConfig())
+
+    def test_one_trajectory_gives_each_grid_point(self):
+        """Snapshots of one run to max(grid) start the same main phase as
+        separate protocol runs, bit for bit."""
+        ds, _ = gen_multiclass_task(5, 60, 10, 3, seed=14)
+        net = init_mlp(D=5, width=16, n_out=3, seed=15)
+        cfg = TrainConfig(loss="ce", optimizer="minibatch-gd", batch_size=16,
+                          lr=5e-3, epochs=4, seed=16)
+        grid = (2, 5, 10)
+        snaps, diverged = _pretrain(net, ds, grid, cfg)
+        assert diverged is None and sorted(snaps) == list(grid)
+        for k in grid:
+            shared = train_gd(snaps[k], ds, cfg)
+            alone = adversarial_init_protocol(net, ds, k, cfg)
+            for name in ("W1", "b1", "W2", "b2"):
+                assert np.array_equal(getattr(shared.model, name), getattr(alone.model, name))
+            assert np.array_equal(shared.history, alone.history)
+
+    def test_diverged_trajectory_keeps_the_epochs_before_it(self):
+        net = init_mlp(D=6, width=5, n_out=1, seed=17)
+        ds, _ = gen_teacher_student(6, 30, 10, TeacherTask.random(6, seed=18), seed=19)
+        cfg = TrainConfig(lr=2.0, epochs=1)  # the corrupt phase diverges at epoch 6
+        snaps, diverged = _pretrain(net, ds, (3, 6, 7, 10), cfg)
+        assert sorted(snaps) == [3, 6]
+        assert diverged.startswith("training diverged at epoch 6 (loss ")
+        corrupted = flip_labels(ds, 1.0, seed=cfg.seed + 1000)
+        six, _ = _descend(net, corrupted, replace(cfg, epochs=6, seed=cfg.seed + 1000))
+        assert np.array_equal(snaps[6].W1, six.W1) and np.array_equal(snaps[6].b2, six.b2)
+        for k in (7, 10):
+            with pytest.raises(RuntimeError) as exc:
+                adversarial_init_protocol(net, ds, k, cfg)
+            assert str(exc.value) == diverged
+
 
 class TestRobustness:
     def test_dictator_expected_count(self):
@@ -430,6 +541,26 @@ class TestRobustness:
         ds = Dataset(X=X, y=np.ones(40))
         res = robustness_flip_count(lambda x: np.ones(x.shape[0]), ds, seed=17)
         assert res.mean == 6.0 and np.all(res.counts == 6) and res.n_evaluated == 40
+
+    def test_walk_blocks_match_the_cumulative_flip_loop(self):
+        """Each walk block equals the one built by negating the permuted
+        coordinates one at a time, the reference loop."""
+        D, P = 9, 12
+        X = np.where(np.random.default_rng(24).standard_normal((P, D)) > 0, 1.0, -1.0)
+        blocks = []
+
+        def predict(x):
+            blocks.append(x.copy())
+            return np.ones(x.shape[0])
+
+        robustness_flip_count(predict, Dataset(X=X, y=np.ones(P)), seed=25)
+        walk_rng = np.random.default_rng(np.random.SeedSequence([25, 31]))
+        assert len(blocks) == P + 1  # the labels of X, then one walk per point
+        for row, block in enumerate(blocks[1:]):
+            ref = np.tile(X[row], (D, 1))
+            for k, coord in enumerate(walk_rng.permutation(D)):
+                ref[k:, coord] = -ref[k:, coord]
+            assert np.array_equal(block, ref)
 
     def test_no_correct_points_is_undefined(self):
         ds = Dataset(X=np.ones((5, 3)), y=np.full(5, -1.0))
