@@ -15,6 +15,10 @@ The sweep kinds are presets of one engine. A cell trains and measures one
 model at one grid point and repetition: `_rfm_cell` fits a random feature
 model by closed-form ridge and is keyed by the swept field and the MD
 method; `_mlp_cell` trains a two-layer network by gradient descent.
+A cell's data depend only on its repetition unless the swept field
+changes them (trainset-size-sweep's n_train), so a rep's cells share its
+train and test sets: `_shared_sets` draws them once per rep and run,
+read-only, before the cells start.
 `_run_cells` runs a cell over the grid x repetition lattice, in a pool of
 jobs threads with each OpenBLAS capped at cores // jobs threads, and
 `_sweep` returns the means as CSV lines, so a kind only picks the swept
@@ -506,25 +510,63 @@ def _minmax_dataset(ds, lo: float, hi: float):
     return replace(ds, X=X)
 
 
-def _rfm_cell(p, act, kappas, seed, md, rescale=None, **fields):
-    """One (coordinate, rep) cell of an empirical ridge sweep.
+def _shared_sets(build, cfg: ExperimentConfig) -> list:
+    """Each repetition's (train, test) sets, drawn once by build(seed + rep)
+    and shared by the cells of that rep.
 
-    fields override the config params p for this cell: the swept value
-    (width, n_train or lam) and a kind's fixed input_kind and delta.
-    Teacher data, min-max rescaled onto rescale = (lo, hi) when given, get
-    label noise; the readout is fitted by closed-form ridge and its mean
-    dimension measured by md: "analytic" (the closed form), "flip"
-    (spin-flip Monte Carlo) or "samplers" (resampling under each law in
-    _SAMPLERS, reported as md_<law>).
+    Their arrays are made read-only, so a cell that writes into shared data
+    raises instead of changing the other cells' data. The list lives for one
+    runner call and holds every rep's sets at once: its memory is reps times
+    one rep's data, (n_train + n_test) x dim floats each. The draws run
+    before the cells start, so a failing draw raises as itself, not as a
+    CellError.
+    """
+    sets = [build(cfg.seed + rep) for rep in range(cfg.reps)]
+    for a in (arr for pair in sets for ds in pair for arr in (ds.X, ds.y, ds.y_clean)):
+        if a is not None:
+            a.flags.writeable = False
+    return sets
+
+
+def _cell_data(p, seed, *, multiclass=False, rescale=None, **fields):
+    """A cell's (train, test) sets, drawn from seed alone.
+
+    fields override the config params p: a swept n_train and a kind's fixed
+    input_kind and delta. A multiclass task labels by the nearest of
+    n_classes prototypes, otherwise a sign teacher labels. The inputs are
+    min-max rescaled onto rescale = (lo, hi) when given, and the train set
+    gets the config's label noise.
     """
     p = {**p, **fields}
-    task = TeacherTask.random(p["dim"], seed=seed, input_kind=p["input_kind"],
-                              delta=p["delta"])
-    train, test = gen_teacher_student(p["dim"], p["n_train"], p["n_test"], task,
-                                      seed=seed)
+    if multiclass:
+        train, test = gen_multiclass_task(p["dim"], p["n_train"], p["n_test"],
+                                          p["n_classes"], p["input_kind"], seed=seed)
+    else:
+        # the MLP kinds have no delta field
+        task = TeacherTask.random(p["dim"], seed=seed, input_kind=p["input_kind"],
+                                  delta=p.get("delta", _FIELDS["delta"][1]))
+        train, test = gen_teacher_student(p["dim"], p["n_train"], p["n_test"], task,
+                                          seed=seed)
     if rescale is not None:
         train, test = _minmax_dataset(train, *rescale), _minmax_dataset(test, *rescale)
-    train = flip_labels(train, p["label_noise_fraction"], seed=seed)
+    # adversarial-init has no label_noise_fraction field
+    noise = p.get("label_noise_fraction", _FIELDS["label_noise_fraction"][1])
+    return flip_labels(train, noise, seed=seed), test
+
+
+def _rfm_cell(p, act, kappas, seed, md, data, **fields):
+    """One (coordinate, rep) cell of an empirical ridge sweep.
+
+    data is the cell's (train, test) pair from _cell_data, shared with the
+    other cells of its rep unless the swept field changes it; fields
+    override the config params p (the swept width or lam). The readout is
+    fitted by closed-form ridge and its mean dimension measured by md:
+    "analytic" (the closed form), "flip" (spin-flip Monte Carlo) or
+    "samplers" (resampling under each law in _SAMPLERS, reported as
+    md_<law>).
+    """
+    p = {**p, **fields}
+    train, test = data
     model = random_rfm(p["dim"], p["width"], act, seed=seed, kappas=kappas)
     fit = train_rfm_ridge(model, train, p["lam"], test_ds=test)
     out = {"train_err": fit.train_error, "test_err": fit.test_error}
@@ -541,29 +583,20 @@ def _rfm_cell(p, act, kappas, seed, md, rescale=None, **fields):
     return out
 
 
-def _mlp_cell(p, width, seed, multiclass, start=None, flips=False):
+def _mlp_cell(p, width, seed, multiclass, data, start=None, flips=False):
     """One (coordinate, rep) cell of a two-layer tanh network sweep.
 
+    data is the rep's (train, test) pair from _cell_data, shared by its cells.
     A multiclass task trains n_classes logits; otherwise a scalar margin
-    head learns a sign teacher. The training labels get the config's label
-    noise. train_gd starts from the initial network, or from
-    start(network, train set, config) when given: the adversarial
+    head learns a sign teacher. train_gd starts from the initial network,
+    or from start(network, train set, config) when given: the adversarial
     protocol's pretrained network. flips adds the mean flip count on the
     test set.
     """
     dim = p["dim"]
-    if multiclass:
-        train, test = gen_multiclass_task(dim, p["n_train"], p["n_test"],
-                                          p["n_classes"], p["input_kind"], seed=seed)
-        n_out, loss = p["n_classes"], "ce"
-    else:
-        task = TeacherTask.random(dim, seed=seed, input_kind=p["input_kind"])
-        train, test = gen_teacher_student(dim, p["n_train"], p["n_test"], task,
-                                          seed=seed)
-        n_out, loss = 1, p["loss"]
-    # adversarial-init has neither field and robustness-sweep no optimizer
-    noise = p.get("label_noise_fraction", _FIELDS["label_noise_fraction"][1])
-    train = flip_labels(train, noise, seed=seed)
+    train, test = data
+    n_out, loss = (p["n_classes"], "ce") if multiclass else (1, p["loss"])
+    # robustness-sweep and adversarial-init have no optimizer field
     config = TrainConfig(loss=loss, optimizer=p.get("optimizer", _FIELDS["optimizer"][1]),
                          batch_size=p["batch_size"], lr=p["lr"], epochs=p["epochs"],
                          seed=seed)
@@ -605,9 +638,16 @@ def _run_rfm_sweep(cfg: ExperimentConfig) -> tuple:
     axis = "width" if cfg.kind == "double-descent-rfm" else "n_train"
     coords = p[axis + "s"]
     act, kappas = _kappas(p)
+    if axis == "width":
+        sets = _shared_sets(functools.partial(_cell_data, p), cfg)
+        data = lambda i, rep: sets[rep]
+    else:
+        # the swept n_train changes the data, so each cell draws its own
+        data = lambda i, rep: _cell_data(p, cfg.seed + rep, n_train=coords[i])
 
     def cell(i, rep):
-        return _rfm_cell(p, act, kappas, cfg.seed + rep, "analytic", **{axis: coords[i]})
+        return _rfm_cell(p, act, kappas, cfg.seed + rep, "analytic", data(i, rep),
+                         **{axis: coords[i]})
 
     lines, curves = _sweep(cfg, cell, coords, coordinate=axis)
     return {f"{cfg.kind}.csv": lines}, summarize_peaks(axis, coords, curves)
@@ -618,9 +658,11 @@ def _run_mlp_sweep(cfg: ExperimentConfig) -> tuple:
     p = cfg.params
     robust = cfg.kind == "robustness-sweep"
     multiclass = robust or p["n_classes"] > 2
+    sets = _shared_sets(functools.partial(_cell_data, p, multiclass=multiclass), cfg)
 
     def cell(i, rep):
-        return _mlp_cell(p, p["widths"][i], cfg.seed + rep, multiclass, flips=robust)
+        return _mlp_cell(p, p["widths"][i], cfg.seed + rep, multiclass, sets[rep],
+                         flips=robust)
 
     metrics = _ERR_BMD + (("flip_count",) if robust else ())
     lines, curves = _sweep(cfg, cell, p["widths"], metrics)
@@ -669,11 +711,12 @@ def _run_regularization_sweep(cfg: ExperimentConfig) -> tuple:
         peak_lines += [f"theory lam={lam:g}: {line}" for line in failed]
     if p["empirical"]:
         widths = p["widths"]
+        # delta enters the theory only; the empirical teacher is noiseless
+        sets = _shared_sets(functools.partial(_cell_data, p, delta=0.0), cfg)
         for lam in p["lams"]:
-            # delta enters the theory only; the empirical teacher is noiseless
             def cell(i, rep, _lam=lam):
-                return _rfm_cell(p, act, kappas, cfg.seed + rep, "analytic",
-                                 width=widths[i], lam=_lam, delta=0.0)
+                return _rfm_cell(p, act, kappas, cfg.seed + rep, "analytic", sets[rep],
+                                 width=widths[i], lam=_lam)
 
             files[f"empirical_lam_{_lam_tag(lam)}.csv"], curves = _sweep(cfg, cell, widths)
             peak_lines.append(
@@ -723,12 +766,13 @@ def _run_adversarial_init(cfg: ExperimentConfig) -> tuple:
     p = cfg.params
     grid = p["pretrain_grid"]
     pretraining = [_Pretraining(grid) for _ in range(cfg.reps)]
+    # a multiclass task is essential here: with binary labels a 100%
+    # corrupted pretraining set is just the negated teacher, which is
+    # perfectly structured and leaves no adversarial imprint
+    sets = _shared_sets(functools.partial(_cell_data, p, multiclass=True), cfg)
 
     def cell(i, rep):
-        # a multiclass task is essential here: with binary labels a 100%
-        # corrupted pretraining set is just the negated teacher, which is
-        # perfectly structured and leaves no adversarial imprint
-        return _mlp_cell(p, p["width"], cfg.seed + rep, multiclass=True,
+        return _mlp_cell(p, p["width"], cfg.seed + rep, multiclass=True, data=sets[rep],
                          start=functools.partial(pretraining[rep].take, grid[i]))
 
     lines, curves = _sweep(cfg, cell, grid, coordinate="pretrain_epochs")
@@ -779,10 +823,11 @@ def _run_distribution_comparison(cfg: ExperimentConfig) -> tuple:
     p = cfg.params
     act, kappas = _kappas(p)
     widths = p["widths"]
+    sets = _shared_sets(functools.partial(_cell_data, p, input_kind="binary", delta=0.0), cfg)
 
     def cell(i, rep):
-        return _rfm_cell(p, act, kappas, cfg.seed + rep, "samplers",
-                         width=widths[i], input_kind="binary", delta=0.0)
+        return _rfm_cell(p, act, kappas, cfg.seed + rep, "samplers", sets[rep],
+                         width=widths[i])
 
     names = tuple(f"md_{law}" for law in _SAMPLERS)
     lines, curves = _sweep(cfg, cell, widths, ("test_err",) + names)
@@ -797,9 +842,13 @@ def _run_normalization_comparison(cfg: ExperimentConfig) -> tuple:
     files = {}
     extra = []
     for lo, hi in p["ranges"]:
-        def cell(i, rep, _range=(lo, hi)):
-            return _rfm_cell(p, act, kappas, cfg.seed + rep, "flip", rescale=_range,
-                             width=widths[i], input_kind="gaussian", delta=0.0)
+        # the rescaled data are shared by the widths of one range only
+        sets = _shared_sets(functools.partial(_cell_data, p, rescale=(lo, hi),
+                                              input_kind="gaussian", delta=0.0), cfg)
+
+        def cell(i, rep, _sets=sets):
+            return _rfm_cell(p, act, kappas, cfg.seed + rep, "flip", _sets[rep],
+                             width=widths[i])
 
         name = f"range_{_range_tag((lo, hi))}.csv"
         files[name], curves = _sweep(cfg, cell, widths, ("test_err", "bmd"))

@@ -82,15 +82,27 @@ class Activation:
     def leaky_relu(cls, leak: float = 0.0) -> "Activation":
         return cls(kind="leaky-relu", leak=float(leak))
 
-    def value(self, z: np.ndarray) -> np.ndarray:
+    def value(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """sigma(z). out, when given, receives the result and may be z
+        itself: the map then runs in place, allocates no second array and
+        equals value(z) bit for bit."""
         if self.kind == "tanh":
-            return np.tanh(z)
+            return np.tanh(z, out=out)
         if self.kind == "sign":
-            return np.sign(z)
+            return np.sign(z, out=out)
         if self.kind == "linear":
-            return np.asarray(z, dtype=float)
+            if out is None:
+                return np.asarray(z, dtype=float)
+            if out is not z:
+                out[...] = z
+            return out
         if self.kind == "leaky-relu":
-            return np.where(z > 0, z, self.leak * z)
+            if out is None:
+                return np.where(z > 0, z, self.leak * z)
+            negative = ~(z > 0)
+            if out is not z:
+                out[...] = z
+            return np.multiply(out, self.leak, out=out, where=negative)
         raise ValueError(f"unknown activation kind {self.kind!r}")
 
     def deriv(self, z: np.ndarray) -> np.ndarray:
@@ -245,10 +257,23 @@ def _readout(model: RfmModel, h: np.ndarray) -> np.ndarray:
     return model.activation.value(h) @ model.w / np.sqrt(model.N)
 
 
+def _features(model: RfmModel, X: np.ndarray) -> np.ndarray:
+    """Post-activation features sigma(X F / sqrt(D)) of the rows of X, shape
+    (P, N). The product X F is one whole-block matmul; the scale and the
+    activation then run in place on it, so the map holds one P x N array
+    and equals sigma((X @ F) / sqrt(D)) bit for bit."""
+    h = X @ model.F
+    h /= np.sqrt(model.D)
+    return model.activation.value(h, out=h)
+
+
 def forward(model: RfmModel, x: np.ndarray) -> np.ndarray | float:
-    """y_hat = w^T sigma(F^T x / sqrt(D)) / sqrt(N), batched over rows."""
+    """y_hat = w^T sigma(F^T x / sqrt(D)) / sqrt(N), batched over rows.
+
+    The features are computed in place (``_features``); x is not written.
+    """
     x = np.asarray(x, dtype=float)
-    out = _readout(model, np.atleast_2d(x) @ model.F / np.sqrt(model.D))
+    out = _features(model, np.atleast_2d(x)) @ model.w / np.sqrt(model.N)
     return float(out[0]) if x.ndim == 1 else out
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimator import InputSampler, LinearFirstLayer, estimate_md_multioutput
-from .rfm import RfmModel, forward, with_weights
+from .rfm import RfmModel, _features, forward, with_weights
 
 __all__ = [
     "Dataset",
@@ -228,8 +228,12 @@ class TrainedModel:
 # RFM training
 
 def design_matrix(model: RfmModel, X: np.ndarray) -> np.ndarray:
-    """Post-activation features sigma(X F / sqrt(D)), shape (P, N)."""
-    return model.activation.value(X @ model.F / np.sqrt(model.D))
+    """Post-activation features sigma(X F / sqrt(D)), shape (P, N).
+
+    The scale and the activation run in place on the fresh product X F,
+    so the map holds one P x N array; X is not written.
+    """
+    return _features(model, X)
 
 
 def train_rfm_ridge(model: RfmModel, ds: Dataset, lam: float,
@@ -256,8 +260,8 @@ def train_rfm_ridge(model: RfmModel, ds: Dataset, lam: float,
     objective, Xp^T (Xp w / N - y / sqrt(N)) + lam w, below 1e-8 even near
     interpolation; a larger final gradient raises RuntimeError.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and >= 0, got lam = {lam!r}")
     Xp = design_matrix(model, ds.X)
     N = model.N
     dual = lam > 0.0 and N > ds.P

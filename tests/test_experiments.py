@@ -27,8 +27,8 @@ from meandim.experiments import (
 )
 from meandim import experiments
 from meandim.experiments import (_KINDS, _mean, _minmax_dataset, _openblas_thread_controls,
-                                 _pearson, _Pretraining, _run_cells, _spearman, _std,
-                                 _sweep_lines)
+                                 _pearson, _Pretraining, _run_cells, _shared_sets, _spearman,
+                                 _std, _sweep_lines)
 from meandim.heatmap_svg import CELL_PX, svg_lines
 from meandim.replica import CURVE_HEADER
 from meandim.rfm import Activation, load_rfm, random_rfm, save_rfm
@@ -538,6 +538,57 @@ def test_pretraining_runs_once_under_contending_threads(monkeypatch):
     for k in grid:
         alone = adversarial_init_protocol(net, ds, k, replace(cfg, epochs=0))
         assert np.array_equal(got[k].W1, alone.model.W1)
+
+
+def test_shared_sets_draw_each_rep_once_and_read_only():
+    """Each rep's sets are drawn once, from seed + rep, and their arrays are
+    read-only: a cell that writes into shared data raises."""
+    built = []
+
+    def build(seed):
+        built.append(seed)
+        task = TeacherTask.random(4, seed=seed)
+        return gen_teacher_student(4, 10, 5, task, seed=seed)
+
+    cfg = replace(parse_experiment_config(TINY["double-descent-rfm"]), seed=10, reps=3)
+    sets = _shared_sets(build, cfg)
+    assert built == [10, 11, 12] and len(sets) == 3
+    for train, test in sets:
+        for a in (train.X, train.y, train.y_clean, test.X, test.y):
+            assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        sets[0][0].X[0, 0] = 1.0
+
+
+# data draws per repetition of each tiny sweep: one per run, except one per
+# range (normalization-comparison) and one per cell where the swept n_train
+# changes the data (trainset-size-sweep)
+_DRAWS_PER_REP = {"double-descent-rfm": 1, "double-descent-mlp": 1, "regularization-sweep": 1,
+                  "adversarial-init": 1, "robustness-sweep": 1, "distribution-comparison": 1,
+                  "normalization-comparison": 2, "trainset-size-sweep": 3}
+
+
+@pytest.mark.parametrize("kind", sorted(_DRAWS_PER_REP))
+def test_sweep_cells_of_a_rep_share_its_data(kind, monkeypatch, tmp_path):
+    """Counted at the generators the experiments module calls, at three
+    reps: a rep's data are drawn once, from its own seed, however many
+    cells use them, and at jobs 2, where two cells read the shared
+    read-only data at once, the files equal those of jobs 1."""
+    draws = []
+    for name in ("gen_teacher_student", "gen_multiclass_task"):
+        def counted(*args, _real=getattr(experiments, name), **kwargs):
+            draws.append(kwargs["seed"])
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, counted)
+    cfg = replace(parse_experiment_config(TINY[kind]), reps=3)
+    outs = []
+    for jobs in (1, 2):
+        draws.clear()
+        paths = run_experiment(cfg, out_dir=str(tmp_path / f"j{jobs}"), jobs=jobs)
+        assert sorted(draws) == sorted(cfg.seed + rep for rep in range(3)
+                                       for _ in range(_DRAWS_PER_REP[kind])), jobs
+        outs.append([(os.path.basename(p), read_bytes(p)) for p in paths])
+    assert outs[0] == outs[1]
 
 
 def test_run_adversarial_init_tiny(tmp_path):

@@ -138,6 +138,34 @@ class TestForward:
         batched = forward(model, xs)
         assert np.allclose(batched, [forward(model, x) for x in xs], atol=1e-14)
 
+    @pytest.mark.parametrize("act", [Activation.tanh(), Activation.sign(), Activation.linear(),
+                                     Activation.leaky_relu(0.2), Activation.leaky_relu(-0.5)],
+                             ids=lambda a: a.tag)
+    def test_in_place_features_equal_the_value_expression(self, act):
+        """forward scales and activates X F in place, bit-identical to the
+        expression through Activation.value, and leaves x alone; value
+        writes the same bits into a separate out."""
+        model = random_rfm(7, 11, act, seed=6, kappas=compute_kappas(Activation.tanh()))
+        xs = np.random.default_rng(7).standard_normal((13, 7))
+        xs[0] = 0.0
+        before = xs.copy()
+        def want(x):
+            return act.value(x @ model.F / np.sqrt(model.D)) @ model.w / np.sqrt(model.N)
+
+        assert forward(model, xs).tobytes() == want(xs).tobytes()
+        assert forward(model, xs[3]) == want(xs[3:4])[0]
+        assert np.array_equal(xs, before)
+        out = np.full_like(xs, np.inf)
+        assert act.value(xs, out=out) is out
+        assert out.tobytes() == act.value(xs).tobytes()
+        assert np.array_equal(xs, before)
+
+    def test_unknown_activation_kind_raises(self):
+        model = random_rfm(3, 4, Activation(kind="cubic"), seed=0,
+                           kappas=compute_kappas(Activation.tanh()))
+        with pytest.raises(ValueError, match="unknown activation kind 'cubic'"):
+            forward(model, np.ones(3))
+
     def test_score_fn_shape(self):
         model = random_rfm(5, 7, Activation.tanh(), seed=5)
         out = score_fn(model)(np.ones((3, 5)))

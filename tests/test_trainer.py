@@ -48,11 +48,13 @@ class TestTeacher:
         TeacherTask(w_T=np.ones(4))  # ||w||^2 = 4 = D
 
     def test_norm_constraint_is_relative_to_D(self):
-        # at D = 10^6 the rounding in w * sqrt(D) / ||w|| exceeds an absolute 1e-9
-        task = TeacherTask.random(10**6, seed=6)
-        assert abs(task.w_T @ task.w_T - 10**6) > 1e-9
+        # |w.w - D| is about 5e-4 under any summation order: above an
+        # absolute 1e-9, within 1e-9 D = 1e-3
+        w_T = np.full(10**6, np.sqrt(1 + 5e-10))
+        assert abs(w_T @ w_T - 10**6) > 1e-9
+        TeacherTask(w_T=w_T)
         with pytest.raises(ValueError, match="norm"):
-            TeacherTask(w_T=task.w_T * (1.0 + 1e-9))
+            TeacherTask(w_T=w_T * (1.0 + 1e-9))
         with pytest.raises(ValueError, match="norm"):
             TeacherTask(w_T=np.full(4, np.nan))
 
@@ -263,6 +265,26 @@ class TestRidge:
         with pytest.raises(RuntimeError, match="stationarity check failed"):
             train_rfm_ridge(model, ds, 1e-3)
         assert len(calls) == 5  # the solve and four refinement steps
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    def test_lam_must_be_finite_and_nonnegative(self, lam):
+        model = make_model(4, 3, seed=0)
+        ds, _ = gen_teacher_student(4, 6, 10, TeacherTask.random(4, seed=1), seed=2)
+        with pytest.raises(ValueError, match=f"lam must be finite and >= 0, got lam = {lam!r}"):
+            train_rfm_ridge(model, ds, lam)
+
+    @pytest.mark.parametrize("act", [Activation.tanh(), Activation.sign(), Activation.linear(),
+                                     Activation.leaky_relu(0.2), Activation.leaky_relu(-0.5)],
+                             ids=lambda a: a.tag)
+    def test_design_matrix_equals_the_value_expression_bit_for_bit(self, act):
+        model = random_rfm(7, 11, act, seed=3, kappas=compute_kappas(Activation.tanh()))
+        X = np.random.default_rng(4).standard_normal((13, 7))
+        X[0] = 0.0  # a zero row puts signed zeros through the activation
+        before = X.copy()
+        got = design_matrix(model, X)
+        want = act.value(X @ model.F / np.sqrt(model.D))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.array_equal(X, before)
 
     def test_underparameterized_linear_error_monotone_in_samples(self):
         ks = compute_kappas(Activation.linear())
