@@ -583,19 +583,20 @@ def _rfm_cell(p, act, kappas, seed, md, data, **fields):
     return out
 
 
-def _mlp_cell(p, width, seed, multiclass, data, start=None, flips=False):
+def _mlp_cell(p, width, seed, data, start=None, flips=False):
     """One (coordinate, rep) cell of a two-layer tanh network sweep.
 
     data is the rep's (train, test) pair from _cell_data, shared by its cells.
-    A multiclass task trains n_classes logits; otherwise a scalar margin
-    head learns a sign teacher. train_gd starts from the initial network,
-    or from start(network, train set, config) when given: the adversarial
-    protocol's pretrained network. flips adds the mean flip count on the
-    test set.
+    A multiclass train set (its n_classes is set) trains n_classes logits
+    with cross-entropy; otherwise a scalar margin head learns a sign
+    teacher. train_gd starts from the initial network, or from
+    start(network, train set, config) when given: the adversarial-init
+    pretrained network. flips adds the mean flip count on the test set.
     """
     dim = p["dim"]
     train, test = data
-    n_out, loss = (p["n_classes"], "ce") if multiclass else (1, p["loss"])
+    multiclass = train.n_classes is not None
+    n_out, loss = (train.n_classes, "ce") if multiclass else (1, p["loss"])
     # robustness-sweep and adversarial-init have no optimizer field
     config = TrainConfig(loss=loss, optimizer=p.get("optimizer", _FIELDS["optimizer"][1]),
                          batch_size=p["batch_size"], lr=p["lr"], epochs=p["epochs"],
@@ -661,8 +662,7 @@ def _run_mlp_sweep(cfg: ExperimentConfig) -> tuple:
     sets = _shared_sets(functools.partial(_cell_data, p, multiclass=multiclass), cfg)
 
     def cell(i, rep):
-        return _mlp_cell(p, p["widths"][i], cfg.seed + rep, multiclass, sets[rep],
-                         flips=robust)
+        return _mlp_cell(p, p["widths"][i], cfg.seed + rep, sets[rep], flips=robust)
 
     metrics = _ERR_BMD + (("flip_count",) if robust else ())
     lines, curves = _sweep(cfg, cell, p["widths"], metrics)
@@ -755,13 +755,17 @@ class _Pretraining:
 
 
 def _run_adversarial_init(cfg: ExperimentConfig) -> tuple:
-    """The adversarial protocol at each pretrain_epochs of the grid.
+    """Corrupt-label pretraining, then clean training, at each
+    pretrain_epochs k of the grid.
 
     Cells of one repetition share the data, the initial network and so the
     corrupt-label trajectory: it runs once per rep (_Pretraining), to the
     largest grid value, and each cell trains its main phase through
-    train_gd from the snapshot at its own value. The outputs equal those of
-    separate adversarial_init_protocol runs bit for bit.
+    train_gd from the snapshot at its own value. The outputs equal, bit for
+    bit, those of two separate runs per cell: train_gd(net,
+    flip_labels(train, 1.0, seed=config.seed + 1000), replace(config,
+    epochs=k, seed=config.seed + 1000)), then train_gd on the clean labels
+    from that model (k = 0 skips the first).
     """
     p = cfg.params
     grid = p["pretrain_grid"]
@@ -772,7 +776,7 @@ def _run_adversarial_init(cfg: ExperimentConfig) -> tuple:
     sets = _shared_sets(functools.partial(_cell_data, p, multiclass=True), cfg)
 
     def cell(i, rep):
-        return _mlp_cell(p, p["width"], cfg.seed + rep, multiclass=True, data=sets[rep],
+        return _mlp_cell(p, p["width"], cfg.seed + rep, sets[rep],
                          start=functools.partial(pretraining[rep].take, grid[i]))
 
     lines, curves = _sweep(cfg, cell, grid, coordinate="pretrain_epochs")

@@ -37,6 +37,7 @@ __all__ = [
     "compute_kappas",
     "random_rfm",
     "with_weights",
+    "design_matrix",
     "forward",
     "score_fn",
     "analytic_bmd",
@@ -60,11 +61,16 @@ class Activation:
     kinds: tanh, sign, linear, leaky-relu (slope 1 for z > 0, ``leak``
     below; leak 0 is the plain relu). ``deriv`` returns the almost-
     everywhere pointwise derivative; point masses (sign's 2*delta at 0)
-    are reported separately through ``deriv_atoms``.
+    are reported separately through ``deriv_atoms``. Any other kind
+    raises ValueError when the activation is built.
     """
 
     kind: str
     leak: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("tanh", "sign", "linear", "leaky-relu"):
+            raise ValueError(f"unknown activation kind {self.kind!r}")
 
     @classmethod
     def tanh(cls) -> "Activation":
@@ -96,14 +102,12 @@ class Activation:
             if out is not z:
                 out[...] = z
             return out
-        if self.kind == "leaky-relu":
-            if out is None:
-                return np.where(z > 0, z, self.leak * z)
-            negative = ~(z > 0)
-            if out is not z:
-                out[...] = z
-            return np.multiply(out, self.leak, out=out, where=negative)
-        raise ValueError(f"unknown activation kind {self.kind!r}")
+        if out is None:  # leaky-relu
+            return np.where(z > 0, z, self.leak * z)
+        negative = ~(z > 0)
+        if out is not z:
+            out[...] = z
+        return np.multiply(out, self.leak, out=out, where=negative)
 
     def deriv(self, z: np.ndarray) -> np.ndarray:
         if self.kind == "tanh":
@@ -112,9 +116,7 @@ class Activation:
             return np.zeros_like(z)
         if self.kind == "linear":
             return np.ones_like(z)
-        if self.kind == "leaky-relu":
-            return np.where(z > 0, 1.0, self.leak)
-        raise ValueError(f"unknown activation kind {self.kind!r}")
+        return np.where(z > 0, 1.0, self.leak)  # leaky-relu
 
     @property
     def deriv_atoms(self) -> tuple[tuple[float, float], ...]:
@@ -257,11 +259,11 @@ def _readout(model: RfmModel, h: np.ndarray) -> np.ndarray:
     return model.activation.value(h) @ model.w / np.sqrt(model.N)
 
 
-def _features(model: RfmModel, X: np.ndarray) -> np.ndarray:
+def design_matrix(model: RfmModel, X: np.ndarray) -> np.ndarray:
     """Post-activation features sigma(X F / sqrt(D)) of the rows of X, shape
     (P, N). The product X F is one whole-block matmul; the scale and the
-    activation then run in place on it, so the map holds one P x N array
-    and equals sigma((X @ F) / sqrt(D)) bit for bit."""
+    activation then run in place on it, so the map holds one P x N array,
+    equals sigma((X @ F) / sqrt(D)) bit for bit and leaves X unwritten."""
     h = X @ model.F
     h /= np.sqrt(model.D)
     return model.activation.value(h, out=h)
@@ -270,10 +272,10 @@ def _features(model: RfmModel, X: np.ndarray) -> np.ndarray:
 def forward(model: RfmModel, x: np.ndarray) -> np.ndarray | float:
     """y_hat = w^T sigma(F^T x / sqrt(D)) / sqrt(N), batched over rows.
 
-    The features are computed in place (``_features``); x is not written.
+    The features are computed in place (``design_matrix``); x is not written.
     """
     x = np.asarray(x, dtype=float)
-    out = _features(model, np.atleast_2d(x)) @ model.w / np.sqrt(model.N)
+    out = design_matrix(model, np.atleast_2d(x)) @ model.w / np.sqrt(model.N)
     return float(out[0]) if x.ndim == 1 else out
 
 

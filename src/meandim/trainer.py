@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimator import InputSampler, LinearFirstLayer, estimate_md_multioutput
-from .rfm import RfmModel, _features, forward, with_weights
+from .rfm import RfmModel, design_matrix, forward, with_weights
 
 __all__ = [
     "Dataset",
@@ -34,14 +34,12 @@ __all__ = [
     "gen_teacher_student",
     "gen_multiclass_task",
     "flip_labels",
-    "design_matrix",
     "train_rfm_ridge",
     "train_gd",
     "init_mlp",
     "forward_mlp",
     "mlp_score_fn",
     "predict_labels",
-    "adversarial_init_protocol",
     "robustness_flip_count",
     "multiclass_bmd",
 ]
@@ -226,15 +224,6 @@ class TrainedModel:
 
 # ---------------------------------------------------------------------------
 # RFM training
-
-def design_matrix(model: RfmModel, X: np.ndarray) -> np.ndarray:
-    """Post-activation features sigma(X F / sqrt(D)), shape (P, N).
-
-    The scale and the activation run in place on the fresh product X F,
-    so the map holds one P x N array; X is not written.
-    """
-    return _features(model, X)
-
 
 def train_rfm_ridge(model: RfmModel, ds: Dataset, lam: float,
                     test_ds: Dataset | None = None) -> TrainedModel:
@@ -563,15 +552,18 @@ def train_gd(skeleton: Mlp, ds: Dataset, config: TrainConfig,
 
 
 def _pretrain(skeleton: Mlp, ds: Dataset, grid, config: TrainConfig) -> tuple[dict, str | None]:
-    """The corrupt-label pretraining trajectory of the adversarial protocol.
+    """The corrupt-label pretraining trajectory of the adversarial-init
+    experiment.
 
     Trains on fully corrupted labels (flip_labels at seed config.seed +
     1000, which also draws the batches) for max(grid) epochs and returns
     ({k: the network after k epochs} for each k > 0 in grid, None). Training
     is deterministic and its divergence check anchored at epoch 0, so the
-    network after k epochs equals that of a k-epoch run bit for bit. When
-    the trajectory diverges at epoch e the dict holds only the k <= e, and
-    the second item is the message that a run of any longer k raises.
+    network after k epochs equals the model of the k-epoch run
+    train_gd(skeleton, corrupted, replace(config, epochs=k, seed=config.seed
+    + 1000)) bit for bit. When the trajectory diverges at epoch e the dict
+    holds only the k <= e, and the second item is the message that a run of
+    any longer k raises.
     """
     snaps = {}
 
@@ -586,29 +578,6 @@ def _pretrain(skeleton: Mlp, ds: Dataset, grid, config: TrainConfig) -> tuple[di
     except RuntimeError as exc:
         return snaps, str(exc)
     return snaps, None
-
-
-def adversarial_init_protocol(skeleton: Mlp, ds: Dataset, pretrain_epochs: int,
-                              config: TrainConfig,
-                              test_ds: Dataset | None = None) -> TrainedModel:
-    """Memorize fully corrupted labels for pretrain_epochs, then train on
-    the clean ones for config.epochs through train_gd.
-
-    With pretrain_epochs = 0 this reproduces plain train_gd bit for bit:
-    the corrupt phase draws from its own substream, so skipping it leaves
-    the main phase's randomness untouched. The corrupt phase is the
-    trajectory that the adversarial-init experiment shares between the
-    grid points of one repetition. pretrain_epochs must be >= 0.
-    """
-    if pretrain_epochs < 0:
-        raise ValueError(f"pretrain_epochs must be >= 0, got {pretrain_epochs!r}")
-    start = skeleton
-    if pretrain_epochs > 0:
-        snaps, diverged = _pretrain(skeleton, ds, (pretrain_epochs,), config)
-        if diverged is not None:
-            raise RuntimeError(diverged)
-        start = snaps[pretrain_epochs]
-    return train_gd(start, ds, config, test_ds)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,10 @@ directory named by relative paths so that no output holds a path:
   ridge-trained D = 12 and D = 1 checkpoint (each itself hashed) and a
   fixed data file of matching width;
 - `meandim theory` stdout and --out for mse and ce at lambda = 1e-4 and
-  mse at lambda = 0.
+  mse at lambda = 0;
+- criterion 13's saddle audit (``saddle_audit`` of test_acceptance.py):
+  the repr of each of its 50 solve_saddle solutions, and the repr of the
+  worst finite-difference gradient.
 
 A run that fails stops the oracle with its error. The file is not a test
 module; pytest does not collect it.
@@ -155,6 +158,15 @@ def _theory(hashes):
         hashes[f"{name}/out.csv"] = _file_sha(out)
 
 
+def _saddle_audit(hashes):
+    from test_acceptance import saddle_audit
+
+    solutions, worst = saddle_audit()
+    for i, sol in enumerate(solutions):
+        hashes[f"c13/solution{i:02d}"] = _sha(repr(sol).encode())
+    hashes["c13/worst-gradient"] = _sha(repr(worst).encode())
+
+
 def artifact_hashes(src) -> dict:
     """{artifact name: sha256} of every run above on the meandim in src."""
     _import_meandim(src)
@@ -163,7 +175,7 @@ def artifact_hashes(src) -> dict:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for runs in (_configs, _experiments, _md, _theory):
+            for runs in (_configs, _experiments, _md, _theory, _saddle_audit):
                 runs(hashes)
         finally:
             os.chdir(cwd)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_trainer import corrupt_run
 from tiny_configs import TINY
 
 from meandim import replica
@@ -33,8 +34,8 @@ from meandim.heatmap_svg import CELL_PX, svg_lines
 from meandim.replica import CURVE_HEADER
 from meandim.rfm import Activation, load_rfm, random_rfm, save_rfm
 from meandim.textio import write_text
-from meandim.trainer import (Dataset, TeacherTask, TrainConfig, adversarial_init_protocol,
-                             gen_multiclass_task, gen_teacher_student, init_mlp)
+from meandim.trainer import (Dataset, TeacherTask, TrainConfig, gen_multiclass_task,
+                             gen_teacher_student, init_mlp)
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -488,14 +489,14 @@ def test_pretraining_cells_past_a_divergence_fail_as_their_own_runs():
     for k in (10, 3, 7, 6):  # the first cell to arrive runs past the divergence
         if k <= 6:
             start = shared.take(k, net, ds, cfg)
-            alone = adversarial_init_protocol(net, ds, k, replace(cfg, epochs=0))
+            alone = corrupt_run(net, ds, k, cfg)
             assert np.array_equal(start.W1, alone.model.W1)
             assert np.array_equal(start.b2, alone.model.b2)
             continue
         with pytest.raises(RuntimeError) as shared_exc:
             shared.take(k, net, ds, cfg)
         with pytest.raises(RuntimeError) as alone_exc:
-            adversarial_init_protocol(net, ds, k, cfg)
+            corrupt_run(net, ds, k, cfg)
         assert str(shared_exc.value) == str(alone_exc.value)
         assert str(alone_exc.value).startswith("training diverged at epoch 6 ")
 
@@ -536,8 +537,7 @@ def test_pretraining_runs_once_under_contending_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(calls) == 1 and sorted(got) == list(grid)
     for k in grid:
-        alone = adversarial_init_protocol(net, ds, k, replace(cfg, epochs=0))
-        assert np.array_equal(got[k].W1, alone.model.W1)
+        assert np.array_equal(got[k].W1, corrupt_run(net, ds, k, cfg).model.W1)
 
 
 def test_shared_sets_draw_each_rep_once_and_read_only():
@@ -729,6 +729,7 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
         ("kind = trainset-size-sweep\ndim = 4\nwidth = 4\nn_trains = 20 10\n",
          "'n_trains': expected a strictly increasing"),
         (adv + "pretrain_grid = 0 5 5\n", "'pretrain_grid': expected a strictly increasing"),
+        (adv + "pretrain_grid = -3 0\n", "'pretrain_grid': expected a finite value >= 0"),
         # values that name files alike would write one file over the other
         ("kind = regularization-sweep\nlams = 1e-4 1 1.000001e-4\n",
          "'lams': '1e-4' and '1.000001e-4' both name their files by '0.0001'"),

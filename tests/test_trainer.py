@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from meandim.estimator import InputSampler
-from meandim.rfm import Activation, compute_kappas, forward, random_rfm
+from meandim.rfm import Activation, compute_kappas, design_matrix, forward, random_rfm
 from meandim.trainer import (
     Dataset,
     Mlp,
     TeacherTask,
     TrainConfig,
-    adversarial_init_protocol,
-    design_matrix,
     flip_labels,
     forward_mlp,
     gen_multiclass_task,
@@ -468,6 +466,13 @@ class TestMlp:
         assert np.isnan(multiclass_bmd(net, InputSampler.binary(6), n_samples=200, seed=1))
 
 
+def corrupt_run(net, ds, k, cfg):
+    """k epochs of train_gd on fully corrupted labels, as adversarial-init
+    pretrains: flip_labels and the batches both at seed cfg.seed + 1000."""
+    return train_gd(net, flip_labels(ds, 1.0, seed=cfg.seed + 1000),
+                    replace(cfg, epochs=k, seed=cfg.seed + 1000))
+
+
 class TestAdversarialInit:
     def setup_problem(self):
         rng = np.random.default_rng(9)
@@ -475,44 +480,27 @@ class TestAdversarialInit:
         y = np.where(X @ np.array([1.0, -1.0, 0.5, 0.0, 0.2]) > 0, 1.0, -1.0)
         return Dataset(X=X, y=y), init_mlp(D=5, width=16, n_out=1, seed=10)
 
-    def test_zero_pretrain_is_plain_training(self):
-        ds, net = self.setup_problem()
-        cfg = TrainConfig(loss="mse", optimizer="minibatch-gd", batch_size=16,
-                          lr=1e-3, epochs=30, seed=11)
-        adv = adversarial_init_protocol(net, ds, 0, cfg)
-        plain = train_gd(net, ds, cfg)
-        assert np.array_equal(adv.model.W1, plain.model.W1)
-        assert np.array_equal(adv.model.W2, plain.model.W2)
-        assert np.array_equal(adv.history, plain.history)
-
     def test_pretrain_memorizes_noise(self):
         ds, net = self.setup_problem()
         cfg = TrainConfig(loss="mse", optimizer="minibatch-gd", batch_size=16,
                           lr=5e-3, epochs=30, seed=12)
-        # the corrupt phase, as the protocol runs it
-        corrupted = flip_labels(ds, 1.0, seed=cfg.seed + 1000)
-        phase1 = train_gd(net, corrupted, replace(cfg, epochs=150, seed=cfg.seed + 1000))
+        phase1 = corrupt_run(net, ds, 150, cfg)
         assert phase1.history.shape == (150,)
         assert phase1.history[-1] < phase1.history[0]  # corrupted-label loss decreases
-        adv = adversarial_init_protocol(net, ds, 150, replace(cfg, epochs=5))
-        main = train_gd(phase1.model, ds, replace(cfg, epochs=5))
-        assert np.array_equal(adv.model.W1, main.model.W1)
-        assert np.array_equal(adv.history, main.history)
+        snaps, diverged = _pretrain(net, ds, (150,), cfg)
+        assert diverged is None
+        for name in ("W1", "b1", "W2", "b2"):
+            assert np.array_equal(getattr(snaps[150], name), getattr(phase1.model, name))
 
     def test_requires_mlp(self):
         ds, _ = self.setup_problem()
         model = make_model(5, 8, seed=13)
-        with pytest.raises(ValueError, match="MLP"):
-            adversarial_init_protocol(model, ds, 10, TrainConfig())
-
-    def test_negative_pretrain_epochs_are_refused(self):
-        ds, net = self.setup_problem()
-        with pytest.raises(ValueError, match="pretrain_epochs must be >= 0, got -3"):
-            adversarial_init_protocol(net, ds, -3, TrainConfig())
+        with pytest.raises(ValueError, match="train_gd trains two-layer MLPs"):
+            train_gd(model, ds, TrainConfig())
 
     def test_one_trajectory_gives_each_grid_point(self):
         """Snapshots of one run to max(grid) start the same main phase as
-        separate protocol runs, bit for bit."""
+        a separate corrupt run of each length, bit for bit."""
         ds, _ = gen_multiclass_task(5, 60, 10, 3, seed=14)
         net = init_mlp(D=5, width=16, n_out=3, seed=15)
         cfg = TrainConfig(loss="ce", optimizer="minibatch-gd", batch_size=16,
@@ -522,7 +510,7 @@ class TestAdversarialInit:
         assert diverged is None and sorted(snaps) == list(grid)
         for k in grid:
             shared = train_gd(snaps[k], ds, cfg)
-            alone = adversarial_init_protocol(net, ds, k, cfg)
+            alone = train_gd(corrupt_run(net, ds, k, cfg).model, ds, cfg)
             for name in ("W1", "b1", "W2", "b2"):
                 assert np.array_equal(getattr(shared.model, name), getattr(alone.model, name))
             assert np.array_equal(shared.history, alone.history)
@@ -539,7 +527,7 @@ class TestAdversarialInit:
         assert np.array_equal(snaps[6].W1, six.W1) and np.array_equal(snaps[6].b2, six.b2)
         for k in (7, 10):
             with pytest.raises(RuntimeError) as exc:
-                adversarial_init_protocol(net, ds, k, cfg)
+                corrupt_run(net, ds, k, cfg)
             assert str(exc.value) == diverged
 
 
