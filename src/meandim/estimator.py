@@ -25,6 +25,12 @@ column i swapped in place and restored afterwards, so it must keep a copy,
 not a reference, of any batch it needs later; returning a view is fine. A
 score may keep state between calls, so use one score object per thread;
 the experiment harness builds one per cell.
+
+``LinearFirstLayer`` evaluates its head on row tiles of about 256 KiB
+(``_tile_rows``: 2**15 floats over the width N, a multiple of 16 rows and
+at least 128) that pass through one reused scratch block, so a probe never
+builds an m x N block. Its head may overwrite that block: the package's
+heads apply their activation in place.
 """
 
 from __future__ import annotations
@@ -55,6 +61,8 @@ __all__ = [
 N_BATCHES = 10
 SIGMA_SQ_FLOOR = 1e-12
 SAMPLER_KINDS = ("binary", "gaussian", "uniform", "empirical")
+TILE_FLOATS = 1 << 15  # float64s in a LinearFirstLayer head tile: 256 KiB
+TILE_MIN_ROWS = 128
 
 
 class ScoreEvaluationError(RuntimeError):
@@ -136,28 +144,52 @@ class InputSampler:
         return self._draw(rng, m)
 
 
+def _tile_rows(width: int) -> int:
+    """Rows of a ``LinearFirstLayer`` head tile: TILE_FLOATS // width rounded
+    down to a multiple of 16, and at least TILE_MIN_ROWS."""
+    return max(TILE_MIN_ROWS, TILE_FLOATS // max(width, 1) // 16 * 16)
+
+
 class LinearFirstLayer:
     """Score f(x) = head(x @ W + b) that updates single-coordinate probes.
 
-    W has shape (n, N); head maps the (m, N) preactivation to m values (or
-    an (m, k) block) row by row. A call evaluates its batch in full and
-    caches a copy x0, h0 = x0 @ W + b and f0, unless the batch is the array
-    object last evaluated in full, changed in place in at most one column
-    i: then, as for ``probe(i, column)`` on x0, the rows whose coordinate i
-    moved get head(h0 + (x_i - x0_i) W_i) and the others reuse f0. So a
-    score behind a closure gives the bits of one probed directly, and a
-    reused score those of a fresh one. The batch is held by weak reference.
+    W has shape (n, N); head maps a (t, N) preactivation block to t values
+    (or a (t, k) block) row by row, and may overwrite the block it is given.
+    A call evaluates its batch in full and caches a copy x0, h0 = x0 @ W + b
+    and f0, unless the batch is the array object last evaluated in full,
+    changed in place in at most one column i: then, as for
+    ``probe(i, column)`` on x0, the rows whose coordinate i moved get
+    head(h0 + (x_i - x0_i) W_i) and the others reuse f0. So a score behind
+    a closure gives the bits of one probed directly, and a reused score
+    those of a fresh one. The batch is held by weak reference.
+
+    The head runs on row tiles, each loaded into one scratch block that
+    the score allocates once: a probe writes h0 + delta W_i of the tile's
+    moved rows there, a full evaluation copies its rows of h0 there. So a
+    probe's work stays in cache, and a head never sees the cache. A tile
+    has ``_tile_rows(N)`` rows (160 at N = 200, 128 from N = 256 up), and
+    a last stretch of fewer than TILE_MIN_ROWS rows joins the tile before
+    it. At one OpenBLAS thread (0.3.31) a tile then gives the bits of one
+    head call on all the rows for scalar heads, and for heads whose
+    rows x k x N product stays above OpenBLAS's small-matrix gemm bound
+    of 1e6 (the 100 -> 1024 -> 10 MLP); a narrower k-output head can move
+    in the last bit.
     """
 
     def __init__(self, W: np.ndarray, b, head):
         self.W = np.asarray(W, dtype=float)
         self.b = b
         self.head = head
+        self._tile = _tile_rows(self.W.shape[1])
+        self._block = np.empty((self._tile + TILE_MIN_ROWS - 1, self.W.shape[1]))
         self._batch = lambda: None  # weak reference to the batch of x0
         self._x0 = self._h0 = self._f0 = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1] != self.W.shape[0]:
+            raise ValueError(f"batch has {x.shape[1]} columns; the first layer takes "
+                             f"{self.W.shape[0]}")
         if x is self._batch() and x.shape == self._x0.shape:
             cols = np.flatnonzero((x != self._x0).any(axis=0))
             if cols.size == 0:
@@ -166,7 +198,11 @@ class LinearFirstLayer:
                 return self._rank1(cols[0], x[:, cols[0]])
         h = x @ self.W
         h += self.b
-        out = self.head(h)
+        out = None
+        for rows, f in self._heads(x.shape[0], lambda block, rows: np.copyto(block, h[rows])):
+            if out is None:
+                out = np.empty(x.shape[:1] + np.shape(f)[1:])
+            out[rows] = f
         self._batch = weakref.ref(x)
         self._x0, self._h0, self._f0 = x.copy(), h, out
         return out.copy()
@@ -180,18 +216,36 @@ class LinearFirstLayer:
             raise ValueError(f"probe column has shape {column.shape}, expected {self._x0.shape[:1]}")
         return self._rank1(i, column)
 
+    def _heads(self, n: int, load):
+        """(rows, head values) for each tile of range(n), a slice and the
+        head of the scratch block after ``load(block, rows)`` filled it.
+        A last stretch shorter than TILE_MIN_ROWS joins the tile before it."""
+        starts = list(range(0, n - TILE_MIN_ROWS + 1, self._tile)) or [0]
+        for start, stop in zip(starts, starts[1:] + [n]):
+            block = self._block[:stop - start]
+            load(block, slice(start, stop))
+            yield slice(start, stop), self.head(block)
+
     def _rank1(self, i: int, column: np.ndarray) -> np.ndarray:
         """f of x0 with column i set to ``column``, from the cached h0 and f0."""
         x0_i = self._x0[:, i]
-        rows = np.flatnonzero(column != x0_i)
-        if rows.size == 0:
-            return self._f0.copy()
-        if rows.size == column.shape[0]:
-            rows = slice(None)  # every row moved: index without copies
-        h = np.multiply.outer(column[rows] - x0_i[rows], self.W[i])
-        h += self._h0[rows]
         out = self._f0.copy()
-        out[rows] = self.head(h)
+        moved = np.flatnonzero(column != x0_i)
+        if moved.size == 0:
+            return out
+        every = moved.size == column.shape[0]  # then slices stand in for gathers
+        delta = column - x0_i if every else column[moved] - x0_i[moved]
+        W_i, h0 = self.W[i], self._h0
+
+        def at(rows):  # the batch rows of the moved rows ``rows``
+            return rows if every else moved[rows]
+
+        def load(block, rows):  # h0 + delta W_i, bit for bit as np.multiply.outer
+            np.einsum("i,j->ij", delta[rows], W_i, out=block)
+            block += h0[at(rows)]
+
+        for rows, f in self._heads(moved.size, load):
+            out[at(rows)] = f
         return out
 
 

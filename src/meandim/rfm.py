@@ -255,8 +255,9 @@ def with_weights(model: RfmModel, w: np.ndarray) -> RfmModel:
 
 
 def _readout(model: RfmModel, h: np.ndarray) -> np.ndarray:
-    """w^T sigma(h) / sqrt(N) for the rows of the preactivation h = x F / sqrt(D)."""
-    return model.activation.value(h) @ model.w / np.sqrt(model.N)
+    """w^T sigma(h) / sqrt(N) for the rows of the preactivation h = x F / sqrt(D).
+    The activation runs in place, so h is overwritten."""
+    return model.activation.value(h, out=h) @ model.w / np.sqrt(model.N)
 
 
 def design_matrix(model: RfmModel, X: np.ndarray) -> np.ndarray:

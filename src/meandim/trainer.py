@@ -371,7 +371,7 @@ def forward_mlp(net: Mlp, X: np.ndarray) -> np.ndarray:
 
 def mlp_score_fn(net: Mlp) -> LinearFirstLayer:
     """forward_mlp as a score for the MD estimator, with rank-1 coordinate probes."""
-    return LinearFirstLayer(net.W1, net.b1, lambda h: _logits(net, np.tanh(h)))
+    return LinearFirstLayer(net.W1, net.b1, lambda h: _logits(net, np.tanh(h, out=h)))
 
 
 def predict_labels(net: Mlp, X: np.ndarray) -> np.ndarray:
@@ -623,10 +623,14 @@ def multiclass_bmd(net: Mlp, sampler: InputSampler, n_samples: int, seed: int) -
 
     NaN when any class's mean dimension is undefined (its output does not
     vary, say a network with constant outputs), as a scalar head's
-    undefined md reads NaN in a sweep.
+    undefined md reads NaN in a sweep. A scalar head (n_out = 1) has no
+    classes and raises ValueError.
     """
+    if net.n_out < 2:
+        raise ValueError(f"multiclass_bmd needs a head of 2 or more classes, "
+                         f"got n_out = {net.n_out}")
     score = LinearFirstLayer(net.W1, net.b1,
-                             lambda h: _log_softmax(_logits(net, np.tanh(h))))
+                             lambda h: _log_softmax(_logits(net, np.tanh(h, out=h))))
     mds = [p.md for p in estimate_md_multioutput(score, net.n_out, sampler, n_samples, seed)]
     return np.nan if None in mds else float(np.mean(mds))
 

@@ -25,6 +25,12 @@ directory named by relative paths so that no output holds a path:
 - `meandim md` stdout and --profile-out for each sampler, on a
   ridge-trained D = 12 and D = 1 checkpoint (each itself hashed) and a
   fixed data file of matching width;
+- the benchmark's md-estimate shapes, whose coordinate probes span
+  several head tiles of ``LinearFirstLayer``: `meandim md` stdout and
+  --profile-out for the binary and gaussian samplers at 2,000 samples on
+  a ridge-trained D = 100, N = 200 checkpoint (itself hashed), and the
+  repr of ``multiclass_bmd`` for an untrained 100 -> 1024 -> 10 MLP at
+  1,000 binary samples;
 - `meandim theory` stdout and --out for mse and ce at lambda = 1e-4 and
   mse at lambda = 0;
 - criterion 13's saddle audit (``saddle_audit`` of test_acceptance.py):
@@ -128,17 +134,12 @@ def _md(hashes):
     from meandim.rfm import Activation, random_rfm, save_rfm
     from meandim.trainer import TeacherTask, gen_teacher_student, train_rfm_ridge
 
-    for dim in (12, 1):
-        task = TeacherTask.random(dim, seed=0)
-        train, _ = gen_teacher_student(dim, 40, 10, task, seed=0)
-        fit = train_rfm_ridge(random_rfm(dim, 30, Activation.tanh(), seed=0), train, 1e-2)
+    def md_runs(model, dim, samplers):
+        """Hash the checkpoint d{dim}.rfm and the md runs on it."""
         name = f"md/d{dim}"
-        save_rfm(f"d{dim}.rfm", fit.model)
+        save_rfm(f"d{dim}.rfm", model)
         hashes[f"{name}.rfm"] = _file_sha(f"d{dim}.rfm")
-        rows = np.random.default_rng(0).uniform(-1.0, 1.0, size=(50, dim))
-        with open(f"rows{dim}.csv", "w", encoding="ascii") as fh:
-            fh.writelines(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
-        for sampler in SAMPLER_KINDS:
+        for sampler in samplers:
             out = f"md-d{dim}-{sampler}.csv"
             argv = ["md", f"d{dim}.rfm", "--sampler", sampler, "--samples", "2000",
                     "--seed", "0", "--profile-out", out]
@@ -146,6 +147,29 @@ def _md(hashes):
                 argv += ["--data", f"rows{dim}.csv"]
             hashes[f"{name}/{sampler}/stdout"] = _sha(_cli(argv).encode())
             hashes[f"{name}/{sampler}/profile.csv"] = _file_sha(out)
+
+    for dim in (12, 1):
+        task = TeacherTask.random(dim, seed=0)
+        train, _ = gen_teacher_student(dim, 40, 10, task, seed=0)
+        fit = train_rfm_ridge(random_rfm(dim, 30, Activation.tanh(), seed=0), train, 1e-2)
+        rows = np.random.default_rng(0).uniform(-1.0, 1.0, size=(50, dim))
+        with open(f"rows{dim}.csv", "w", encoding="ascii") as fh:
+            fh.writelines(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+        md_runs(fit.model, dim, SAMPLER_KINDS)
+
+    # bench/workload.py's setup_md_estimate at seed 0
+    task = TeacherTask.random(100, seed=0, input_kind="binary")
+    train, _ = gen_teacher_student(100, 300, 10, task, seed=0)
+    fit = train_rfm_ridge(random_rfm(100, 200, Activation.tanh(), seed=0), train, 1e-4)
+    md_runs(fit.model, 100, ("binary", "gaussian"))
+
+
+def _mlp_bmd(hashes):
+    from meandim.estimator import InputSampler
+    from meandim.trainer import init_mlp, multiclass_bmd
+
+    bmd = multiclass_bmd(init_mlp(100, 1024, 10, seed=0), InputSampler.binary(100), 1000, 0)
+    hashes["mlp-bmd/d100-w1024-c10"] = _sha(repr(bmd).encode())
 
 
 def _theory(hashes):
@@ -175,7 +199,7 @@ def artifact_hashes(src) -> dict:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for runs in (_configs, _experiments, _md, _theory, _saddle_audit):
+            for runs in (_configs, _experiments, _md, _mlp_bmd, _theory, _saddle_audit):
                 runs(hashes)
         finally:
             os.chdir(cwd)

@@ -473,6 +473,78 @@ class TestLinearFirstLayer:
             assert np.array_equal(a.tau_sq, b.tau_sq) and np.array_equal(a.tau_sq, c.tau_sq)
             assert a.md == b.md == c.md and a.std_err_md == b.std_err_md == c.std_err_md
 
+    # width 300 gives 128-row tiles; 1,000 rows make 7 tiles, the last of 232
+    @pytest.mark.parametrize("multi", [False, True], ids=["scalar", "multi"])
+    @pytest.mark.parametrize("rows", ["all", "some", "none"])
+    def test_probes_across_tiles(self, rows, multi):
+        rng = np.random.default_rng(11)
+        n, width, m = 4, 300, 1000
+        W, b = rng.standard_normal((n, width)) / 2, rng.standard_normal(width)
+        A = rng.standard_normal((width, 3))
+        head = (lambda h: log_softmax(np.tanh(h, out=h) @ A, axis=1)) if multi \
+            else (lambda h: np.tanh(h, out=h) @ A[:, 0])
+        f, twin = LinearFirstLayer(W, b, head), LinearFirstLayer(W, b, head)
+        x = rng.standard_normal((m, n))
+        want = head(x @ W + b)
+        assert np.max(np.abs(f(x) - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(twin(x), f(x.copy()))
+        for i in range(n):
+            moved = {"all": np.ones(m, dtype=bool), "none": np.zeros(m, dtype=bool),
+                     "some": rng.random(m) < 0.6}[rows]
+            column = x[:, i].copy()
+            column[moved] = rng.standard_normal(int(moved.sum()))
+            x_mod = x.copy()
+            x_mod[:, i] = column
+            want = head(x_mod @ W + b)
+            got = f.probe(i, column)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            saved = x[:, i].copy()
+            x[:, i] = column
+            assert np.array_equal(got, twin(x))
+            x[:, i] = saved
+
+    def test_head_never_sees_the_cache(self):
+        # a head that scribbles over its argument after reading it spoils
+        # nothing: it only ever gets the scratch block
+        rng = np.random.default_rng(12)
+        n, width, m = 3, 256, 700
+        W, b, a = rng.standard_normal((n, width)) / 2, rng.standard_normal(width), \
+            rng.standard_normal(width)
+
+        def scribbler(h):
+            out = np.tanh(h) @ a
+            h[...] = np.nan
+            return out
+
+        f = LinearFirstLayer(W, b, scribbler)
+        clean = _tanh_head(a)
+
+        def close(got, x):
+            want = clean(x @ W + b)
+            return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        x = rng.standard_normal((m, n))
+        assert close(f(x), x) and close(f(x), x)
+        for i in (0, 2, 1, 0):
+            x_mod = x.copy()
+            x_mod[:, i] = rng.standard_normal(m)
+            assert close(f.probe(i, x_mod[:, i]), x_mod)
+            saved = x[:, i].copy()
+            x[:, i] = x_mod[:, i]
+            assert close(f(x), x_mod)  # the in-place call route
+            x[:, i] = saved
+        y = rng.standard_normal((m, n))
+        assert close(f(y), y)
+
+    def test_batch_width_must_match_the_first_layer(self):
+        rng = np.random.default_rng(13)
+        f = LinearFirstLayer(rng.standard_normal((4, 6)), 0.0, _tanh_head(np.ones(6)))
+        with pytest.raises(ValueError, match="batch has 5 columns; the first layer takes 4"):
+            f(np.ones((3, 5)))
+        model = random_rfm(4, 6, Activation.tanh(), seed=0)
+        with pytest.raises(ValueError, match="batch has 5 columns; the first layer takes 4"):
+            estimate_md(score_fn(model), InputSampler.binary(5), 200, seed=0)
+
 
 class TestExactOracleThroughLinearFirstLayer:
     """Exact BMD from the full vertex table against the rank-1 estimator path."""

@@ -465,6 +465,11 @@ class TestMlp:
         net.W2[:] = 0
         assert np.isnan(multiclass_bmd(net, InputSampler.binary(6), n_samples=200, seed=1))
 
+    def test_multiclass_bmd_refuses_a_scalar_head(self):
+        net = init_mlp(6, 5, 1, seed=0)
+        with pytest.raises(ValueError, match="n_out = 1"):
+            multiclass_bmd(net, InputSampler.binary(6), n_samples=200, seed=1)
+
 
 def corrupt_run(net, ds, k, cfg):
     """k epochs of train_gd on fully corrupted labels, as adversarial-init
