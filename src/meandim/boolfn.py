@@ -39,6 +39,8 @@ __all__ = [
     "majority_table",
 ]
 
+INDEX_ROWS = 1 << 13  # spin rows that spins_to_index converts at once
+
 
 def _check_table(values: np.ndarray) -> tuple[np.ndarray, int]:
     values = np.asarray(values, dtype=float)
@@ -177,10 +179,16 @@ def vertex_spins(n: int) -> np.ndarray:
 
 
 def spins_to_index(spins: np.ndarray) -> np.ndarray:
-    """Map rows of +-1 spins back to vertex indices."""
+    """Map rows of +-1 spins back to vertex indices, INDEX_ROWS rows at a
+    time, so that no temporary has the size of the batch."""
     spins = np.asarray(spins)
-    bits = (spins < 0).astype(np.int64)
-    return bits @ (1 << np.arange(spins.shape[-1], dtype=np.int64))
+    powers = 1 << np.arange(spins.shape[-1], dtype=np.int64)
+    rows = spins.reshape(-1, spins.shape[-1])
+    index = np.empty(rows.shape[0], dtype=np.int64)
+    for start in range(0, rows.shape[0], INDEX_ROWS):
+        part = slice(start, start + INDEX_ROWS)
+        index[part] = (rows[part] < 0).astype(np.int64) @ powers
+    return index.reshape(spins.shape[:-1])
 
 
 def table_score_fn(values: np.ndarray) -> "_TableScore":

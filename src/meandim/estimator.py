@@ -23,20 +23,37 @@ each time) and ``probe`` once per coordinate (``LinearFirstLayer`` and
 columns). A score without ``probe`` is called on the background with
 column i swapped in place and restored afterwards, so it must keep a copy,
 not a reference, of any batch it needs later; returning a view is fine. A
-score may keep state between calls, so use one score object per thread;
-the experiment harness builds one per cell.
+score may keep state between full evaluations, so use one score object per
+thread; the experiment harness builds one per cell.
+
+Between two full evaluations ``probe`` may be called from two threads at
+once, so it must not write state that another probe reads or writes. That
+pairing happens when the estimator is called from the main thread of a
+process allowed on two CPUs or more, with a score that has ``probe``: the
+calling thread probes coordinate i while a worker thread probes i + 1.
+Everything the result depends on (draws, checks, sums) stays in the
+calling thread in the sequential order, so the bits do not change, and
+numpy's OpenBLAS is capped at cores // 2 threads for the whole estimate.
+Any other call (from a pool thread, with a score without ``probe``, or on
+one CPU) probes one coordinate at a time.
 
 ``LinearFirstLayer`` evaluates its head on row tiles of about 256 KiB
 (``_tile_rows``: 2**15 floats over the width N, a multiple of 16 rows and
-at least 128) that pass through one reused scratch block, so a probe never
-builds an m x N block. Its head may overwrite that block: the package's
-heads apply their activation in place.
+at least 128) that pass through a reused scratch block, one per concurrent
+prober, so a probe never builds an m x N block. Its head may overwrite that
+block: the package's heads apply their activation in place.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
 import math
+import os
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +80,7 @@ SIGMA_SQ_FLOOR = 1e-12
 SAMPLER_KINDS = ("binary", "gaussian", "uniform", "empirical")
 TILE_FLOATS = 1 << 15  # float64s in a LinearFirstLayer head tile: 256 KiB
 TILE_MIN_ROWS = 128
+GATHER_FLOATS = 1 << 15  # float64s of h0 a probe gathers at once: 256 KiB
 
 
 class ScoreEvaluationError(RuntimeError):
@@ -163,12 +181,17 @@ class LinearFirstLayer:
     a closure gives the bits of one probed directly, and a reused score
     those of a fresh one. The batch is held by weak reference.
 
-    The head runs on row tiles, each loaded into one scratch block that
-    the score allocates once: a probe writes h0 + delta W_i of the tile's
-    moved rows there, a full evaluation copies its rows of h0 there. So a
-    probe's work stays in cache, and a head never sees the cache. A tile
-    has ``_tile_rows(N)`` rows (160 at N = 200, 128 from N = 256 up), and
-    a last stretch of fewer than TILE_MIN_ROWS rows joins the tile before
+    The head runs on row tiles, each loaded into a scratch block: a probe
+    writes h0 + delta W_i of the tile's moved rows there, a full evaluation
+    copies its rows of h0 there. So a probe's work stays in cache, and a
+    head never sees the cache. Each concurrent prober takes a block of its
+    own: the score allocates two, one per thread of a paired estimate, in
+    the thread that builds it, and makes another only when a third prober
+    runs at once. A probe that moves only some rows gathers their h0 in
+    pieces of at most GATHER_FLOATS floats (32 rows at N = 1024), not as
+    one temporary of the tile's size. A tile has
+    ``_tile_rows(N)`` rows (160 at N = 200, 128 from N = 256 up), and a
+    last stretch of fewer than TILE_MIN_ROWS rows joins the tile before
     it. At one OpenBLAS thread (0.3.31) a tile then gives the bits of one
     head call on all the rows for scalar heads, and for heads whose
     rows x k x N product stays above OpenBLAS's small-matrix gemm bound
@@ -181,7 +204,8 @@ class LinearFirstLayer:
         self.b = b
         self.head = head
         self._tile = _tile_rows(self.W.shape[1])
-        self._block = np.empty((self._tile + TILE_MIN_ROWS - 1, self.W.shape[1]))
+        self._block_shape = (self._tile + TILE_MIN_ROWS - 1, self.W.shape[1])
+        self._blocks = [np.empty(self._block_shape) for _ in range(2)]  # no prober holds them
         self._batch = lambda: None  # weak reference to the batch of x0
         self._x0 = self._h0 = self._f0 = None
 
@@ -218,13 +242,21 @@ class LinearFirstLayer:
 
     def _heads(self, n: int, load):
         """(rows, head values) for each tile of range(n), a slice and the
-        head of the scratch block after ``load(block, rows)`` filled it.
-        A last stretch shorter than TILE_MIN_ROWS joins the tile before it."""
-        starts = list(range(0, n - TILE_MIN_ROWS + 1, self._tile)) or [0]
-        for start, stop in zip(starts, starts[1:] + [n]):
-            block = self._block[:stop - start]
-            load(block, slice(start, stop))
-            yield slice(start, stop), self.head(block)
+        head of a scratch block after ``load(block, rows)`` filled it.
+        A last stretch shorter than TILE_MIN_ROWS joins the tile before it.
+        The block is this call's alone until the last tile is done."""
+        try:
+            scratch = self._blocks.pop()
+        except IndexError:  # a third prober at once
+            scratch = np.empty(self._block_shape)
+        try:
+            starts = list(range(0, n - TILE_MIN_ROWS + 1, self._tile)) or [0]
+            for start, stop in zip(starts, starts[1:] + [n]):
+                block = scratch[:stop - start]
+                load(block, slice(start, stop))
+                yield slice(start, stop), self.head(block)
+        finally:
+            self._blocks.append(scratch)
 
     def _rank1(self, i: int, column: np.ndarray) -> np.ndarray:
         """f of x0 with column i set to ``column``, from the cached h0 and f0."""
@@ -236,13 +268,19 @@ class LinearFirstLayer:
         every = moved.size == column.shape[0]  # then slices stand in for gathers
         delta = column - x0_i if every else column[moved] - x0_i[moved]
         W_i, h0 = self.W[i], self._h0
+        piece = max(1, GATHER_FLOATS // h0.shape[1])
 
         def at(rows):  # the batch rows of the moved rows ``rows``
             return rows if every else moved[rows]
 
         def load(block, rows):  # h0 + delta W_i, bit for bit as np.multiply.outer
             np.einsum("i,j->ij", delta[rows], W_i, out=block)
-            block += h0[at(rows)]
+            if every:
+                block += h0[rows]
+                return
+            gathered = moved[rows]
+            for k in range(0, gathered.size, piece):
+                block[k:k + piece] += h0[gathered[k:k + piece]]
 
         for rows, f in self._heads(moved.size, load):
             out[at(rows)] = f
@@ -293,6 +331,55 @@ def _chunk_size(dim: int) -> int:
     return max(64, (1 << 21) // max(dim, 1))
 
 
+def _openblas_thread_controls():
+    """(get, set) of the thread count of the OpenBLAS that the numpy wheel
+    ships in numpy.libs, loaded by path; the one BLAS that meandim calls."""
+    controls = []
+    libs = os.path.dirname(np.__file__) + ".libs"
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        controls.append((get, put))
+    return controls
+
+
+@contextlib.contextmanager
+def _blas_threads(jobs: int):
+    """Run the body with numpy's OpenBLAS capped at max(1, cores // jobs)
+    threads when jobs > 1, so that jobs threads calling BLAS at once (the
+    cells of a pool, or the probers of a paired estimate) do not
+    oversubscribe the cores; a library already set to fewer threads (say by
+    OPENBLAS_NUM_THREADS) keeps its count. The count the getter read is
+    restored afterwards. A library or symbol that is missing is left alone."""
+    controls = _openblas_thread_controls() if jobs > 1 else []
+    saved = [get() for get, _ in controls]
+    for (_, put), count in zip(controls, saved):
+        put(min(count, max(1, (os.cpu_count() or 1) // jobs)))
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)
+
+
+def _paired(probe) -> bool:
+    """Whether ``_accumulate`` probes on two threads: the score has a
+    ``probe``, the caller is the main thread and the process may use two
+    CPUs or more."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return (probe is not None and cpus >= 2
+            and threading.current_thread() is threading.main_thread())
+
+
 def _accumulate(f, sampler: InputSampler, n_samples: int, seed: int, mode: str,
                 n_outputs: int):
     """Run the estimation stream, seeded by (seed, 0).
@@ -321,38 +408,61 @@ def _accumulate(f, sampler: InputSampler, n_samples: int, seed: int, mode: str,
         return out.reshape(m, n_outputs)
 
     probe = getattr(f, "probe", None)
+    scale = 0.5 if mode == "resample" else 0.25
+    step = 2 if _paired(probe) else 1
+
+    def column(i: int) -> np.ndarray:
+        if mode == "resample":
+            return sampler.resample_coordinate(rng, m)
+        return -x[:, i]  # flip: compare the two spin states of coordinate i
+
+    def evaluate(i: int, col: np.ndarray):
+        if probe is not None:
+            return probe(i, col)
+        saved = x[:, i].copy()
+        x[:, i] = col
+        other = np.array(f(x), dtype=float)  # a copy: f may return a view of x
+        x[:, i] = saved
+        return other
+
+    def add_influences(coords: range) -> None:
+        """Probe coords, the second one (if any) on the worker, and add
+        their influences in coordinate order; the arrays die on return."""
+        columns = [column(j) for j in coords]  # drawn in coordinate order
+        pending = [worker.submit(probe, j, col) for j, col in zip(coords[1:], columns[1:])]
+        try:
+            outs = [evaluate(coords[0], columns[0])]
+        finally:
+            wait(pending)  # the worker's probe ends before anything is raised
+        for j, other in zip(coords, outs + pending):
+            if j != coords[0]:  # read only after the first coordinate passed its check
+                other = other.result()
+            other = checked(other, m, f"coordinate {j}, {samples}")
+            np.add.at(tau_sums, (batches, j), scale * (base - other) ** 2)
+
     done = 0
     chunk = _chunk_size(dim)
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        samples = f"samples {done}..{done + m - 1}"
-        x = sampler.sample_background(rng, m)
-        base = checked(f(x), m, f"background {samples}")
-        if done == 0:
-            origin = base[0].copy()
-        batches = np.arange(done, done + m) * N_BATCHES // n_samples
-        shifted = base - origin
-        np.add.at(f_sum, batches, shifted)
-        shifted *= shifted
-        np.add.at(f_sq_sum, batches, shifted)
-        np.add.at(batch_count, batches, np.ones(m, dtype=np.int64))
-        for i in range(dim):
-            if mode == "resample":
-                column = sampler.resample_coordinate(rng, m)
-                scale = 0.5
-            else:  # flip: compare the two spin states of coordinate i
-                column = -x[:, i]
-                scale = 0.25
-            if probe is not None:
-                other = probe(i, column)
-            else:
-                saved = x[:, i].copy()
-                x[:, i] = column
-                other = np.array(f(x), dtype=float)  # a copy: f may return a view of x
-                x[:, i] = saved
-            other = checked(other, m, f"coordinate {i}, {samples}")
-            np.add.at(tau_sums, (batches, i), scale * (base - other) ** 2)
-        done += m
+    with contextlib.ExitStack() as stack:
+        if step == 2:
+            stack.enter_context(_blas_threads(2))
+            worker = stack.enter_context(ThreadPoolExecutor(max_workers=1,
+                                                         thread_name_prefix="meandim-probe"))
+        while done < n_samples:
+            m = min(chunk, n_samples - done)
+            samples = f"samples {done}..{done + m - 1}"
+            x = sampler.sample_background(rng, m)
+            base = checked(f(x), m, f"background {samples}")
+            if done == 0:
+                origin = base[0].copy()
+            batches = np.arange(done, done + m) * N_BATCHES // n_samples
+            shifted = base - origin
+            np.add.at(f_sum, batches, shifted)
+            shifted *= shifted
+            np.add.at(f_sq_sum, batches, shifted)
+            np.add.at(batch_count, batches, np.ones(m, dtype=np.int64))
+            for i in range(0, dim, step):
+                add_influences(range(i, min(i + step, dim)))
+            done += m
     return tau_sums, f_sum, f_sq_sum, batch_count
 
 

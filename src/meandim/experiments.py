@@ -31,10 +31,7 @@ Config files are flat key-value text, one `key = value` per line, with
 single cell can be reproduced in isolation.
 """
 
-import contextlib
-import ctypes
 import functools
-import glob
 import math
 import os
 import threading
@@ -43,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimator import (InputSampler, estimate_md, estimate_md_binary_fast,
+from .estimator import (InputSampler, _blas_threads, estimate_md, estimate_md_binary_fast,
                         influence_heatmap, profile_csv_lines)
 from .heatmap_svg import svg_lines
 from .replica import ReplicaInput, curve_lines, log_grid, sweep_curve
@@ -406,42 +403,6 @@ def summarize_peaks(coordinate: str, coords, curves: dict, pairs=None) -> list:
 
 # ---------------------------------------------------------------------------
 # cell execution
-
-
-def _openblas_thread_controls():
-    """(get, set) of the thread count of the OpenBLAS that the numpy wheel
-    ships in numpy.libs, loaded by path; the one BLAS that meandim calls."""
-    controls = []
-    libs = os.path.dirname(np.__file__) + ".libs"
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-        try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        controls.append((get, put))
-    return controls
-
-
-@contextlib.contextmanager
-def _blas_threads(jobs: int):
-    """Run the body with numpy's OpenBLAS capped at max(1, cores // jobs)
-    threads when jobs > 1, so that jobs cells calling BLAS at once do not
-    oversubscribe the cores; a library already set to fewer threads (say by
-    OPENBLAS_NUM_THREADS) keeps its count. The count the getter read is
-    restored afterwards. A library or symbol that is missing is left alone."""
-    controls = _openblas_thread_controls() if jobs > 1 else []
-    saved = [get() for get, _ in controls]
-    for (_, put), count in zip(controls, saved):
-        put(min(count, max(1, (os.cpu_count() or 1) // jobs)))
-    try:
-        yield
-    finally:
-        for (_, put), count in zip(controls, saved):
-            put(count)
 
 
 def _run_cells(cell_fn, coords, metric_names, reps: int, jobs: int,

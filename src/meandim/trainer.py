@@ -44,6 +44,8 @@ __all__ = [
     "multiclass_bmd",
 ]
 
+ADAM_CHUNK = 1 << 15  # parameters an Adam step updates per slice: 256 KiB of each array
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -456,31 +458,37 @@ class _Backprop:
 
 class _Adam:
     """Adam over one flat parameter vector, both bias corrections folded
-    into the step and epsilon scalars (TrainConfig states the update)."""
+    into the step and epsilon scalars (TrainConfig states the update).
+    A step runs on slices of ADAM_CHUNK elements, so its passes stay in
+    cache; each element's arithmetic is that of one whole-array pass."""
 
     def __init__(self, size: int, lr: float):
         self.lr = lr
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self._a = np.empty(size)
-        self._b = np.empty(size)
+        self._a = np.empty(min(size, ADAM_CHUNK))
+        self._b = np.empty(min(size, ADAM_CHUNK))
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         """Update the moments and theta in place, without temporaries."""
         b1, b2, eps = 0.9, 0.999, 1e-8
         self.t += 1
-        m, v, a, b = self.m, self.v, self._a, self._b
-        m *= b1
-        m += np.multiply(1 - b1, grad, out=a)
-        v *= b2
-        v += np.multiply(1 - b2, np.multiply(grad, grad, out=b), out=b)
         root = np.sqrt(1 - b2**self.t)
-        np.sqrt(v, out=b)
-        b += eps * root
-        np.multiply(m, self.lr * root / (1 - b1**self.t), out=a)
-        a /= b
-        theta -= a
+        rate = self.lr * root / (1 - b1**self.t)
+        for start in range(0, theta.size, ADAM_CHUNK):
+            part = slice(start, start + ADAM_CHUNK)
+            m, v, g = self.m[part], self.v[part], grad[part]
+            a, b = self._a[:m.size], self._b[:m.size]
+            m *= b1
+            m += np.multiply(1 - b1, g, out=a)
+            v *= b2
+            v += np.multiply(1 - b2, np.multiply(g, g, out=b), out=b)
+            np.sqrt(v, out=b)
+            b += eps * root
+            np.multiply(m, rate, out=a)
+            a /= b
+            theta[part] -= a
 
 
 def _descend(skeleton: Mlp, ds: Dataset, config: TrainConfig,

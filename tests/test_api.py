@@ -135,14 +135,14 @@ def test_pool_caps_blas_threads_and_restores_them(tmp_path):
     run_fresh("""
         import os, sys
         import numpy
-        from meandim import experiments
+        from meandim import estimator
 
-        controls = experiments._openblas_thread_controls()
+        controls = estimator._openblas_thread_controls()
         assert controls or not os.path.isdir(os.path.dirname(numpy.__file__) + ".libs")
         before = [get() for get, _ in controls]
-        with experiments._blas_threads(1):
+        with estimator._blas_threads(1):
             assert [get() for get, _ in controls] == before
-        with experiments._blas_threads(4):
+        with estimator._blas_threads(4):
             capped = [get() for get, _ in controls]
         assert capped == [min(b, max(1, os.cpu_count() // 4)) for b in before], capped
         assert [get() for get, _ in controls] == before
@@ -152,7 +152,7 @@ def test_pool_caps_blas_threads_and_restores_them(tmp_path):
         os.cpu_count = lambda: 64
         for _, put in controls:
             put(1)
-        with experiments._blas_threads(2):
+        with estimator._blas_threads(2):
             assert [get() for get, _ in controls] == [1] * len(controls)
     """, tmp_path)
 
@@ -183,8 +183,9 @@ def test_jobs_free_at_one_blas_thread(tmp_path):
     count, a double-descent-rfm sweep large enough for multithreaded BLAS to
     sum in another order writes the same CSV bytes at --jobs 1 and 2."""
     run_fresh(JOBS_FREE + """
-    controls = experiments._openblas_thread_controls()
-    with experiments._blas_threads(2):
+    from meandim import estimator
+    controls = estimator._openblas_thread_controls()
+    with estimator._blas_threads(2):
         assert [get() for get, _ in controls] == [1] * len(controls)
 """, tmp_path, env={"OPENBLAS_NUM_THREADS": "1"},
               config="kind = double-descent-rfm\ndim = 100\nn_train = 300\n"

@@ -1,6 +1,10 @@
 """Monte Carlo mean dimension estimator against exact hypercube oracles."""
 
+import os
+import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,10 +25,11 @@ from meandim.estimator import (
     profile_csv_lines,
     profile_summary,
 )
+from meandim.estimator import _openblas_thread_controls
 from meandim.rfm import Activation, forward, random_rfm, score_fn
 from meandim.trainer import (TeacherTask, TrainConfig, forward_mlp, gen_multiclass_task,
-                             gen_teacher_student, init_mlp, mlp_score_fn, train_gd,
-                             train_rfm_ridge)
+                             gen_teacher_student, init_mlp, mlp_score_fn, multiclass_bmd,
+                             train_gd, train_rfm_ridge)
 
 
 def random_table(n, seed):
@@ -589,3 +594,161 @@ class TestExactOracleThroughLinearFirstLayer:
         assert np.array_equal(f(x), forward_mlp(net, x))
         x[:, 4] = -x[:, 4]
         assert np.allclose(f(x), forward_mlp(net, x), rtol=1e-12, atol=1e-15)
+
+
+# Whether an estimate called from the main thread probes in pairs here.
+PAIRED = len(os.sched_getaffinity(0)) >= 2
+
+
+def off_main_thread(fn):
+    """fn() in a fresh thread, where the estimator probes one coordinate at a
+    time: its result, or the exception it raised."""
+    box = []
+
+    def run():
+        try:
+            box.append(fn())
+        except Exception as exc:  # handed to the test, which checks it
+            box.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=300)
+    assert not thread.is_alive() and len(box) == 1
+    return box[0]
+
+
+class ProbingThreads:
+    """A score that forwards to ``inner`` and notes the threads that probe it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.threads = set()
+
+    def __call__(self, x):
+        return self.inner(x)
+
+    def probe(self, i, column):
+        self.threads.add(threading.current_thread().name)
+        return self.inner.probe(i, column)
+
+
+class NanAt:
+    """f(x) = row sums; a probe of a coordinate in ``nan`` puts NaN in row 5,
+    and a probe of one in ``fail`` raises."""
+
+    def __init__(self, nan=(), fail=()):
+        self.nan, self.fail = set(nan), set(fail)
+
+    def __call__(self, x):
+        self.x = x.copy()
+        return x.sum(axis=1)
+
+    def probe(self, i, column):
+        if i in self.fail:
+            raise RuntimeError(f"probe {i} failed")
+        x = self.x.copy()
+        x[:, i] = column
+        out = x.sum(axis=1)
+        if i in self.nan:
+            out[5] = np.nan
+        return out
+
+
+class TestPairedProbes:
+    """From the main thread, probes of coordinates i and i + 1 run on two
+    threads; every result has the bits of the sequential run that the same
+    call makes from another thread."""
+
+    @pytest.mark.parametrize("sampler", ["flip", "gaussian"])
+    def test_rfm_score(self, sampler):
+        # odd D, so the last coordinate has no partner; N = 300 gives tiles of 128 rows
+        model = random_rfm(9, 300, Activation.tanh(), seed=4)
+
+        def run(score):
+            if sampler == "flip":
+                return estimate_md_binary_fast(score, 9, 700, seed=5)
+            return estimate_md(score, InputSampler.gaussian(9), 700, seed=5)
+
+        here, there = ProbingThreads(score_fn(model)), ProbingThreads(score_fn(model))
+        assert_same_bits([run(here)], [off_main_thread(lambda: run(there))])
+        assert len(here.threads) == (2 if PAIRED else 1) and len(there.threads) == 1
+
+    def test_multiclass_bmd_across_tiles(self):
+        net = init_mlp(100, 1024, 10, seed=6)
+        run = lambda: multiclass_bmd(net, InputSampler.binary(100), 1000, seed=7)
+        assert run() == off_main_thread(run)
+
+    @pytest.mark.parametrize("flip", [True, False])
+    def test_table_score(self, flip):
+        values = random_table(7, seed=8)
+
+        def run(score):
+            if flip:
+                return estimate_md_binary_fast(score, 7, 3000, seed=9)
+            return estimate_md(score, InputSampler.binary(7), 3000, seed=9)
+
+        here = ProbingThreads(boolfn.table_score_fn(values))
+        there = ProbingThreads(boolfn.table_score_fn(values))
+        assert_same_bits([run(here)], [off_main_thread(lambda: run(there))])
+        assert len(here.threads) == (2 if PAIRED else 1) and len(there.threads) == 1
+
+    def test_callable_without_probe(self):
+        values = random_table(6, seed=10)
+        f = lambda x: values[boolfn.spins_to_index(x)]
+        run = lambda: estimate_md(f, InputSampler.binary(6), 1000, seed=11)
+        assert_same_bits([run()], [off_main_thread(run)])
+
+    def test_concurrent_estimates_keep_their_bits(self):
+        """Two estimates at once in a 2-thread pool, each with its own score,
+        while the main thread runs a paired third: four probers on two
+        cores, with short thread switches, give the sequential bits."""
+        def run(seed):
+            model = random_rfm(9, 300, Activation.tanh(), seed=seed)
+            return estimate_md(score_fn(model), InputSampler.gaussian(9), 700, seed=seed)
+
+        seeds = (12, 13, 14)
+        expected = [off_main_thread(lambda seed=seed: run(seed)) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(run, seed) for seed in seeds[:2]]
+                here = run(seeds[2])
+                got = [future.result(timeout=300) for future in futures] + [here]
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_bits(got, expected)
+
+    @pytest.mark.parametrize("nan,fail,coordinate", [((3, 4), (), 3), ((2, 3), (), 2),
+                                                     ((2,), (3,), 2)])
+    def test_failure_names_the_lower_coordinate(self, nan, fail, coordinate):
+        """Pairs are (0, 1), (2, 3), ...: whichever probes fail, the error is
+        the sequential one, about the lowest failing coordinate."""
+        run = lambda: estimate_md(NanAt(nan, fail), InputSampler.gaussian(6), 200, seed=0)
+        with pytest.raises(ScoreEvaluationError, match=f"coordinate {coordinate}, ") as paired:
+            run()
+        sequential = off_main_thread(run)
+        assert type(sequential) is ScoreEvaluationError and str(sequential) == str(paired.value)
+
+    def test_blas_capped_while_paired(self):
+        """A paired estimate runs numpy's OpenBLAS at max(1, cores // 2)
+        threads or fewer, full evaluations included, and restores it."""
+        controls = _openblas_thread_controls()
+        before = [get() for get, _ in controls]
+        seen = []
+
+        class Counting(NanAt):
+            def __call__(self, x):
+                seen.append([get() for get, _ in controls])
+                return super().__call__(x)
+
+            def probe(self, i, column):
+                seen.append([get() for get, _ in controls])
+                return super().probe(i, column)
+
+        estimate_md(Counting(), InputSampler.gaussian(4), 200, seed=0)
+        cap = max(1, (os.cpu_count() or 1) // 2)
+        expected = [min(count, cap) for count in before] if PAIRED else before
+        assert seen and all(counts == expected for counts in seen)
+        assert [get() for get, _ in controls] == before

@@ -27,9 +27,9 @@ from meandim.experiments import (
     summarize_peaks,
 )
 from meandim import experiments
-from meandim.experiments import (_KINDS, _mean, _minmax_dataset, _openblas_thread_controls,
-                                 _pearson, _Pretraining, _run_cells, _shared_sets, _spearman,
-                                 _std, _sweep_lines)
+from meandim.estimator import _openblas_thread_controls
+from meandim.experiments import (_KINDS, _mean, _minmax_dataset, _pearson, _Pretraining,
+                                 _run_cells, _shared_sets, _spearman, _std, _sweep_lines)
 from meandim.heatmap_svg import CELL_PX, svg_lines
 from meandim.replica import CURVE_HEADER
 from meandim.rfm import Activation, load_rfm, random_rfm, save_rfm

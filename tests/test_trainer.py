@@ -23,7 +23,7 @@ from meandim.trainer import (
     train_gd,
     train_rfm_ridge,
 )
-from meandim.trainer import _Adam, _Backprop, _descend, _pretrain
+from meandim.trainer import ADAM_CHUNK, _Adam, _Backprop, _descend, _pretrain
 
 TANH = Activation.tanh()
 TANH_KAPPAS = compute_kappas(TANH)
@@ -397,6 +397,26 @@ class TestAdam:
             adam.step(theta, g)
             assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)
         assert np.max(np.abs(theta - ref) / np.abs(ref)) < 1e-12
+
+    def test_chunks_give_the_bits_of_whole_array_passes(self):
+        """20 steps on a size that is no multiple of ADAM_CHUNK: theta, m and v
+        equal the folded update written out on whole arrays, bit for bit."""
+        rng = np.random.default_rng(31)
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        size = 2 * ADAM_CHUNK + 1234
+        theta = rng.standard_normal(size)
+        ref = theta.copy()
+        m, v = np.zeros(size), np.zeros(size)
+        adam = _Adam(size, lr)
+        for t in range(1, 21):
+            g = rng.standard_normal(size) * 10.0 ** rng.uniform(-9, 2, size)
+            m = m * b1 + (1 - b1) * g
+            v = v * b2 + (1 - b2) * (g * g)
+            root = np.sqrt(1 - b2**t)
+            ref = ref - m * (lr * root / (1 - b1**t)) / (np.sqrt(v) + eps * root)
+            adam.step(theta, g)
+        assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)
+        assert np.array_equal(theta, ref)
 
 
 class TestBackprop:
