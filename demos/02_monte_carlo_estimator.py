@@ -47,7 +47,7 @@ def main():
 
     # the estimator is sampler-generic: same machinery, gaussian inputs
     smooth = lambda x: np.tanh(x @ np.linspace(1.0, 2.0, 6) / np.sqrt(6.0))
-    prof_g = estimate_md(smooth, InputSampler.gaussian(6), n_samples=20_000, seed=1)
+    prof_g = estimate_md(smooth, InputSampler("gaussian", 6), n_samples=20_000, seed=1)
     print("tanh of a weighted gaussian sum (6 inputs):")
     print(profile_summary(prof_g))
     print()

@@ -193,23 +193,26 @@ def spins_to_index(spins: np.ndarray) -> np.ndarray:
 
 def table_score_fn(values: np.ndarray) -> "_TableScore":
     """Wrap a vertex table as a batched score function over spin rows."""
-    values, _ = _check_table(values)
-    return _TableScore(values)
+    return _TableScore(*_check_table(values))
 
 
 class _TableScore:
     """Vertex-table lookup over spin rows, with coordinate probes.
 
-    A call maps each row to its vertex index and keeps those indices;
-    ``probe(i, column)`` answers the last batch with column i replaced by
-    setting bit i of every kept index from ``column < 0``.
+    A call checks that its rows have n spins, maps each row to its vertex
+    index and keeps those indices; ``probe(i, column)`` answers the last
+    batch with column i replaced by setting bit i of every kept index from
+    ``column < 0``.
     """
 
-    def __init__(self, values: np.ndarray):
-        self.values = values
+    def __init__(self, values: np.ndarray, n: int):
+        self.values, self.n = values, n
         self._index = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.atleast_1d(x)
+        if x.shape[-1] != self.n:
+            raise ValueError(f"batch has {x.shape[-1]} columns; the table takes {self.n}")
         self._index = spins_to_index(x)
         return self.values[self._index]
 

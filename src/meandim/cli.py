@@ -44,7 +44,7 @@ import sys
 
 import numpy as np
 
-from .estimator import (SAMPLER_KINDS, InputSampler, estimate_md_best,
+from .estimator import (SAMPLER_KINDS, InputSampler, estimate_md, estimate_md_binary_fast,
                         profile_csv_lines, profile_summary)
 from .experiments import CellError, load_experiment_config, run_experiment
 from .replica import curve_lines, log_grid, sweep_curve
@@ -121,7 +121,10 @@ def _make_sampler(args, dim: int) -> InputSampler:
 def _cmd_md(args) -> int:
     model = load_rfm(args.checkpoint)
     sampler = _make_sampler(args, model.D)
-    profile = estimate_md_best(score_fn(model), sampler, args.samples, args.seed)
+    if sampler.kind == "binary":  # spin flips: the lower-variance route on the cube
+        profile = estimate_md_binary_fast(score_fn(model), model.D, args.samples, args.seed)
+    else:
+        profile = estimate_md(score_fn(model), sampler, args.samples, args.seed)
     summary = profile_summary(profile)
     if args.profile_out is not None:
         write_text(args.profile_out, profile_csv_lines(profile))

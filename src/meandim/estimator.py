@@ -14,7 +14,7 @@ is accumulated relative to the first background value, so an offset does
 not cancel it away). Standard errors come from 10 batch means.
 
 Score functions are batched: they receive an (m, n) array of inputs and must
-return m finite reals (or an (m, k) block for the multi-output variant).
+return m finite reals (or an (m, k) block, for ``estimate_md``'s n_outputs = k).
 A score may also have a method ``probe(i, column)`` that returns f of the
 batch it last evaluated in full, column i replaced by the length-m array
 ``column``; the estimator then calls f once per background (a new array
@@ -68,8 +68,6 @@ __all__ = [
     "ScoreEvaluationError",
     "estimate_md",
     "estimate_md_binary_fast",
-    "estimate_md_best",
-    "estimate_md_multioutput",
     "influence_heatmap",
     "profile_csv_lines",
     "profile_summary",
@@ -98,8 +96,9 @@ class InputSampler:
       empirical backgrounds are whole rows of ``data``, a (rows, dim) array;
                 a resampled coordinate is drawn uniformly from [lo, hi]
 
-    Construction checks the kind, finite lo < hi with a finite hi - lo, and
-    that empirical data is a nonempty, finite (rows, dim) array.
+    Construction checks the kind, an integer dim >= 1, finite lo < hi with
+    a finite hi - lo, and that empirical data is a nonempty, finite
+    (rows, dim) array.
     """
 
     kind: str
@@ -111,6 +110,8 @@ class InputSampler:
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise ValueError(f"sampler dim needs an integer >= 1, got {self.dim!r}")
         if not (math.isfinite(float(self.hi) - float(self.lo)) and self.lo < self.hi):
             raise ValueError("sampler bounds need finite lo < hi with a finite hi - lo, "
                              f"got lo = {self.lo!r}, hi = {self.hi!r}")
@@ -130,19 +131,6 @@ class InputSampler:
     @classmethod
     def binary(cls, dim: int) -> "InputSampler":
         return cls("binary", dim)
-
-    @classmethod
-    def gaussian(cls, dim: int) -> "InputSampler":
-        return cls("gaussian", dim)
-
-    @classmethod
-    def uniform(cls, dim: int, lo: float = -1.0, hi: float = 1.0) -> "InputSampler":
-        return cls("uniform", dim, lo, hi)
-
-    @classmethod
-    def empirical(cls, data: np.ndarray, lo: float = -1.0, hi: float = 1.0) -> "InputSampler":
-        data = np.asarray(data, dtype=float)
-        return cls("empirical", data.shape[-1] if data.ndim else 0, lo, hi, data)
 
     def _draw(self, rng: np.random.Generator, size) -> np.ndarray:
         """i.i.d. coordinates of the given shape; empirical draws uniform ones."""
@@ -381,31 +369,33 @@ def _paired(probe) -> bool:
 
 
 def _accumulate(f, sampler: InputSampler, n_samples: int, seed: int, mode: str,
-                n_outputs: int):
-    """Run the estimation stream, seeded by (seed, 0).
+                n_outputs: int | None):
+    """Run the estimation stream in mode "resample" or "flip", seeded by
+    (seed, 0); f returns m values, or an (m, n_outputs) block.
 
-    Returns per-batch accumulators: tau sums (N_BATCHES, dim, n_outputs),
-    sums and square sums of f minus the stream's first background value
-    (N_BATCHES, n_outputs), and batch sizes; sample j belongs to batch
-    j * N_BATCHES // n_samples. The shift keeps a large offset of f from
-    cancelling the variance away.
+    Returns per-batch accumulators: tau sums (N_BATCHES, dim, k), sums and
+    square sums of f minus the stream's first background value
+    (N_BATCHES, k), and batch sizes, where k is n_outputs or 1; sample j
+    belongs to batch j * N_BATCHES // n_samples. The shift keeps a large
+    offset of f from cancelling the variance away.
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
     dim = sampler.dim
+    k = 1 if n_outputs is None else n_outputs
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    tau_sums = np.zeros((N_BATCHES, dim, n_outputs))
-    f_sum = np.zeros((N_BATCHES, n_outputs))
-    f_sq_sum = np.zeros((N_BATCHES, n_outputs))
+    tau_sums = np.zeros((N_BATCHES, dim, k))
+    f_sum = np.zeros((N_BATCHES, k))
+    f_sq_sum = np.zeros((N_BATCHES, k))
     batch_count = np.zeros(N_BATCHES, dtype=np.int64)
 
     def checked(out, m: int, where: str) -> np.ndarray:
         out = np.asarray(out, dtype=float)
-        expected = (m,) if n_outputs == 1 else (m, n_outputs)
+        expected = (m,) if n_outputs is None else (m, n_outputs)
         if out.shape != expected:
             raise ValueError(f"score function returned shape {out.shape}, expected {expected}")
         _check_finite(out, where)
-        return out.reshape(m, n_outputs)
+        return out.reshape(m, k)
 
     probe = getattr(f, "probe", None)
     scale = 0.5 if mode == "resample" else 0.25
@@ -492,7 +482,8 @@ def _assemble(tau_sums, f_sum, f_sq_sum, batch_count, n_samples, seed, output: i
     )
 
 
-def estimate_md(f, sampler: InputSampler, n_samples: int, seed: int) -> InfluenceProfile:
+def estimate_md(f, sampler: InputSampler, n_samples: int, seed: int,
+                n_outputs: int | None = None) -> InfluenceProfile | list[InfluenceProfile]:
     """Estimate influences and mean dimension by coordinate resampling.
 
     Parameters
@@ -507,9 +498,15 @@ def estimate_md(f, sampler: InputSampler, n_samples: int, seed: int) -> Influenc
     seed : int
         Results are bit-identical for identical (f, sampler, n_samples,
         seed).
+    n_outputs : int, optional
+        Given, f returns an (m, n_outputs) block instead (say the per-class
+        log-probabilities of a classifier), and a list of one profile per
+        column comes back, all from one background stream.
     """
-    acc = _accumulate(f, sampler, n_samples, seed, mode="resample", n_outputs=1)
-    return _assemble(*acc, n_samples, seed, output=0)
+    acc = _accumulate(f, sampler, n_samples, seed, "resample", n_outputs)
+    if n_outputs is None:
+        return _assemble(*acc, n_samples, seed, output=0)
+    return [_assemble(*acc, n_samples, seed, output=k) for k in range(n_outputs)]
 
 
 def estimate_md_binary_fast(f, n: int, n_samples: int, seed: int) -> InfluenceProfile:
@@ -519,31 +516,11 @@ def estimate_md_binary_fast(f, n: int, n_samples: int, seed: int) -> InfluencePr
     directly, tau_i^2 = mean of ((f(s_i -> +1) - f(s_i -> -1)) / 2)^2, which
     has the same expectation as ``estimate_md`` with the binary sampler but
     never wastes a draw on an unchanged coordinate. The shared-background
-    evaluation makes this n+1 (not 2n) calls per sample.
+    evaluation makes this n+1 (not 2n) calls per sample. It stays the flip
+    entry, as ``estimate_md`` is the resampling one.
     """
-    acc = _accumulate(f, InputSampler.binary(n), n_samples, seed, mode="flip", n_outputs=1)
+    acc = _accumulate(f, InputSampler.binary(n), n_samples, seed, "flip", None)
     return _assemble(*acc, n_samples, seed, output=0)
-
-
-def estimate_md_best(f, sampler: InputSampler, n_samples: int, seed: int) -> InfluenceProfile:
-    """``estimate_md`` under sampler, except that the binary sampler takes
-    the lower-variance ``estimate_md_binary_fast``."""
-    if sampler.kind == "binary":
-        return estimate_md_binary_fast(f, sampler.dim, n_samples, seed)
-    return estimate_md(f, sampler, n_samples, seed)
-
-
-def estimate_md_multioutput(f, n_outputs: int, sampler: InputSampler, n_samples: int,
-                            seed: int) -> list[InfluenceProfile]:
-    """Profile several score functions that share one forward pass.
-
-    ``f`` maps (m, n) inputs to an (m, n_outputs) block (for example the
-    per-class log-probabilities of a classifier); one profile per column is
-    returned, all computed by coordinate resampling from the same
-    background stream.
-    """
-    acc = _accumulate(f, sampler, n_samples, seed, mode="resample", n_outputs=n_outputs)
-    return [_assemble(*acc, n_samples, seed, output=k) for k in range(n_outputs)]
 
 
 def influence_heatmap(profile: InfluenceProfile, width: int, height: int) -> np.ndarray:

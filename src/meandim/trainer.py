@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import InputSampler, LinearFirstLayer, estimate_md_multioutput
+from .estimator import InputSampler, LinearFirstLayer, estimate_md
 from .rfm import RfmModel, design_matrix, forward, with_weights
 
 __all__ = [
@@ -639,6 +639,6 @@ def multiclass_bmd(net: Mlp, sampler: InputSampler, n_samples: int, seed: int) -
                          f"got n_out = {net.n_out}")
     score = LinearFirstLayer(net.W1, net.b1,
                              lambda h: _log_softmax(_logits(net, np.tanh(h, out=h))))
-    mds = [p.md for p in estimate_md_multioutput(score, net.n_out, sampler, n_samples, seed)]
+    mds = [p.md for p in estimate_md(score, sampler, n_samples, seed, net.n_out)]
     return np.nan if None in mds else float(np.mean(mds))
 

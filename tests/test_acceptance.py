@@ -175,8 +175,8 @@ def test_c08_sampler_universality(tmp_path):
     fit = trained_rfm(D=100, N=200, P=300, lam=1e-4, seed=5)
     f = score_fn(fit.model)
     pb = estimate_md_binary_fast(f, 100, 40_000, seed=11)
-    pg = estimate_md(f, InputSampler.gaussian(100), 40_000, seed=12)
-    pu = estimate_md(f, InputSampler.uniform(100), 40_000, seed=13)
+    pg = estimate_md(f, InputSampler("gaussian", 100), 40_000, seed=12)
+    pu = estimate_md(f, InputSampler("uniform", 100), 40_000, seed=13)
     comb_bg = 3 * np.hypot(pb.std_err_md, pg.std_err_md)
     comb_bu = 3 * np.hypot(pb.std_err_md, pu.std_err_md)
     same_bg = abs(pb.md - pg.md) < comb_bg

@@ -29,8 +29,7 @@ LAYERS = ("boolfn", "estimator", "rfm", "trainer", "replica", "experiments", "cl
 
 BOUND = {
     "boolfn": ("walsh_hadamard", "degree_profile", "table_score_fn"),
-    "estimator": ("InputSampler", "estimate_md", "estimate_md_binary_fast",
-                  "estimate_md_multioutput"),
+    "estimator": ("InputSampler", "estimate_md", "estimate_md_binary_fast"),
     "rfm": ("Activation", "random_rfm", "save_rfm", "analytic_bmd", "compute_kappas"),
     "trainer": ("TeacherTask", "gen_teacher_student", "train_rfm_ridge", "init_mlp",
                 "multiclass_bmd", "train_gd", "robustness_flip_count"),

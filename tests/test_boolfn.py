@@ -271,6 +271,14 @@ class TestHelpers:
         score = boolfn.table_score_fn(values)
         np.testing.assert_array_equal(score(boolfn.vertex_spins(3)), values)
 
+    @pytest.mark.parametrize("width", [3, 7])
+    def test_table_score_rejects_a_batch_of_the_wrong_width(self, width):
+        # too few columns would index a sub-function, too many past the table
+        score = boolfn.table_score_fn(np.arange(32.0))
+        spins = 1.0 - 2.0 * np.random.default_rng(0).integers(0, 2, size=(8, width))
+        with pytest.raises(ValueError, match=f"batch has {width} columns; the table takes 5"):
+            score(spins)
+
     def test_table_score_probe_matches_lookup(self):
         rng = np.random.default_rng(5)
         values = rng.standard_normal(1 << 6)

@@ -20,7 +20,6 @@ from meandim.estimator import (
     ScoreEvaluationError,
     estimate_md,
     estimate_md_binary_fast,
-    estimate_md_multioutput,
     influence_heatmap,
     profile_csv_lines,
     profile_summary,
@@ -79,7 +78,7 @@ class TestExactCases:
         # f(x) = sum_i x_i / sqrt(n) has md = 1 under any product sampler
         n = 8
         f = lambda x: x.sum(axis=1) / np.sqrt(n)
-        prof = estimate_md(f, InputSampler.gaussian(n), n_samples=100_000, seed=3)
+        prof = estimate_md(f, InputSampler("gaussian", n), n_samples=100_000, seed=3)
         assert abs(prof.md - 1.0) < 3 * prof.std_err_md
 
 
@@ -190,25 +189,25 @@ class TestSamplers:
 
     def test_gaussian_moments(self):
         rng = np.random.default_rng(0)
-        x = InputSampler.gaussian(3).sample_background(rng, 50_000)
+        x = InputSampler("gaussian", 3).sample_background(rng, 50_000)
         assert abs(x.mean()) < 0.02
         assert abs(x.var() - 1.0) < 0.02
 
     def test_uniform_range(self):
         rng = np.random.default_rng(0)
-        s = InputSampler.uniform(2, lo=-2.0, hi=3.0)
+        s = InputSampler("uniform", 2, lo=-2.0, hi=3.0)
         x = s.sample_background(rng, 10_000)
         assert x.min() >= -2.0 and x.max() <= 3.0
         assert abs(x.mean() - 0.5) < 0.05
 
     def test_uniform_rejects_bad_range(self):
         with pytest.raises(ValueError):
-            InputSampler.uniform(2, lo=1.0, hi=1.0)
+            InputSampler("uniform", 2, lo=1.0, hi=1.0)
 
     def test_empirical_backgrounds_are_dataset_rows(self):
         data = np.arange(12.0).reshape(4, 3)
         rng = np.random.default_rng(0)
-        x = InputSampler.empirical(data).sample_background(rng, 50)
+        x = InputSampler("empirical", 3, data=data).sample_background(rng, 50)
         for row in x:
             assert any(np.array_equal(row, d) for d in data)
 
@@ -216,15 +215,24 @@ class TestSamplers:
         # coordinate resampling draws fresh values from [lo, hi], not from
         # the dataset's own marginal
         data = np.zeros((5, 2))
-        s = InputSampler.empirical(data, lo=-1.0, hi=1.0)
+        s = InputSampler("empirical", 2, lo=-1.0, hi=1.0, data=data)
         rng = np.random.default_rng(0)
         values = s.resample_coordinate(rng, 1000)
         assert np.unique(values).size == 1000
         assert values.min() >= -1.0 and values.max() <= 1.0
 
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, "3", None])
+    def test_rejects_a_dim_that_is_not_an_integer_of_one_or_more(self, dim):
+        with pytest.raises(ValueError, match="sampler dim needs an integer >= 1"):
+            InputSampler("gaussian", dim)
+
+    def test_takes_a_numpy_integer_dim(self):
+        x = InputSampler("gaussian", np.int64(3)).sample_background(np.random.default_rng(0), 4)
+        assert x.shape == (4, 3)
+
     def test_empirical_rejects_empty(self):
         with pytest.raises(ValueError):
-            InputSampler.empirical(np.zeros((0, 3)))
+            InputSampler("empirical", 3, data=np.zeros((0, 3)))
 
 
 class TestDegenerateAndErrors:
@@ -242,7 +250,7 @@ class TestDegenerateAndErrors:
             return out
 
         with pytest.raises(ScoreEvaluationError, match="non-finite"):
-            estimate_md(f, InputSampler.gaussian(4), n_samples=500, seed=0)
+            estimate_md(f, InputSampler("gaussian", 4), n_samples=500, seed=0)
 
     def test_bad_output_shape(self):
         f = lambda x: x  # returns a matrix instead of a vector
@@ -260,7 +268,7 @@ class TestMultiOutput:
         table = random_table(5, 6)
         g = boolfn.table_score_fn(table)
         f2 = lambda x: np.stack([g(x), 2.0 * g(x)], axis=1)
-        profs = estimate_md_multioutput(f2, 2, InputSampler.binary(5), n_samples=3000, seed=12)
+        profs = estimate_md(f2, InputSampler.binary(5), n_samples=3000, seed=12, n_outputs=2)
         solo = estimate_md(g, InputSampler.binary(5), n_samples=3000, seed=12)
         assert np.array_equal(profs[0].tau_sq, solo.tau_sq)
         assert profs[0].md == solo.md
@@ -428,12 +436,12 @@ class TestLinearFirstLayer:
         a, A = rng.standard_normal(9), rng.standard_normal((9, 3))
         runs = [
             (_tanh_head(a), lambda f: [estimate_md(f, InputSampler.binary(D), 700, seed=1)]),
-            (_tanh_head(a), lambda f: [estimate_md(f, InputSampler.gaussian(D), 700, seed=2)]),
-            (_tanh_head(a), lambda f: [estimate_md(f, InputSampler.uniform(D, -2.0, 3.0), 700,
+            (_tanh_head(a), lambda f: [estimate_md(f, InputSampler("gaussian", D), 700, seed=2)]),
+            (_tanh_head(a), lambda f: [estimate_md(f, InputSampler("uniform", D, -2.0, 3.0), 700,
                                                    seed=3)]),
             (_tanh_head(a), lambda f: [estimate_md_binary_fast(f, D, 700, seed=4)]),
-            (_softmax_head(A), lambda f: estimate_md_multioutput(f, 3, InputSampler.binary(D),
-                                                                 700, seed=5)),
+            (_softmax_head(A), lambda f: estimate_md(f, InputSampler.binary(D), 700, seed=5,
+                                                     n_outputs=3)),
         ]
         for head, run in runs:
             probed = LinearFirstLayer(W, b, head)
@@ -454,7 +462,7 @@ class TestLinearFirstLayer:
         rng = np.random.default_rng(3)
         W, b, a = rng.standard_normal((9, 20)), rng.standard_normal(20), rng.standard_normal(20)
         head = _tanh_head(a)
-        for sampler in (InputSampler.binary(9), InputSampler.gaussian(9)):
+        for sampler in (InputSampler.binary(9), InputSampler("gaussian", 9)):
             fast = estimate_md(LinearFirstLayer(W, b, head), sampler, 3000, seed=4)
             ref = estimate_md(lambda x: head(x @ W + b), sampler, 3000, seed=4)
             assert np.allclose(fast.tau_sq, ref.tau_sq, rtol=1e-12, atol=0)
@@ -469,7 +477,7 @@ class TestLinearFirstLayer:
         runs = [
             lambda f: estimate_md(f, InputSampler.binary(D), 700, seed=2),
             lambda f: estimate_md_binary_fast(f, D, 700, seed=2),
-            lambda f: estimate_md(f, InputSampler.gaussian(D), 700, seed=5),
+            lambda f: estimate_md(f, InputSampler("gaussian", D), 700, seed=5),
         ]
         first = [run(used) for run in runs]
         again = [run(used) for run in reversed(runs)][::-1]
@@ -579,7 +587,7 @@ class TestExactOracleThroughLinearFirstLayer:
         exact = [self.exact_md(logp[:, k]) for k in range(3)]
         score = LinearFirstLayer(net.W1, net.b1,
                                  lambda h: log_softmax(np.tanh(h) @ net.W2 + net.b2, axis=1))
-        joint = estimate_md_multioutput(score, 3, InputSampler.binary(D), 20_000, seed=8)
+        joint = estimate_md(score, InputSampler.binary(D), 20_000, seed=8, n_outputs=3)
         for k in range(3):
             head = lambda h, k=k: log_softmax(np.tanh(h) @ net.W2 + net.b2, axis=1)[:, k]
             flip = estimate_md_binary_fast(LinearFirstLayer(net.W1, net.b1, head), D,
@@ -668,7 +676,7 @@ class TestPairedProbes:
         def run(score):
             if sampler == "flip":
                 return estimate_md_binary_fast(score, 9, 700, seed=5)
-            return estimate_md(score, InputSampler.gaussian(9), 700, seed=5)
+            return estimate_md(score, InputSampler("gaussian", 9), 700, seed=5)
 
         here, there = ProbingThreads(score_fn(model)), ProbingThreads(score_fn(model))
         assert_same_bits([run(here)], [off_main_thread(lambda: run(there))])
@@ -705,7 +713,7 @@ class TestPairedProbes:
         cores, with short thread switches, give the sequential bits."""
         def run(seed):
             model = random_rfm(9, 300, Activation.tanh(), seed=seed)
-            return estimate_md(score_fn(model), InputSampler.gaussian(9), 700, seed=seed)
+            return estimate_md(score_fn(model), InputSampler("gaussian", 9), 700, seed=seed)
 
         seeds = (12, 13, 14)
         expected = [off_main_thread(lambda seed=seed: run(seed)) for seed in seeds]
@@ -725,7 +733,7 @@ class TestPairedProbes:
     def test_failure_names_the_lower_coordinate(self, nan, fail, coordinate):
         """Pairs are (0, 1), (2, 3), ...: whichever probes fail, the error is
         the sequential one, about the lowest failing coordinate."""
-        run = lambda: estimate_md(NanAt(nan, fail), InputSampler.gaussian(6), 200, seed=0)
+        run = lambda: estimate_md(NanAt(nan, fail), InputSampler("gaussian", 6), 200, seed=0)
         with pytest.raises(ScoreEvaluationError, match=f"coordinate {coordinate}, ") as paired:
             run()
         sequential = off_main_thread(run)
@@ -747,7 +755,7 @@ class TestPairedProbes:
                 seen.append([get() for get, _ in controls])
                 return super().probe(i, column)
 
-        estimate_md(Counting(), InputSampler.gaussian(4), 200, seed=0)
+        estimate_md(Counting(), InputSampler("gaussian", 4), 200, seed=0)
         cap = max(1, (os.cpu_count() or 1) // 2)
         expected = [min(count, cap) for count in before] if PAIRED else before
         assert seen and all(counts == expected for counts in seen)

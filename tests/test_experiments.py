@@ -27,12 +27,13 @@ from meandim.experiments import (
     summarize_peaks,
 )
 from meandim import experiments
-from meandim.estimator import _openblas_thread_controls
+from meandim.estimator import (InputSampler, _openblas_thread_controls, estimate_md,
+                               estimate_md_binary_fast, profile_summary)
 from meandim.experiments import (_KINDS, _mean, _minmax_dataset, _pearson, _Pretraining,
                                  _run_cells, _shared_sets, _spearman, _std, _sweep_lines)
 from meandim.heatmap_svg import CELL_PX, svg_lines
 from meandim.replica import CURVE_HEADER
-from meandim.rfm import Activation, load_rfm, random_rfm, save_rfm
+from meandim.rfm import Activation, load_rfm, random_rfm, save_rfm, score_fn
 from meandim.textio import write_text
 from meandim.trainer import (Dataset, TeacherTask, TrainConfig, gen_multiclass_task,
                              gen_teacher_student, init_mlp)
@@ -799,13 +800,18 @@ def test_cli_md_binary(tmp_path, capsys):
     assert out.startswith("md = ")
     assert "std_err_md = " in out and "n_samples = 400" in out
     assert read_lines(profile_out)[0] == "i,tau_sq"
+    flip = estimate_md_binary_fast(score_fn(load_rfm(path)), 6, 400, seed=2)
+    assert out == profile_summary(flip) + f"profile: {profile_out}\n"  # spin flips
 
 
 def test_cli_md_gaussian_sampler(tmp_path, capsys):
-    code = main(["md", checkpoint(tmp_path), "--sampler", "gaussian",
-                 "--samples", "300", "--seed", "4"])
+    path = checkpoint(tmp_path)
+    code = main(["md", path, "--sampler", "gaussian", "--samples", "300", "--seed", "4"])
     assert code == 0
-    assert capsys.readouterr().out.startswith("md = ")
+    out = capsys.readouterr().out
+    assert out.startswith("md = ")
+    resampled = estimate_md(score_fn(load_rfm(path)), InputSampler("gaussian", 6), 300, seed=4)
+    assert out == profile_summary(resampled)
 
 
 def test_cli_md_empirical_requires_data(tmp_path, capsys):

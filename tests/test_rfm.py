@@ -282,7 +282,7 @@ class TestAnalyticBmd:
         model = random_rfm(100, 40, Activation.tanh(), seed=14)
         f = score_fn(model)
         pb = estimate_md(f, InputSampler.binary(100), n_samples=10_000, seed=14)
-        pg = estimate_md(f, InputSampler.gaussian(100), n_samples=10_000, seed=15)
+        pg = estimate_md(f, InputSampler("gaussian", 100), n_samples=10_000, seed=15)
         combined = np.hypot(pb.std_err_md, pg.std_err_md)
         assert abs(pb.md - pg.md) < 3 * combined
 
