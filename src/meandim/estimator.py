@@ -79,6 +79,7 @@ SAMPLER_KINDS = ("binary", "gaussian", "uniform", "empirical")
 TILE_FLOATS = 1 << 15  # float64s in a LinearFirstLayer head tile: 256 KiB
 TILE_MIN_ROWS = 128
 GATHER_FLOATS = 1 << 15  # float64s of h0 a probe gathers at once: 256 KiB
+DRAW_PIECE = 1 << 16  # spins drawn as integers at once: 512 KiB
 
 
 class ScoreEvaluationError(RuntimeError):
@@ -135,7 +136,16 @@ class InputSampler:
     def _draw(self, rng: np.random.Generator, size) -> np.ndarray:
         """i.i.d. coordinates of the given shape; empirical draws uniform ones."""
         if self.kind == "binary":
-            return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
+            # in pieces, so no integer copy of the whole draw is held; the
+            # stream and the generator's state are those of one whole draw
+            spins = np.empty(size)
+            flat = spins.reshape(-1)
+            for lo in range(0, flat.size, DRAW_PIECE):
+                piece = flat[lo:lo + DRAW_PIECE]
+                piece[:] = rng.integers(0, 2, size=piece.size)
+            spins *= 2.0
+            spins -= 1.0
+            return spins
         if self.kind == "gaussian":
             return rng.standard_normal(size)
         return rng.uniform(self.lo, self.hi, size=size)  # uniform and empirical
@@ -368,6 +378,27 @@ def _paired(probe) -> bool:
             and threading.current_thread() is threading.main_thread())
 
 
+def _batch_segments(done: int, m: int, n_samples: int) -> list:
+    """(b, lo, hi) for each batch b that rows lo..hi-1 of the chunk of
+    samples done..done+m-1 fall in; sample j is in batch j * N_BATCHES //
+    n_samples, so each batch is one run of rows."""
+    batches = np.arange(done, done + m) * N_BATCHES // n_samples
+    edges = np.searchsorted(batches, np.arange(N_BATCHES + 1)).tolist()
+    return [(b, lo, hi) for b, (lo, hi) in enumerate(zip(edges, edges[1:])) if hi > lo]
+
+
+def _add_by_batch(acc: np.ndarray, segments, values: np.ndarray) -> None:
+    """acc[b] += each row of values[lo:hi] in row order, for each batch
+    segment (b, lo, hi) of _batch_segments: the additions, so the bits, of
+    np.add.at over the rows' batch numbers, as one running sum per
+    segment. values is overwritten."""
+    for b, lo, hi in segments:
+        rows = values[lo:hi]
+        rows[0] += acc[b]
+        np.add.accumulate(rows, axis=0, out=rows)
+        acc[b] = rows[-1]
+
+
 def _accumulate(f, sampler: InputSampler, n_samples: int, seed: int, mode: str,
                 n_outputs: int | None):
     """Run the estimation stream in mode "resample" or "flip", seeded by
@@ -428,7 +459,7 @@ def _accumulate(f, sampler: InputSampler, n_samples: int, seed: int, mode: str,
             if j != coords[0]:  # read only after the first coordinate passed its check
                 other = other.result()
             other = checked(other, m, f"coordinate {j}, {samples}")
-            np.add.at(tau_sums, (batches, j), scale * (base - other) ** 2)
+            _add_by_batch(tau_sums[:, j], segments, scale * (base - other) ** 2)
 
     done = 0
     chunk = _chunk_size(dim)
@@ -444,12 +475,12 @@ def _accumulate(f, sampler: InputSampler, n_samples: int, seed: int, mode: str,
             base = checked(f(x), m, f"background {samples}")
             if done == 0:
                 origin = base[0].copy()
-            batches = np.arange(done, done + m) * N_BATCHES // n_samples
+            segments = _batch_segments(done, m, n_samples)
             shifted = base - origin
-            np.add.at(f_sum, batches, shifted)
-            shifted *= shifted
-            np.add.at(f_sq_sum, batches, shifted)
-            np.add.at(batch_count, batches, np.ones(m, dtype=np.int64))
+            _add_by_batch(f_sq_sum, segments, shifted * shifted)
+            _add_by_batch(f_sum, segments, shifted)
+            for b, lo, hi in segments:
+                batch_count[b] += hi - lo
             for i in range(0, dim, step):
                 add_influences(range(i, min(i + step, dim)))
             done += m

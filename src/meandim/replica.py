@@ -121,16 +121,21 @@ class OrderParams:
 
     def overlaps(self, kappas: KappaSet) -> tuple[float, float, float]:
         """(M, Q_d, dQ): teacher overlap, output scale, output fluctuation."""
-        M = kappas.k1 * self.r
-        Q_d = kappas.k_star_sq * self.q_d + kappas.k1**2 * self.p_d
-        dQ = kappas.k_star_sq * self.delta_q + kappas.k1**2 * self.delta_p
-        return M, Q_d, dQ
+        return _overlaps(kappas, self.q_d, self.delta_q, self.p_d, self.delta_p, self.r)
 
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in _FIELDS])
 
 
 _FIELDS = tuple(f.name for f in fields(OrderParams))
+
+
+def _overlaps(kappas: KappaSet, q_d, delta_q, p_d, delta_p, r):
+    """(M, Q_d, dQ) of OrderParams.overlaps, from the fields it reads."""
+    M = kappas.k1 * r
+    Q_d = kappas.k_star_sq * q_d + kappas.k1**2 * p_d
+    dQ = kappas.k_star_sq * delta_q + kappas.k1**2 * delta_p
+    return M, Q_d, dQ
 
 
 @dataclass(frozen=True)
@@ -212,22 +217,32 @@ def _mse_terms(M: float, Q_d: float, delta: float):
     return a, i1, j2_s3, 0.5 - 2.0 * a * i1 + 0.5 * a * a
 
 
-def _energetic(loss: str, M: float, Q_d: float, dQ: float, delta: float):
-    """Value and partials of G_E w.r.t. (Q_d, M, dQ), plus the train loss.
+def _partials(loss: str, M: float, Q_d: float, dQ: float, delta: float):
+    """(g_Q, g_M, g_dQ), the partials of G_E w.r.t. (Q_d, M, dQ): all that a
+    pass of the stationarity conditions needs, as floats.
 
     For the square loss the inner max is -(1 - h0)^2 / (2u), u = 1 + dQ,
-    so with the terms of _mse_terms G_E = -A/u, and the dQ partial and the
-    train loss are both A/u^2. Cross-entropy works on the shared z0 grid
-    with the Newton inner max. The H factor is the probability of the
-    teacher label given z0; its own (Q_d, M) dependence enters the partials
-    through the normal pdf at the H argument.
+    so with the terms of _mse_terms G_E = -A/u and the dQ partial is A/u^2.
+    Cross-entropy works on the z0 grid of _ce_terms.
     """
     if loss == "mse":
         a, i1, j2_s3, A = _mse_terms(M, Q_d, delta)
         u = 1.0 + dQ
         g_Q = (i1 - 0.5 * a) / (a * u) - M * a * j2_s3 / u
         g_M = 2.0 * (Q_d + delta) * a * j2_s3 / u
-        return -A / u, g_Q, g_M, A / u**2, A / u**2
+        return g_Q, g_M, A / u**2
+    # in M's type: floats on a pass, numpy floats where a pass reruns on them
+    return tuple(map(type(M), _ce_terms(M, Q_d, dQ, delta)[0]))
+
+
+def _ce_terms(M: float, Q_d: float, dQ: float, delta: float):
+    """The cross-entropy G_E on the shared z0 grid with the Newton inner max.
+
+    Returns (g_Q, g_M, g_dQ) and the node arrays (wts, Hfac, E, h0, z1)
+    that its value and the train loss integrate. The H factor is the
+    probability of the teacher label given z0; its own (Q_d, M) dependence
+    enters the partials through the normal pdf at the H argument.
+    """
     z0, wts = _z0_rule()
     s_sq = max(Q_d - M * M + delta, 1e-300)
     s = np.sqrt(s_sq)
@@ -236,15 +251,30 @@ def _energetic(loss: str, M: float, Q_d: float, dQ: float, delta: float):
     pdf = np.exp(-arg * arg / 2.0) / np.sqrt(2.0 * np.pi)
     h0 = np.sqrt(Q_d) * z0
     z1, E = ce_inner_max(h0, dQ)
-    x_star = h0 + np.sqrt(dQ) * z1
     # envelope theorem: d E / d h0 = -loss'(x*) = z1 / sqrt(dQ)
     dE_dQd = (z1 / np.sqrt(dQ)) * z0 / (2.0 * np.sqrt(Q_d))
     dH_dQd = -pdf * M * z0 / (2.0 * s_sq * s)
     dH_dM = -pdf * (-z0 * (Q_d - M * M + delta + M * M) / (s_sq * s))
-    value = 2.0 * wts @ (Hfac * E)
     g_Q = 2.0 * wts @ (Hfac * dE_dQd + dH_dQd * E)
     g_M = 2.0 * wts @ (dH_dM * E)
     g_dQ = 2.0 * wts @ (Hfac * (z1**2) / (2.0 * dQ))
+    return (g_Q, g_M, g_dQ), (wts, Hfac, E, h0, z1)
+
+
+def _energetic(loss: str, M: float, Q_d: float, dQ: float, delta: float):
+    """Value and partials of G_E w.r.t. (Q_d, M, dQ), plus the train loss.
+
+    For the square loss G_E = -A/u (see _partials), and the train loss is
+    A/u^2 like the dQ partial; for cross-entropy both integrate the node
+    arrays of _ce_terms.
+    """
+    if loss == "mse":
+        A = _mse_terms(M, Q_d, delta)[3]
+        g_Q, g_M, g_dQ = _partials(loss, M, Q_d, dQ, delta)
+        return -A / (1.0 + dQ), g_Q, g_M, g_dQ, g_dQ
+    (g_Q, g_M, g_dQ), (wts, Hfac, E, h0, z1) = _ce_terms(M, Q_d, dQ, delta)
+    x_star = h0 + np.sqrt(dQ) * z1
+    value = 2.0 * wts @ (Hfac * E)
     train_loss = 2.0 * wts @ (Hfac * _margin_loss(loss, x_star))
     return value, g_Q, g_M, g_dQ, train_loss
 
@@ -270,23 +300,26 @@ def free_energy(params: OrderParams, inp: ReplicaInput) -> float:
             + ad * g_se + a * g_e)
 
 
-def _proposal(p: OrderParams, inp: ReplicaInput) -> OrderParams:
-    """One full pass of the stationarity conditions: hats, then overlaps."""
+def _proposal(p, inp: ReplicaInput) -> tuple:
+    """One full pass of the stationarity conditions: hats, then overlaps.
+    p holds the ten order parameters in _FIELDS order, and so does the
+    returned tuple; both as floats (see solve_saddle)."""
     k = inp.kappas
     a, ad, lam = inp.alpha, inp.alpha_d, inp.lam
-    M, Q_d, dQ = p.overlaps(k)
-    _, g_Q, g_M, g_dQ, _ = _energetic(inp.loss, M, Q_d, dQ, inp.delta)
+    q_d, delta_q, _, _, p_d, delta_p, _, _, r, _ = p
+    g_Q, g_M, g_dQ = _partials(inp.loss, *_overlaps(k, q_d, delta_q, p_d, delta_p, r),
+                               inp.delta)
 
     delta_P_hat = -(2.0 * a / ad) * k.k1**2 * g_Q
     delta_p_hat = (2.0 * a / ad) * k.k1**2 * g_dQ
     r_hat = (a / ad) * k.k1 * g_M
-    denom = 1.0 + delta_P_hat * p.delta_q
+    denom = 1.0 + delta_P_hat * delta_q
     delta_Q_hat = ad * delta_P_hat / denom - 2.0 * a * k.k_star_sq * g_Q
     hat_mix = delta_p_hat + r_hat**2
     delta_q_hat = 2.0 * ad * (
-        p.q_d / (2.0 * p.delta_q**2)
-        + 0.5 * (hat_mix - p.q_d / p.delta_q**2) / denom
-        - 0.5 * (hat_mix * p.delta_q + p.q_d / p.delta_q) * delta_P_hat / denom**2
+        q_d / (2.0 * delta_q**2)
+        + 0.5 * (hat_mix - q_d / delta_q**2) / denom
+        - 0.5 * (hat_mix * delta_q + q_d / delta_q) * delta_P_hat / denom**2
     ) + 2.0 * a * k.k_star_sq * g_dQ
 
     delta_q = 1.0 / max(delta_Q_hat + lam, 1e-12)
@@ -295,10 +328,8 @@ def _proposal(p: OrderParams, inp: ReplicaInput) -> OrderParams:
     delta_p = delta_q / shrink
     p_d = max((hat_mix * delta_q**2 + q_d) / shrink**2, 1e-300)
     r = r_hat * delta_q / shrink
-    return OrderParams(q_d=q_d, delta_q=delta_q, delta_q_hat=delta_q_hat,
-                       delta_Q_hat=delta_Q_hat, p_d=p_d, delta_p=delta_p,
-                       delta_p_hat=delta_p_hat, delta_P_hat=delta_P_hat,
-                       r=r, r_hat=r_hat)
+    return (q_d, delta_q, delta_q_hat, delta_Q_hat, p_d, delta_p, delta_p_hat, delta_P_hat,
+            r, r_hat)
 
 
 _DEFAULT_INIT = OrderParams(q_d=0.5, delta_q=1.0, delta_q_hat=0.5, delta_Q_hat=1.0,
@@ -306,15 +337,14 @@ _DEFAULT_INIT = OrderParams(q_d=0.5, delta_q=1.0, delta_q_hat=0.5, delta_Q_hat=1
                             r=0.3, r_hat=0.3)
 
 
-def _admissible(x: np.ndarray, inp: ReplicaInput) -> bool:
-    """Whether a candidate or a proposal lies where _proposal is defined.
-    On Python floats: it runs on every pass, at a third of numpy's cost."""
-    values = x.tolist()
-    if not all(map(math.isfinite, values)):
+def _admissible(x, inp: ReplicaInput) -> bool:
+    """Whether a candidate or a proposal (ten floats in _FIELDS order) lies
+    where _proposal is defined."""
+    if not all(map(math.isfinite, x)):
         return False
-    p = OrderParams(*values)
-    M, Q_d, dQ = p.overlaps(inp.kappas)
-    return min(p.q_d, p.p_d, p.delta_q, dQ, Q_d - M * M + inp.delta) > 0.0
+    q_d, delta_q, _, _, p_d, delta_p, _, _, r, _ = x
+    M, Q_d, dQ = _overlaps(inp.kappas, q_d, delta_q, p_d, delta_p, r)
+    return min(q_d, p_d, delta_q, dQ, Q_d - M * M + inp.delta) > 0.0
 
 
 def solve_saddle(inp: ReplicaInput, init: OrderParams | None = None,
@@ -341,38 +371,55 @@ def solve_saddle(inp: ReplicaInput, init: OrderParams | None = None,
     stays in it: the first four bounds are linear and Q_d - M^2 + delta is
     concave. When a candidate's residual is more than twice the one before,
     the history restarts from the iterate it was extrapolated from.
+
+    A pass maps ten floats to ten floats (numpy floats from the first pass
+    that overflows or divides by zero on Python floats). The history keeps
+    the rows of dF and of dX + dF/2, newest last, so lstsq and the candidate
+    product see the (10, k) transposes of C-ordered difference blocks, as
+    numpy's diff of the stacked iterates gives them.
     """
     if inp.lam == 0.0 and abs(1.0 / inp.alpha - 1.0) < 0.05:
         warnings.warn("lam = 0 at the interpolation point N = P: "
                       "the saddle is singular there", RuntimeWarning, stacklevel=2)
-    p = (init if init is not None else _DEFAULT_INIT).as_array()
-    xs, fs = [], []
+    p = (init if init is not None else _DEFAULT_INIT).as_array().tolist()
+    last = None  # (iterate, residual) of the newest history entry
+    dF_rows, mix_rows = [], []
     damped = None  # the damped step p replaced, while p is a candidate
-    resid = np.inf
+    resid = math.inf
     for _ in range(max_iter):
-        prop = _proposal(OrderParams(*p), inp).as_array()
+        try:
+            prop = _proposal(p, inp)
+        except (ZeroDivisionError, OverflowError):
+            # a Python float raises where IEEE arithmetic gives inf or nan;
+            # numpy floats do not, so the pass runs on them as it always did
+            prop = _proposal(np.array(p), inp)
         if not _admissible(prop, inp):
             if damped is None:
                 raise ConvergenceError(f"iteration left the domain at {inp}")
-            p, damped, xs, fs = damped, None, [], []
+            p, damped, last, dF_rows, mix_rows = damped, None, None, [], []
             continue
-        f = prop - p
-        norm = float(np.max(np.abs(f) / np.maximum(1.0, np.abs(p))))
+        f = [y - x for y, x in zip(prop, p)]
+        norm = max([abs(d) / max(1.0, abs(x)) for d, x in zip(f, p)])
         if norm < tol:
-            return OrderParams(*prop)
+            return OrderParams(*np.array(prop))  # np.float64 fields for either loss
         if damped is not None and norm > 2.0 * resid:
-            xs, fs = xs[-1:], fs[-1:]
-        xs, fs = xs[-5:] + [p], fs[-5:] + [f]
+            dF_rows, mix_rows = [], []
+        if last is not None:
+            dF = [y - x for y, x in zip(f, last[1])]
+            dF_rows = dF_rows[-4:] + [dF]
+            mix_rows = mix_rows[-4:] + [[y - x + 0.5 * g
+                                         for y, x, g in zip(p, last[0], dF)]]
+        last = p, f
         resid = norm
-        p, damped = p + 0.5 * f, None
-        if len(xs) > 1:
-            dX, dF = np.diff(xs, axis=0).T, np.diff(fs, axis=0).T
-            gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
-            candidate = p - (dX + 0.5 * dF) @ gamma
+        p, damped = [x + 0.5 * d for x, d in zip(p, f)], None
+        if dF_rows:
+            gamma = np.linalg.lstsq(np.array(dF_rows).T, f, rcond=None)[0]
+            step = (np.array(mix_rows).T @ gamma).tolist()
+            candidate = [x - c for x, c in zip(p, step)]
             if _admissible(candidate, inp):
                 p, damped = candidate, p
             else:
-                xs, fs = [], []
+                last, dF_rows, mix_rows = None, [], []
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (last residual {resid:.3e}) at {inp}")
 

@@ -541,8 +541,10 @@ def train_gd(skeleton: Mlp, ds: Dataset, config: TrainConfig,
     Training runs on a flat copy of the skeleton's parameters with
     gradient and batch buffers allocated once, so an Adam step allocates
     no array of batch x width or parameter size; the returned network
-    owns its arrays. A loss that is not finite, or above 1e3 times the
-    first epoch's, raises RuntimeError naming the epoch.
+    owns its arrays. After each epoch the loss of its last step, L, is
+    checked against L0, the loss of epoch 0's last step: an L that is not
+    finite, or with |L| above 1e3 (|L0| + 1e-12), raises RuntimeError
+    naming the epoch.
     """
     model, history = _descend(skeleton, ds, config)
     train_err = float(np.mean(predict_labels(model, ds.X) != ds.y))

@@ -33,6 +33,12 @@ directory named by relative paths so that no output holds a path:
   1,000 binary samples;
 - `meandim theory` stdout and --out for mse and ce at lambda = 1e-4 and
   mse at lambda = 0;
+- the benchmark's theory curves: `meandim theory` stdout for mse at
+  alpha_T = 3 and at alpha_T = 30 (on criterion 7's 35-point grid), each
+  at lambda = 1e-4, 1e-2 and 1, and for ce at alpha_T = 3, lambda = 1e-2;
+  and the repr of the solution of its ce probe (the sixth point of the
+  21-point ce curve at lambda = 1e-4), solved within 500 passes from its
+  five-point warm start;
 - criterion 13's saddle audit (``saddle_audit`` of test_acceptance.py):
   the repr of each of its 50 solve_saddle solutions, and the repr of the
   worst finite-difference gradient.
@@ -66,6 +72,14 @@ BENCH_CONFIGS = {
 }
 THEORY = (("mse", "1e-4"), ("ce", "1e-4"), ("mse", "0"))
 THEORY_GRID = ("0.25", "4", "6")  # no point within 5% of 1/alpha = 1, singular at lambda = 0
+
+# bench/workload.py's setup_theory_curve: (loss, alpha_T, lambda, grid lo, hi, n)
+C7_RATIO = 30.0 ** (1.0 / 20.0)  # acceptance criterion 7: N = D at index 10, P = N at 30
+C7_GRID = (repr((1.0 / 30.0) * C7_RATIO ** -10), repr((1.0 / 30.0) * C7_RATIO ** 24), "35")
+BENCH_CURVES = ([("mse", "3", lam, "0.1", "10", "21") for lam in ("1e-4", "1e-2", "1")]
+                + [("mse", "30", lam, *C7_GRID) for lam in ("1e-4", "1e-2", "1")]
+                + [("ce", "3", "1e-2", "0.1", "10", "11")])
+PROBE_MAX_ITER = 500  # the bound on its ce probe
 
 
 def _import_meandim(src):
@@ -182,6 +196,30 @@ def _theory(hashes):
         hashes[f"{name}/out.csv"] = _file_sha(out)
 
 
+def _bench_theory(hashes):
+    import numpy as np
+
+    from meandim.replica import ReplicaInput, solve_saddle
+    from meandim.rfm import Activation, compute_kappas
+
+    for loss, alpha_t, lam, lo, hi, n in BENCH_CURVES:
+        stdout = _cli(["theory", "--loss", loss, "--alpha-t", alpha_t, "--lambda", lam,
+                       "--grid", lo, hi, n])
+        hashes[f"bench-theory/{loss}-a{alpha_t}-lam{lam}/stdout"] = _sha(stdout.encode())
+    kappas = compute_kappas(Activation.tanh())
+
+    def inp(inv_alpha):
+        return ReplicaInput(alpha=1.0 / inv_alpha, lam=1e-4, loss="ce", kappas=kappas,
+                            alpha_t=3.0)
+
+    grid = np.logspace(-1, 1, 21)
+    carry = None
+    for inv_alpha in grid[:5]:
+        carry = solve_saddle(inp(inv_alpha), init=carry)
+    probe = solve_saddle(inp(grid[5]), init=carry, max_iter=PROBE_MAX_ITER)
+    hashes["bench-theory/ce-probe"] = _sha(repr(probe).encode())
+
+
 def _saddle_audit(hashes):
     from test_acceptance import saddle_audit
 
@@ -199,7 +237,8 @@ def artifact_hashes(src) -> dict:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for runs in (_configs, _experiments, _md, _mlp_bmd, _theory, _saddle_audit):
+            for runs in (_configs, _experiments, _md, _mlp_bmd, _theory, _bench_theory,
+                         _saddle_audit):
                 runs(hashes)
         finally:
             os.chdir(cwd)

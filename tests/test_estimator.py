@@ -24,7 +24,8 @@ from meandim.estimator import (
     profile_csv_lines,
     profile_summary,
 )
-from meandim.estimator import _openblas_thread_controls
+from meandim.estimator import (DRAW_PIECE, N_BATCHES, _add_by_batch, _batch_segments,
+                               _openblas_thread_controls)
 from meandim.rfm import Activation, forward, random_rfm, score_fn
 from meandim.trainer import (TeacherTask, TrainConfig, forward_mlp, gen_multiclass_task,
                              gen_teacher_student, init_mlp, mlp_score_fn, multiclass_bmd,
@@ -187,6 +188,15 @@ class TestSamplers:
         assert set(np.unique(x)) == {-1.0, 1.0}
         assert abs(x.mean()) < 0.02
 
+    @pytest.mark.parametrize("shape", [(200_000, 10), (1000, 100), (333, 7), (DRAW_PIECE + 1,)])
+    def test_binary_draw_in_pieces_is_the_whole_draw(self, shape):
+        # the reference: one integer draw of the whole shape, as floats
+        whole, pieces = np.random.default_rng(5), np.random.default_rng(5)
+        want = whole.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+        got = InputSampler.binary(1)._draw(pieces, shape)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        assert pieces.bit_generator.state == whole.bit_generator.state
+
     def test_gaussian_moments(self):
         rng = np.random.default_rng(0)
         x = InputSampler("gaussian", 3).sample_background(rng, 50_000)
@@ -233,6 +243,22 @@ class TestSamplers:
     def test_empirical_rejects_empty(self):
         with pytest.raises(ValueError):
             InputSampler("empirical", 3, data=np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("n, done, m, k", [(200_000, 0, 200_000, 1), (5000, 3000, 1500, 3),
+                                         (777, 400, 300, 2), (100, 0, 100, 10)])
+def test_batch_segment_sums_are_add_at_bit_for_bit(n, done, m, k):
+    # the reference: np.add.at over the sorted batch index of each row
+    rng = np.random.default_rng(n)
+    batches = np.arange(done, done + m) * N_BATCHES // n
+    segments = _batch_segments(done, m, n)
+    want = rng.standard_normal((N_BATCHES, 3, k))
+    got = want.copy()
+    for j in range(3):
+        values = rng.standard_normal((m, k)) ** 2
+        np.add.at(want, (batches, j), values)
+        _add_by_batch(got[:, j], segments, values.copy())
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestDegenerateAndErrors:

@@ -29,8 +29,10 @@ from meandim.replica import (
     ReplicaInput,
     _DEFAULT_INIT,
     _FIELDS,
+    _admissible,
     _energetic,
     _ndtr,
+    _partials,
     _proposal,
     _test_loss,
     _z0_rule,
@@ -90,14 +92,14 @@ def test_fd_stationarity_with_label_noise():
 
 def _damped_saddle(inp, init=None, tol=1e-9, max_iter=100_000):
     """Reference solver: every step moves halfway to the proposal."""
-    p = init if init is not None else _DEFAULT_INIT
+    p = (init if init is not None else _DEFAULT_INIT).as_array()
     resid = np.inf
     for _ in range(max_iter):
-        prop = _proposal(p, inp)
-        resid = float(np.max(np.abs(prop.as_array() - p.as_array())))
+        prop = np.array(_proposal(p.tolist(), inp))
+        resid = float(np.max(np.abs(prop - p)))
         if resid < tol:
-            return prop
-        p = OrderParams(*(p.as_array() + 0.5 * (prop.as_array() - p.as_array())))
+            return OrderParams(*prop)
+        p = p + 0.5 * (prop - p)
     raise ConvergenceError(f"no convergence (last residual {resid:.3e})")
 
 
@@ -150,7 +152,7 @@ def test_ce_threshold_point_within_500_proposals(proposals, warm_start):
         carry = warm_start(inp(inv_alpha), init=carry)
     proposals[0] = 0
     params = solve_saddle(inp(grid[5]), init=carry, max_iter=500)
-    assert proposals[0] <= 500
+    assert 0 < proposals[0] <= 500
     assert params.q_d > 1e3
 
 
@@ -158,7 +160,7 @@ def test_mse_sweep_proposal_budget(proposals):
     # the fixed 0.5 damping spends 3,127 proposals on this curve
     rows = sweep_curve(KAPPAS, "mse", 1e-4, 3.0, np.logspace(-1, 1, 21))
     assert all(r.converged for r in rows)
-    assert proposals[0] <= 1000
+    assert 0 < proposals[0] <= 1000  # 0 would mean the solver went round the hook
 
 
 def test_mse_ridgeless_sweep_converges(proposals):
@@ -167,7 +169,7 @@ def test_mse_ridgeless_sweep_converges(proposals):
     # size of each parameter can be met there
     rows = sweep_curve(KAPPAS, "mse", 0.0, 3.0, np.logspace(-1, 1, 20))
     assert all(r.converged for r in rows)
-    assert proposals[0] <= 1000
+    assert 0 < proposals[0] <= 1000  # 0 would mean the solver went round the hook
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +217,17 @@ def test_mse_closed_form_matches_quadrature():
         want = _mse_quadrature(M, Q_d, dQ, delta)
         for name, g, w in zip(("value", "g_Q", "g_M", "g_dQ", "train", "test"), got, want):
             assert abs(g - w) <= 1e-12 * abs(w), (name, M, Q_d, dQ, delta, g, w)
+
+
+@pytest.mark.parametrize("loss", ["mse", "ce"])
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+@pytest.mark.parametrize("dQ", [1e-3, 0.6, 30.0])
+def test_partials_match_energetic_bit_for_bit(loss, delta, dQ):
+    # each solver pass asks _partials alone; it must give _energetic's bits
+    M, Q_d = 0.45, 0.8
+    got = _partials(loss, M, Q_d, dQ, delta)
+    want = _energetic(loss, M, Q_d, dQ, delta)[1:4]
+    assert [float(g).hex() for g in got] == [float(w).hex() for w in want]
 
 
 def test_mse_inner_matches_scalar_minimizer():
@@ -346,11 +359,12 @@ def _bad_proposal_at(calls, delta_p, monkeypatch):
     """Make the proposals of the given (1-based) passes carry this delta_p,
     outside the domain or not finite; returns the pass counter."""
     count = [0]
+    at = _FIELDS.index("delta_p")
 
     def proposal(p, inp):
         count[0] += 1
         prop = _proposal(p, inp)
-        return dataclasses.replace(prop, delta_p=delta_p) if count[0] in calls else prop
+        return prop[:at] + (delta_p,) + prop[at + 1:] if count[0] in calls else prop
 
     monkeypatch.setattr(replica, "_proposal", proposal)
     return count
@@ -378,6 +392,30 @@ def test_out_of_domain_proposal_falls_back_to_the_damped_step(monkeypatch):
 
 def test_non_finite_proposal_falls_back_to_the_damped_step(monkeypatch):
     _check_fallback_to_the_damped_step(np.nan, monkeypatch)
+
+
+@pytest.mark.parametrize("loss", ["mse", "ce"])
+def test_a_pass_that_overflows_python_floats_runs_on_numpy_floats(loss):
+    # at delta_q = 1e200 a pass on Python floats raises OverflowError; on
+    # numpy floats it overflows to inf, as IEEE arithmetic gives it. The mse
+    # proposal is then admissible and the solve reaches the saddle; the ce
+    # one is not, and the solve leaves the domain
+    inp = ReplicaInput(alpha=2.0, lam=1e-3, loss=loss, kappas=KAPPAS, alpha_t=3.0)
+    start = dataclasses.replace(_DEFAULT_INIT, delta_q=1e200)
+    with pytest.raises(OverflowError):
+        _proposal(start.as_array().tolist(), inp)
+    with pytest.warns(RuntimeWarning):
+        admissible = _admissible(_proposal(start.as_array(), inp), inp)
+    assert admissible == (loss == "mse")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        if loss == "ce":
+            with pytest.raises(ConvergenceError, match="left the domain"):
+                solve_saddle(inp, init=start)
+            return
+        got = solve_saddle(inp, init=start, tol=1e-12)
+    want = solve_saddle(inp, tol=1e-12)
+    np.testing.assert_allclose(got.as_array(), want.as_array(), rtol=1e-9)
 
 
 def test_interpolation_warning_at_zero_lambda():
