@@ -116,7 +116,41 @@ def proposals(monkeypatch):
     return count
 
 
-def test_anderson_matches_damped_oracle():
+def _numpy_anderson(inp, init=None, tol=1e-9, max_iter=100_000):
+    """Reference solver: solve_saddle's loop with every pass on numpy floats
+    and the history as stacked arrays; solve_saddle must give its bits."""
+    p = (init if init is not None else _DEFAULT_INIT).as_array()
+    xs, fs = [], []
+    damped = None
+    resid = np.inf
+    for _ in range(max_iter):
+        prop = np.array(_proposal(p, inp))
+        if not _admissible(prop.tolist(), inp):
+            if damped is None:
+                raise ConvergenceError("iteration left the domain")
+            p, damped, xs, fs = damped, None, [], []
+            continue
+        f = prop - p
+        norm = float(np.max(np.abs(f) / np.maximum(1.0, np.abs(p))))
+        if norm < tol:
+            return OrderParams(*prop)
+        if damped is not None and norm > 2.0 * resid:
+            xs, fs = xs[-1:], fs[-1:]
+        xs, fs = xs[-5:] + [p], fs[-5:] + [f]
+        resid = norm
+        p, damped = p + 0.5 * f, None
+        if len(xs) > 1:
+            dX, dF = np.diff(xs, axis=0).T, np.diff(fs, axis=0).T
+            gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
+            candidate = p - (dX + 0.5 * dF) @ gamma
+            if _admissible(candidate.tolist(), inp):
+                p, damped = candidate, p
+            else:
+                xs, fs = [], []
+    raise ConvergenceError(f"no convergence (last residual {resid:.3e})")
+
+
+def _anderson_cases():
     leaky = compute_kappas(Activation.from_tag("leaky-relu:0.1"))
     cases = [dict(alpha=3.0, lam=1e-4, loss="mse", kappas=KAPPAS, alpha_t=3.0),
              dict(alpha=1 / 0.9, lam=1e-4, loss="mse", kappas=KAPPAS, alpha_t=3.0),
@@ -125,14 +159,33 @@ def test_anderson_matches_damped_oracle():
              dict(alpha=0.5, lam=1e-2, loss="ce", kappas=KAPPAS, alpha_t=3.0, delta=0.3),
              dict(alpha=2.0, lam=1e-3, loss="mse", kappas=leaky, alpha_t=3.0),
              dict(alpha=0.7, lam=1e-2, loss="ce", kappas=leaky, alpha_t=3.0)]
-    for case in cases:
-        inp = ReplicaInput(**case)
+    return [ReplicaInput(**case) for case in cases]
+
+
+def test_anderson_matches_damped_oracle():
+    for inp in _anderson_cases():
         ref, got = _damped_saddle(inp, tol=1e-12), solve_saddle(inp, tol=1e-12)
         obs_ref, obs_got = observables(ref, inp), observables(got, inp)
         for name in ("bmd", "eps_g", "test_loss"):
             want = getattr(obs_ref, name)
             assert abs(getattr(obs_got, name) - want) <= 1e-9 * abs(want), (name, inp)
         assert abs(got.q_d - ref.q_d) <= 1e-9 * ref.q_d, inp
+
+
+def test_float_passes_give_the_numpy_loop_bits():
+    # the ridgeless mse point past the threshold grows delta_p to ~3.5e10;
+    # the warm-started ce points up to its threshold restart the history
+    inputs = _anderson_cases() + [
+        ReplicaInput(alpha=0.5, lam=0.0, loss="mse", kappas=KAPPAS, alpha_t=3.0)]
+    for inp in inputs:
+        assert repr(solve_saddle(inp)) == repr(_numpy_anderson(inp)), inp
+    carry = None
+    for inv_alpha in np.logspace(-1, 1, 21)[:6]:
+        inp = ReplicaInput(alpha=1.0 / inv_alpha, lam=1e-4, loss="ce", kappas=KAPPAS,
+                           alpha_t=3.0)
+        got = solve_saddle(inp, init=carry)
+        assert repr(got) == repr(_numpy_anderson(inp, init=carry)), inp
+        carry = got
 
 
 @pytest.mark.parametrize("warm_start", [_damped_saddle, solve_saddle],
@@ -414,6 +467,7 @@ def test_a_pass_that_overflows_python_floats_runs_on_numpy_floats(loss):
                 solve_saddle(inp, init=start)
             return
         got = solve_saddle(inp, init=start, tol=1e-12)
+        assert repr(got) == repr(_numpy_anderson(inp, init=start, tol=1e-12))
     want = solve_saddle(inp, tol=1e-12)
     np.testing.assert_allclose(got.as_array(), want.as_array(), rtol=1e-9)
 
