@@ -31,14 +31,14 @@ start = time.time()
 # kbar2 = E[(sigma')^2]. For odd sigma the heavily-sampled limit of the
 # mean dimension is exactly kbar2/k2.
 print("activation      k1         k2         kbar2      kbar2/k2")
-for act in (Activation.tanh(), Activation.linear(), Activation.leaky_relu(0.1)):
+for act in (Activation.tanh(), Activation("linear"), Activation("leaky-relu", 0.1)):
     ks = compute_kappas(act)
     print(f"{act.tag:14s}  {ks.k1:.6f}   {ks.k2:.6f}   {ks.kbar2:.6f}   {ks.kbar2 / ks.k2:.6f}")
 print()
 
 # sign has an exact k1 = sqrt(2/pi) but no finite kbar2 (the weak
 # derivative is a point mass), so the closed form refuses it
-ks_sign = compute_kappas(Activation.sign())
+ks_sign = compute_kappas(Activation("sign"))
 print(f"sign            {ks_sign.k1:.6f} = sqrt(2/pi) to {abs(ks_sign.k1 - np.sqrt(2 / np.pi)):.1e}, kbar2 = {ks_sign.kbar2}")
 print()
 
@@ -55,7 +55,7 @@ print(f"  relative gap    {abs(prof.md - closed) / closed:.2%} (finite-D bias is
 print()
 
 # a linear network is degree one no matter the weights
-lin = random_rfm(D, N, Activation.linear(), seed=4)
+lin = random_rfm(D, N, Activation("linear"), seed=4)
 print(f"linear activation: closed form bmd = {analytic_bmd(lin):.12f} (exactly 1)")
 print()
 

@@ -98,8 +98,8 @@ class InputSampler:
                 a resampled coordinate is drawn uniformly from [lo, hi]
 
     Construction checks the kind, an integer dim >= 1, finite lo < hi with
-    a finite hi - lo, and that empirical data is a nonempty, finite
-    (rows, dim) array.
+    a finite hi - lo, that only empirical takes data, and that its data is
+    a nonempty, finite (rows, dim) array.
     """
 
     kind: str
@@ -116,6 +116,8 @@ class InputSampler:
         if not (math.isfinite(float(self.hi) - float(self.lo)) and self.lo < self.hi):
             raise ValueError("sampler bounds need finite lo < hi with a finite hi - lo, "
                              f"got lo = {self.lo!r}, hi = {self.hi!r}")
+        if self.kind != "empirical" and self.data is not None:
+            raise ValueError(f"--data rows are for the empirical sampler, not {self.kind}")
         if self.kind == "empirical":
             if self.data is None:
                 raise ValueError("empirical sampler requires --data rows")

@@ -239,9 +239,10 @@ def _ce_terms(M: float, Q_d: float, dQ: float, delta: float):
     """The cross-entropy G_E on the shared z0 grid with the Newton inner max.
 
     Returns (g_Q, g_M, g_dQ) and the node arrays (wts, Hfac, E, h0, z1)
-    that its value and the train loss integrate. The H factor is the
-    probability of the teacher label given z0; its own (Q_d, M) dependence
-    enters the partials through the normal pdf at the H argument.
+    that its value, the train loss and the test loss integrate. The H
+    factor is the probability of the teacher label given z0; its own
+    (Q_d, M) dependence enters the partials through the normal pdf at the
+    H argument.
     """
     z0, wts = _z0_rule()
     s_sq = max(Q_d - M * M + delta, 1e-300)
@@ -261,22 +262,21 @@ def _ce_terms(M: float, Q_d: float, dQ: float, delta: float):
     return (g_Q, g_M, g_dQ), (wts, Hfac, E, h0, z1)
 
 
-def _energetic(loss: str, M: float, Q_d: float, dQ: float, delta: float):
-    """Value and partials of G_E w.r.t. (Q_d, M, dQ), plus the train loss.
+def _losses(loss: str, M: float, Q_d: float, dQ: float, delta: float):
+    """G_E's value, the train loss and the test loss at (M, Q_d, dQ).
 
-    For the square loss G_E = -A/u (see _partials), and the train loss is
-    A/u^2 like the dQ partial; for cross-entropy both integrate the node
-    arrays of _ce_terms.
+    For the square loss these are -A/u (see _partials), A/u^2 and A; for
+    cross-entropy all three integrate the node arrays of _ce_terms, the test
+    loss at the output h0 = sqrt(Q_d) z0 itself.
     """
     if loss == "mse":
         A = _mse_terms(M, Q_d, delta)[3]
-        g_Q, g_M, g_dQ = _partials(loss, M, Q_d, dQ, delta)
-        return -A / (1.0 + dQ), g_Q, g_M, g_dQ, g_dQ
-    (g_Q, g_M, g_dQ), (wts, Hfac, E, h0, z1) = _ce_terms(M, Q_d, dQ, delta)
-    x_star = h0 + np.sqrt(dQ) * z1
+        u = 1.0 + dQ
+        return -A / u, A / u**2, A
+    wts, Hfac, E, h0, z1 = _ce_terms(M, Q_d, dQ, delta)[1]
     value = 2.0 * wts @ (Hfac * E)
-    train_loss = 2.0 * wts @ (Hfac * _margin_loss(loss, x_star))
-    return value, g_Q, g_M, g_dQ, train_loss
+    train_loss = 2.0 * wts @ (Hfac * _margin_loss(loss, h0 + np.sqrt(dQ) * z1))
+    return value, train_loss, float(2.0 * wts @ (_margin_loss(loss, h0) * Hfac))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def free_energy(params: OrderParams, inp: ReplicaInput) -> float:
     denom = 1.0 + p.delta_P_hat * p.delta_q
     g_se = -p.q_d / (2.0 * p.delta_q) \
         + 0.5 * (hat_mix * p.delta_q + p.q_d / p.delta_q) / denom
-    g_e = _energetic(inp.loss, M, Q_d, dQ, inp.delta)[0]
+    g_e = _losses(inp.loss, M, Q_d, dQ, inp.delta)[0]
     return (0.5 * (p.q_d * p.delta_Q_hat - p.delta_q * p.delta_q_hat)
             + 0.5 * ad * (p.p_d * p.delta_P_hat - p.delta_p * p.delta_p_hat)
             - ad * p.r * p.r_hat
@@ -432,16 +432,6 @@ def generalization_error(M: float, Q_d: float) -> float:
     return float(np.arccos(np.clip(ratio, -1.0, 1.0)) / np.pi)
 
 
-def _test_loss(loss: str, M: float, Q_d: float, delta: float) -> float:
-    """Expected loss on a fresh sample, 2 Int Dv loss(sqrt(Q_d) v) H(-Mv/s);
-    A of _mse_terms for the square loss."""
-    if loss == "mse":
-        return _mse_terms(M, Q_d, delta)[3]
-    v, wts = _z0_rule()
-    s = np.sqrt(max(Q_d - M * M + delta, 1e-300))
-    return float(2.0 * wts @ (_margin_loss(loss, np.sqrt(Q_d) * v) * _ndtr(M * v / s)))
-
-
 def observables(params: OrderParams, inp: ReplicaInput) -> Observables:
     """Theory curves evaluated at a converged saddle.
 
@@ -451,8 +441,7 @@ def observables(params: OrderParams, inp: ReplicaInput) -> Observables:
     k = inp.kappas
     M, Q_d, dQ = params.overlaps(k)
     eps = generalization_error(M, Q_d)
-    train = _energetic(inp.loss, M, Q_d, dQ, inp.delta)[4]
-    test = _test_loss(inp.loss, M, Q_d, inp.delta)
+    train, test = _losses(inp.loss, M, Q_d, dQ, inp.delta)[1:]
     if np.isfinite(k.kbar2):
         bmd = bmd_from_overlaps(k, params.q_d, params.p_d)
     else:

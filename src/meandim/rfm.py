@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +63,9 @@ class Activation:
     kinds: tanh, sign, linear, leaky-relu (slope 1 for z > 0, ``leak``
     below; leak 0 is the plain relu). ``deriv`` returns the almost-
     everywhere pointwise derivative; point masses (sign's 2*delta at 0)
-    are reported separately through ``deriv_atoms``. Any other kind
-    raises ValueError when the activation is built.
+    are reported separately through ``deriv_atoms``. Any other kind, or a
+    leak that is not a finite real, raises ValueError when the activation
+    is built; the leak is stored as a float.
     """
 
     kind: str
@@ -71,22 +74,13 @@ class Activation:
     def __post_init__(self):
         if self.kind not in ("tanh", "sign", "linear", "leaky-relu"):
             raise ValueError(f"unknown activation kind {self.kind!r}")
+        if not (isinstance(self.leak, numbers.Real) and math.isfinite(self.leak)):
+            raise ValueError(f"activation leak must be a finite real, got {self.leak!r}")
+        object.__setattr__(self, "leak", float(self.leak))
 
     @classmethod
     def tanh(cls) -> "Activation":
         return cls(kind="tanh")
-
-    @classmethod
-    def sign(cls) -> "Activation":
-        return cls(kind="sign")
-
-    @classmethod
-    def linear(cls) -> "Activation":
-        return cls(kind="linear")
-
-    @classmethod
-    def leaky_relu(cls, leak: float = 0.0) -> "Activation":
-        return cls(kind="leaky-relu", leak=float(leak))
 
     def value(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """sigma(z). out, when given, receives the result and may be z
@@ -96,27 +90,24 @@ class Activation:
             return np.tanh(z, out=out)
         if self.kind == "sign":
             return np.sign(z, out=out)
-        if self.kind == "linear":
-            if out is None:
-                return np.asarray(z, dtype=float)
-            if out is not z:
-                out[...] = z
-            return out
-        if out is None:  # leaky-relu
-            return np.where(z > 0, z, self.leak * z)
+        if out is None:
+            return np.where(z > 0, z, self._slope * z)
         negative = ~(z > 0)
         if out is not z:
             out[...] = z
-        return np.multiply(out, self.leak, out=out, where=negative)
+        return np.multiply(out, self._slope, out=out, where=negative)
 
     def deriv(self, z: np.ndarray) -> np.ndarray:
         if self.kind == "tanh":
             return 1.0 - np.tanh(z) ** 2
         if self.kind == "sign":
             return np.zeros_like(z)
-        if self.kind == "linear":
-            return np.ones_like(z)
-        return np.where(z > 0, 1.0, self.leak)  # leaky-relu
+        return np.where(z > 0, 1.0, self._slope)
+
+    @property
+    def _slope(self) -> float:
+        """The slope below 0 of linear (1) and leaky-relu (leak)."""
+        return 1.0 if self.kind == "linear" else self.leak
 
     @property
     def deriv_atoms(self) -> tuple[tuple[float, float], ...]:
@@ -133,7 +124,7 @@ class Activation:
     def from_tag(cls, tag: str) -> "Activation":
         name, _, param = tag.partition(":")
         if name == "leaky-relu":
-            return cls.leaky_relu(float(param) if param else 0.0)
+            return cls(name, float(param) if param else 0.0)
         if name in ("tanh", "sign", "linear"):
             return cls(kind=name)
         raise ValueError(f"unknown activation tag {tag!r}")
@@ -173,14 +164,13 @@ def _gaussian_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _kappas_at(activation: Activation, n_nodes: int) -> KappaSet:
     z, p = _gaussian_rule(n_nodes)
-    s = activation.value(z)
-    d = activation.deriv(z)
-    k0 = float(p @ s)
-    k1 = float(p @ (z * s))
-    k2 = float(p @ s**2)
-    kb0 = float(p @ d)
-    kb1 = float(p @ (z * d))
-    kb2 = float(p @ d**2)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        s = activation.value(z)
+        d = activation.deriv(z)
+        moments = [float(p @ m) for m in (s, z * s, s**2, d, z * d, d**2)]
+    if not all(map(math.isfinite, moments)):
+        raise ValueError(f"a Gaussian moment of {activation.tag} overflows or is not finite")
+    k0, k1, k2, kb0, kb1, kb2 = moments
     for loc, mass in activation.deriv_atoms:
         dens = np.exp(-(loc**2) / 2.0) / np.sqrt(2.0 * np.pi)
         kb0 += mass * dens
@@ -197,9 +187,11 @@ def compute_kappas(activation: Activation) -> KappaSet:
     """All eight Gaussian moments at DEFAULT_NODES quadrature nodes, with a
     node-doubling convergence check.
 
-    Raises QuadratureError if any coefficient moves by more than 1e-8 when
-    the node count doubles (infinite coefficients compare equal to
-    themselves and are exempt).
+    Raises ValueError, naming the activation's tag, if a moment of sigma
+    or of its pointwise derivative overflows or is not finite (sign's
+    kbar2 = inf comes from its point mass and stays), and QuadratureError
+    if any coefficient moves by more than 1e-8 when the node count doubles
+    (infinite coefficients compare equal to themselves and are exempt).
     """
     if activation.kind == "linear":
         # standard normal moments, exact; keeps the identity map at BMD 1

@@ -39,6 +39,9 @@ directory named by relative paths so that no output holds a path:
   and the repr of the solution of its ce probe (the sixth point of the
   21-point ce curve at lambda = 1e-4), solved within 500 passes from its
   five-point warm start;
+- the repr of ``observables`` at that ce probe solution and at the mse
+  saddle of the same point, solved from the default start, so that the
+  types and bits of eps_g, train_loss, test_loss and bmd are pinned;
 - criterion 13's saddle audit (``saddle_audit`` of test_acceptance.py):
   the repr of each of its 50 solve_saddle solutions, and the repr of the
   worst finite-difference gradient.
@@ -199,7 +202,7 @@ def _theory(hashes):
 def _bench_theory(hashes):
     import numpy as np
 
-    from meandim.replica import ReplicaInput, solve_saddle
+    from meandim.replica import ReplicaInput, observables, solve_saddle
     from meandim.rfm import Activation, compute_kappas
 
     for loss, alpha_t, lam, lo, hi, n in BENCH_CURVES:
@@ -208,8 +211,8 @@ def _bench_theory(hashes):
         hashes[f"bench-theory/{loss}-a{alpha_t}-lam{lam}/stdout"] = _sha(stdout.encode())
     kappas = compute_kappas(Activation.tanh())
 
-    def inp(inv_alpha):
-        return ReplicaInput(alpha=1.0 / inv_alpha, lam=1e-4, loss="ce", kappas=kappas,
+    def inp(inv_alpha, loss="ce"):
+        return ReplicaInput(alpha=1.0 / inv_alpha, lam=1e-4, loss=loss, kappas=kappas,
                             alpha_t=3.0)
 
     grid = np.logspace(-1, 1, 21)
@@ -218,6 +221,9 @@ def _bench_theory(hashes):
         carry = solve_saddle(inp(inv_alpha), init=carry)
     probe = solve_saddle(inp(grid[5]), init=carry, max_iter=PROBE_MAX_ITER)
     hashes["bench-theory/ce-probe"] = _sha(repr(probe).encode())
+    hashes["observables/ce-probe"] = _sha(repr(observables(probe, inp(grid[5]))).encode())
+    mse = inp(grid[5], "mse")
+    hashes["observables/mse-probe"] = _sha(repr(observables(solve_saddle(mse), mse)).encode())
 
 
 def _saddle_audit(hashes):

@@ -236,6 +236,17 @@ class TestSamplers:
         with pytest.raises(ValueError, match="sampler dim needs an integer >= 1"):
             InputSampler("gaussian", dim)
 
+    @pytest.mark.parametrize("kind, data, message", [
+        ("cauchy", None, "unknown sampler kind 'cauchy'"),
+        ("binary", np.zeros((5, 3)), "--data rows are for the empirical sampler, not binary"),
+        ("gaussian", np.zeros((5, 3)), "--data rows are for the empirical sampler, not gaussian"),
+        ("uniform", np.zeros((5, 3)), "--data rows are for the empirical sampler, not uniform"),
+        ("empirical", None, "empirical sampler requires --data rows"),
+    ])
+    def test_rejects_an_unknown_kind_or_data_it_would_not_read(self, kind, data, message):
+        with pytest.raises(ValueError, match=message):
+            InputSampler(kind, 3, data=data)
+
     def test_takes_a_numpy_integer_dim(self):
         x = InputSampler("gaussian", np.int64(3)).sample_background(np.random.default_rng(0), 4)
         assert x.shape == (4, 3)
@@ -665,6 +676,32 @@ class ProbingThreads:
     def probe(self, i, column):
         self.threads.add(threading.current_thread().name)
         return self.inner.probe(i, column)
+
+
+def test_a_third_concurrent_prober_takes_a_fresh_block():
+    """Three threads probe one score at once: the third finds both of the
+    score's blocks taken and makes its own, and every probe has the bits of
+    the same probe made alone."""
+    v = np.random.default_rng(3).standard_normal(8)
+    inside = []  # a barrier while the three threads probe
+
+    def head(h):
+        if inside:
+            inside[0].wait()  # all three hold a block before any head returns
+        return np.tanh(h) @ v
+
+    W = np.random.default_rng(4).standard_normal((5, 8))
+    score = LinearFirstLayer(W, 0.1, head)
+    x = np.random.default_rng(5).standard_normal((40, 5))
+    score(x)
+    columns = [np.random.default_rng(6 + i).standard_normal(40) for i in range(3)]
+    inside.append(threading.Barrier(3, timeout=60))
+    with ThreadPoolExecutor(3) as pool:
+        together = list(pool.map(score.probe, range(3), columns))
+    inside.clear()
+    assert len(score._blocks) == 3
+    for i, got in enumerate(together):
+        assert got.tobytes() == score.probe(i, columns[i]).tobytes()
 
 
 class NanAt:

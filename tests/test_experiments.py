@@ -107,6 +107,8 @@ def test_parse_bool_and_ranges():
         "kind = regularization-sweep\nlams = 1e-4 1e-2\nempirical = yes\n"
         "widths = 4 8")
     assert cfg.params["empirical"] is True
+    cfg = parse_experiment_config("kind = regularization-sweep\nlams = 1\nempirical = false")
+    assert cfg.params["empirical"] is False
     with pytest.raises(ValueError, match="boolean"):
         parse_experiment_config(
             "kind = regularization-sweep\nlams = 1\nempirical = maybe")
@@ -831,6 +833,19 @@ def test_cli_md_empirical_checks_columns(tmp_path, capsys):
     assert "columns" in capsys.readouterr().err
 
 
+def test_cli_md_data_needs_the_empirical_sampler(tmp_path, capsys):
+    """--data names rows only the empirical sampler reads: another sampler
+    exits 2 rather than ignore the file."""
+    data = tmp_path / "rows.csv"
+    np.savetxt(data, np.zeros((5, 3)), delimiter=",")
+    code = main(["md", checkpoint(tmp_path, D=4), "--sampler", "gaussian",
+                 "--samples", "100", "--seed", "1", "--data", str(data)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"meandim md: {data}: --data rows are for the empirical "
+                            "sampler, not gaussian\n")
+
+
 def test_cli_md_empirical_runs(tmp_path, capsys):
     data = tmp_path / "rows.csv"
     np.savetxt(data, np.random.default_rng(0).uniform(-1, 1, (30, 6)),
@@ -879,7 +894,8 @@ def test_cli_md_bad_checkpoint_exits_2(tmp_path, capsys):
     empty = lines[:2] + ["N = 0"] + lines[3:5] + [""] * 6 + ["w =", ""]
     nan_weight = lines[:-1] + [" ".join(["nan"] + lines[-1].split()[1:])]
     for text, message in ((empty, "D and N must be >= 1, got D = 6, N = 0"),
-                          (nan_weight, "F and w must be finite")):
+                          (nan_weight, "F and w must be finite"),
+                          (lines[:-2] + lines[-1:], "expected 'w =' after F block")):
         bad.write_text("\n".join(text) + "\n", encoding="ascii")
         assert main(["md", str(bad), "--sampler", "binary", "--samples", "10",
                      "--seed", "0"]) == 2
@@ -941,6 +957,43 @@ def test_cli_bad_values_exit_2_with_one_line(command, flags, cell, tmp_path, cap
     assert code == 2 and captured.out == ""
     assert len(captured.err.splitlines()) == 1, captured.err
     assert captured.err.startswith(f"meandim {command}: ") and "Traceback" not in captured.err
+
+
+# (where the tag goes, leak, error): `meandim theory --activation` or a
+# config's activation field
+BAD_LEAKS = [("theory", "nan", "activation leak must be a finite real, got nan"),
+             ("theory", "inf", "activation leak must be a finite real, got inf"),
+             ("theory", "1e200", "moment of leaky-relu:1e+200 overflows"),
+             ("theory-curve", "1e200", "moment of leaky-relu:1e+200 overflows"),
+             ("double-descent-rfm", "nan", "activation leak must be a finite real, got nan"),
+             ("double-descent-rfm", "1e200", "moment of leaky-relu:1e+200 overflows")]
+
+
+@pytest.mark.parametrize("where,leak,error", BAD_LEAKS,
+                         ids=[f"{where}-{leak}" for where, leak, _ in BAD_LEAKS])
+def test_bad_leak_exits_2_with_one_line_before_any_cell(where, leak, error, monkeypatch,
+                                                         tmp_path, capsys):
+    """A leak that is not finite fails in Activation, one whose Gaussian
+    moments overflow in compute_kappas: exit 2 with one stderr line, and no
+    cell or saddle solve runs."""
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(experiments, "_rfm_cell", no_cell)
+    monkeypatch.setattr(replica, "solve_saddle", no_cell)
+    if where == "theory":
+        argv = THEORY_ARGV + ["--activation", f"leaky-relu:{leak}"]
+    else:
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(TINY[where] + f"\nactivation = leaky-relu:{leak}\n")
+        argv = ["run", str(cfg_file), "--out", str(tmp_path / "o")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a second line
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and error in captured.err, captured.err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["md", "theory"])

@@ -30,11 +30,11 @@ from meandim.replica import (
     _DEFAULT_INIT,
     _FIELDS,
     _admissible,
-    _energetic,
+    _ce_terms,
+    _losses,
     _ndtr,
     _partials,
     _proposal,
-    _test_loss,
     _z0_rule,
     ce_inner_max,
     curve_lines,
@@ -237,7 +237,8 @@ def mse_inner_max(h0: np.ndarray, dQ: float):
 
 
 def _mse_quadrature(M, Q_d, dQ, delta):
-    """_energetic's five outputs and _test_loss for mse, on the z0 grid."""
+    """G_E's value, its three partials, the train and the test loss for mse,
+    on the z0 grid."""
     z0, wts = _z0_rule()
     s_sq = Q_d - M * M + delta
     s = np.sqrt(s_sq)
@@ -266,7 +267,8 @@ def test_mse_closed_form_matches_quadrature():
         delta = 0.0 if i % 2 else 10.0 ** rng.uniform(-3, 1)
         M = rng.uniform(-0.9, 0.9) * np.sqrt(Q_d + delta)  # M^2 < Q_d + delta
         dQ = 10.0 ** rng.uniform(-3, 10)
-        got = _energetic("mse", M, Q_d, dQ, delta) + (_test_loss("mse", M, Q_d, delta),)
+        value, train, test = _losses("mse", M, Q_d, dQ, delta)
+        got = (value,) + _partials("mse", M, Q_d, dQ, delta) + (train, test)
         want = _mse_quadrature(M, Q_d, dQ, delta)
         for name, g, w in zip(("value", "g_Q", "g_M", "g_dQ", "train", "test"), got, want):
             assert abs(g - w) <= 1e-12 * abs(w), (name, M, Q_d, dQ, delta, g, w)
@@ -276,10 +278,15 @@ def test_mse_closed_form_matches_quadrature():
 @pytest.mark.parametrize("delta", [0.0, 0.3])
 @pytest.mark.parametrize("dQ", [1e-3, 0.6, 30.0])
 def test_partials_match_energetic_bit_for_bit(loss, delta, dQ):
-    # each solver pass asks _partials alone; it must give _energetic's bits
+    # each solver pass asks _partials alone: for ce it must give the bits of
+    # _ce_terms' partials, and for mse its dQ partial those of the train
+    # loss of _losses, both A/u^2
     M, Q_d = 0.45, 0.8
     got = _partials(loss, M, Q_d, dQ, delta)
-    want = _energetic(loss, M, Q_d, dQ, delta)[1:4]
+    if loss == "ce":
+        want = _ce_terms(M, Q_d, dQ, delta)[0]
+    else:
+        want = got[:2] + _losses(loss, M, Q_d, dQ, delta)[1:2]
     assert [float(g).hex() for g in got] == [float(w).hex() for w in want]
 
 
@@ -384,7 +391,7 @@ def test_input_validation():
             with pytest.raises(ValueError, match="positive and finite"):
                 ReplicaInput(alpha=np.float64(alpha), lam=0.1, loss="mse", kappas=KAPPAS,
                              alpha_t=np.float64(alpha_t))
-    linear = compute_kappas(Activation.linear())
+    linear = compute_kappas(Activation("linear"))
     with pytest.raises(ValueError, match="k_star_sq"):
         ReplicaInput(alpha=1.0, lam=0.1, loss="mse", kappas=linear, alpha_t=1.0)
 
@@ -517,7 +524,7 @@ def test_generalization_error_edges():
 
 
 def test_sign_activation_bmd_diverges():
-    ks_sign = compute_kappas(Activation.sign())
+    ks_sign = compute_kappas(Activation("sign"))
     inp = ReplicaInput(alpha=3.0, lam=1e-3, loss="mse", kappas=ks_sign, alpha_t=3.0)
     obs = observables(solve_saddle(inp), inp)
     assert np.isinf(obs.bmd)

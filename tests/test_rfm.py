@@ -37,14 +37,14 @@ TANH_RATIO = 1.1778072323041795
 
 class TestKappas:
     def test_linear_moments(self):
-        ks = compute_kappas(Activation.linear())
+        ks = compute_kappas(Activation("linear"))
         assert abs(ks.k0) < 1e-12 and abs(ks.k1 - 1.0) < 1e-12
         assert abs(ks.k2 - 1.0) < 1e-12 and abs(ks.k_star_sq) < 1e-12
         assert abs(ks.kbar0 - 1.0) < 1e-12 and abs(ks.kbar1) < 1e-12
         assert abs(ks.kbar2 - 1.0) < 1e-12 and abs(ks.kbar_star_sq) < 1e-12
 
     def test_sign_moments(self):
-        ks = compute_kappas(Activation.sign())
+        ks = compute_kappas(Activation("sign"))
         assert abs(ks.k1 - np.sqrt(2.0 / np.pi)) < 1e-12
         assert abs(ks.k2 - 1.0) < 1e-12
         assert abs(ks.k_star_sq - (1.0 - 2.0 / np.pi)) < 1e-12
@@ -56,7 +56,7 @@ class TestKappas:
 
     def test_leaky_relu_closed_forms(self):
         a = 0.3
-        ks = compute_kappas(Activation.leaky_relu(a))
+        ks = compute_kappas(Activation("leaky-relu", a))
         phi0 = 1.0 / np.sqrt(2.0 * np.pi)
         assert abs(ks.k0 - (1 - a) * phi0) < 1e-12
         assert abs(ks.k1 - (1 + a) / 2) < 1e-12
@@ -75,8 +75,8 @@ class TestKappas:
         assert abs(ks.kbar2 / ks.k2 - 1.1778) < 1e-3
         assert abs(ks.kbar0 - ks.k1) < 1e-12  # Stein identity
 
-    @pytest.mark.parametrize("act", [Activation.tanh(), Activation.leaky_relu(0.1),
-                                     Activation.sign(), Activation.linear()])
+    @pytest.mark.parametrize("act", [Activation.tanh(), Activation("leaky-relu", 0.1),
+                                     Activation("sign"), Activation("linear")])
     def test_quadruple_node_reference(self, act):
         base = compute_kappas(act)
         ref = _kappas_at(act, 4 * DEFAULT_NODES)
@@ -110,7 +110,7 @@ class TestKappas:
             rfm._gaussian_rule.cache_clear()
 
     def test_residuals_nonnegative(self):
-        for act in (Activation.tanh(), Activation.leaky_relu(0.2), Activation.linear()):
+        for act in (Activation.tanh(), Activation("leaky-relu", 0.2), Activation("linear")):
             ks = compute_kappas(act)
             assert ks.k_star_sq >= 0.0 and ks.kbar_star_sq >= 0.0
 
@@ -122,9 +122,9 @@ class TestForward:
         assert forward(model, np.ones(4)) == 0.0
 
     def test_single_unit_linear(self):
-        ks = compute_kappas(Activation.linear())
+        ks = compute_kappas(Activation("linear"))
         model = RfmModel(D=1, N=1, F=np.array([[1.0]]), w=np.array([1.0]),
-                         activation=Activation.linear(), kappas=ks)
+                         activation=Activation("linear"), kappas=ks)
         assert forward(model, np.array([2.0])) == 2.0
 
     def test_odd_symmetry(self):
@@ -133,14 +133,13 @@ class TestForward:
         assert abs(forward(model, x) + forward(model, -x)) < 1e-14
 
     def test_batched_matches_loop(self):
-        model = random_rfm(5, 7, Activation.leaky_relu(0.2), seed=3)
+        model = random_rfm(5, 7, Activation("leaky-relu", 0.2), seed=3)
         xs = np.random.default_rng(4).standard_normal((9, 5))
         batched = forward(model, xs)
         assert np.allclose(batched, [forward(model, x) for x in xs], atol=1e-14)
 
-    @pytest.mark.parametrize("act", [Activation.tanh(), Activation.sign(), Activation.linear(),
-                                     Activation.leaky_relu(0.2), Activation.leaky_relu(-0.5)],
-                             ids=lambda a: a.tag)
+    @pytest.mark.parametrize("act", [Activation.from_tag(tag) for tag in (
+        "tanh", "sign", "linear", "leaky-relu:0.2", "leaky-relu:-0.5")], ids=lambda a: a.tag)
     def test_in_place_features_equal_the_value_expression(self, act):
         """forward scales and activates X F in place, bit-identical to the
         expression through Activation.value, and leaves x alone; value
@@ -163,6 +162,16 @@ class TestForward:
     def test_unknown_activation_kind_raises(self):
         with pytest.raises(ValueError, match="unknown activation kind 'cubic'"):
             Activation(kind="cubic")
+
+    @pytest.mark.parametrize("leak", [np.nan, np.inf, -np.inf, "0.1", None])
+    def test_leak_that_is_not_a_finite_real_raises(self, leak):
+        with pytest.raises(ValueError, match="activation leak must be a finite real"):
+            Activation("leaky-relu", leak)
+
+    def test_leak_is_stored_as_a_float(self):
+        for leak in (1, np.float32(0.5), np.int64(-2)):
+            act = Activation("leaky-relu", leak)
+            assert type(act.leak) is float and act == Activation("leaky-relu", float(leak))
 
     def test_score_fn_shape(self):
         model = random_rfm(5, 7, Activation.tanh(), seed=5)
@@ -234,7 +243,7 @@ class TestPsiMatrices:
 
 class TestAnalyticBmd:
     def test_linear_activation_is_exactly_one(self):
-        model = random_rfm(12, 8, Activation.linear(), seed=8)
+        model = random_rfm(12, 8, Activation("linear"), seed=8)
         assert analytic_bmd(model) == 1.0
 
     def test_weight_scale_invariance(self):
@@ -244,7 +253,7 @@ class TestAnalyticBmd:
         assert abs(analytic_bmd(with_weights(model, -1.7 * model.w)) - base) < 1e-12
 
     def test_sign_activation_raises(self):
-        model = random_rfm(12, 8, Activation.sign(), seed=10)
+        model = random_rfm(12, 8, Activation("sign"), seed=10)
         with pytest.raises(ValueError, match="diverges"):
             analytic_bmd(model)
 
@@ -289,12 +298,12 @@ class TestAnalyticBmd:
 
 class TestCheckpoint:
     def test_roundtrip_exact(self, tmp_path):
-        model = random_rfm(6, 9, Activation.leaky_relu(0.25), seed=15)
+        model = random_rfm(6, 9, Activation("leaky-relu", 0.25), seed=15)
         path = tmp_path / "model.txt"
         save_rfm(path, model)
         back = load_rfm(path)
         assert back.D == 6 and back.N == 9
-        assert back.activation == Activation.leaky_relu(0.25)
+        assert back.activation == Activation("leaky-relu", 0.25)
         assert np.array_equal(back.F, model.F)
         assert np.array_equal(back.w, model.w)
 
@@ -305,8 +314,8 @@ class TestCheckpoint:
             load_rfm(path)
 
     def test_activation_tags(self):
-        for act in (Activation.tanh(), Activation.sign(), Activation.linear(),
-                    Activation.leaky_relu(0.1)):
+        for act in (Activation.tanh(), Activation("sign"), Activation("linear"),
+                    Activation("leaky-relu", 0.1)):
             assert Activation.from_tag(act.tag) == act
         with pytest.raises(ValueError):
             Activation.from_tag("softplus")

@@ -271,9 +271,8 @@ class TestRidge:
         with pytest.raises(ValueError, match=f"lam must be finite and >= 0, got lam = {lam!r}"):
             train_rfm_ridge(model, ds, lam)
 
-    @pytest.mark.parametrize("act", [Activation.tanh(), Activation.sign(), Activation.linear(),
-                                     Activation.leaky_relu(0.2), Activation.leaky_relu(-0.5)],
-                             ids=lambda a: a.tag)
+    @pytest.mark.parametrize("act", [Activation.from_tag(tag) for tag in (
+        "tanh", "sign", "linear", "leaky-relu:0.2", "leaky-relu:-0.5")], ids=lambda a: a.tag)
     def test_design_matrix_equals_the_value_expression_bit_for_bit(self, act):
         model = random_rfm(7, 11, act, seed=3, kappas=compute_kappas(Activation.tanh()))
         X = np.random.default_rng(4).standard_normal((13, 7))
@@ -285,8 +284,8 @@ class TestRidge:
         assert np.array_equal(X, before)
 
     def test_underparameterized_linear_error_monotone_in_samples(self):
-        ks = compute_kappas(Activation.linear())
-        model = random_rfm(30, 20, Activation.linear(), seed=16, kappas=ks)
+        ks = compute_kappas(Activation("linear"))
+        model = random_rfm(30, 20, Activation("linear"), seed=16, kappas=ks)
         task = TeacherTask.random(30, seed=17, input_kind="gaussian")
         errs = []
         for P in (50, 100, 200, 400):
@@ -576,6 +575,24 @@ class TestRobustness:
         ds = Dataset(X=X, y=np.ones(40))
         res = robustness_flip_count(lambda x: np.ones(x.shape[0]), ds, seed=17)
         assert res.mean == 6.0 and np.all(res.counts == 6) and res.n_evaluated == 40
+
+    def test_max_points_walks_a_subsample_of_the_correct_points(self):
+        D, P = 21, 600
+        X = np.random.default_rng(14).integers(0, 2, (P, D)).astype(float) * 2 - 1
+        ds = Dataset(X=X, y=X[:, 7].copy())
+        walked = []
+
+        def predict(x):
+            walked.append(-x[-1])  # the walk's last row negates every coordinate
+            return x[:, 7]
+
+        res = robustness_flip_count(predict, ds, seed=15, max_points=10)
+        assert res.n_evaluated == 10 and res.counts.shape == (10,)
+        rows = {int(np.flatnonzero((X == w).all(axis=1))[0]) for w in walked[1:]}
+        assert len(rows) == 10  # ten distinct points, each walked once
+        whole = robustness_flip_count(lambda x: x[:, 7], ds, seed=15)
+        capped = robustness_flip_count(lambda x: x[:, 7], ds, seed=15, max_points=P)
+        assert np.array_equal(capped.counts, whole.counts)  # no subsample at the cap
 
     def test_walk_blocks_match_the_cumulative_flip_loop(self):
         """Each walk block equals the one built by negating the permuted
